@@ -184,10 +184,9 @@ def task_radial(cfg, outdir):
     X0 = np.array([1.0 + 0.0j, 0.5 - 0.25j])
     traj = integrate(mode, params, (cfg["rstar_min"], cfg["rstar_max"]), X0,
                      tol=cfg["tol"], branch=cfg["branch"])
-    rows = []
-    for rs, X in zip(traj.rstar, traj.X):
-        rr = tortoise_inverse(float(rs), cfg["branch"], params)
-        rows.append((rs, rr, X[0].real, X[0].imag, X[1].real, X[1].imag))
+    r = tortoise_inverse(traj.rstar, cfg["branch"], params)
+    X1, X2 = traj.X[:, 0], traj.X[:, 1]
+    rows = zip(traj.rstar, r, X1.real, X1.imag, X2.real, X2.imag)
     _write_table(outdir, "trajectory", ("rstar", "r", "ReX1", "ImX1", "ReX2", "ImX2"), rows)
     _write_record(outdir, "radial", {"task": "radial", "config": cfg,
                                      "steps": traj.steps, "rejected": traj.rejected})
@@ -238,6 +237,11 @@ DEFAULTS = {
     "rstar_min": 1e3, "rstar_max": 1e6, "n_samples": 36,
     "branch": "exterior",
 }
+# per-task defaults layered over DEFAULTS: the far-field span above is far
+# beyond what the adaptive integrator behind `radial` can cover
+TASK_DEFAULTS = {
+    "radial": {"rstar_min": 10.0, "rstar_max": 200.0},
+}
 
 
 def build_parser():
@@ -260,7 +264,7 @@ def build_parser():
 
 
 def load_config(args):
-    cfg = dict(DEFAULTS)
+    cfg = {**DEFAULTS, **TASK_DEFAULTS.get(args.task, {})}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)

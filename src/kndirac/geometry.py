@@ -140,130 +140,85 @@ def azimuthal_shift_derivative(r, params):
     return params.a / delta
 
 
-def _interior_offset_scalar(rs, rm, width, kp, km):
-    # Newton in t = log(eps); g(t) is strictly decreasing on the branch
-    t_cap = math.log(width) - 1e-15
-    t = min(max((rm + kp * math.log(width) - rs) / km, -745.0), t_cap)
-    mid = rm + 0.5 * width + kp * math.log(0.5 * width) - km * math.log(0.5 * width)
-    if rs < mid:
-        t = math.log(0.5 * width)
-    for _ in range(200):
-        e = math.exp(t)
-        f = rm + e + kp * math.log(width - e) - km * t - rs
-        df = e - kp * e / (width - e) - km
-        step = f / df
-        step = max(min(step, 30.0), -30.0)
-        t = min(t - step, t_cap)
-        if abs(step) < 1e-15 * max(1.0, abs(t)):
-            break
-    return math.exp(t)
-
-
 def interior_offset(rstar, params):
     """Radial offset eps = r - r_minus on the interior branch, solved in log(eps).
 
     Working in t = log(eps) keeps the inversion accurate arbitrarily close to
     the Cauchy horizon, where eps underflows any direct subtraction r - r_minus.
+    Arrays are solved together; a scalar rstar returns a float.
     """
     rp, rm = params.r_plus, params.r_minus
     if rm <= 0.0:
         raise ValueError("interior branch requires a Cauchy horizon (a, Q not both 0)")
     kp, km = _kappas(params)
     width = rp - rm
-    if np.ndim(rstar) == 0:
-        return _interior_offset_scalar(float(rstar), rm, width, kp, km)
-    rs = np.asarray(rstar, dtype=float)
-    # seed from the near-horizon asymptotics rstar ~ rm + kp log(width) - km t
-    t = np.clip((rm + kp * math.log(width) - rs) / km, -745.0, math.log(width) - 1e-12)
-    t = np.where(rs < tortoise(rm + 0.5 * width, params), math.log(0.5 * width) * np.ones_like(t), t)
+    rs = np.array(rstar, dtype=float, ndmin=1)
+    log_half = math.log(0.5 * width)
+    t_cap = math.log(width) - 1e-15
+    # seed from the near-horizon asymptotics rstar ~ rm + kp log(width) - km t;
+    # below the midpoint rstar(rm + width/2) start from the midpoint instead
+    t = np.minimum(np.maximum((rm + kp * math.log(width) - rs) / km, -745.0), math.log(width) - 1e-12)
+    t = np.where(rs < rm + 0.5 * width + (kp - km) * log_half, log_half, t)
     for _ in range(200):
         e = np.exp(t)
-        f = rm + e + kp * np.log(width - e) - km * t - rs
-        df = e - kp * e / (width - e) - km  # < 0 on the whole branch
-        step = np.clip(f / df, -30.0, 30.0)
-        t = np.minimum(t - step, math.log(width) - 1e-15)
-        if np.max(np.abs(step)) < 1e-15 * np.maximum(1.0, np.max(np.abs(t))):
+        gap = width - e
+        f = rm + e + kp * np.log(gap) - km * t - rs
+        df = e - kp * e / gap - km  # < 0 on the whole branch
+        step = np.minimum(np.maximum(f / df, -30.0), 30.0)
+        t = np.minimum(t - step, t_cap)
+        if np.abs(step).max() < 1e-15 * max(1.0, np.abs(t).max()):
             break
-    return np.exp(t)
-
-
-def _invert_exterior_scalar(rs, params):
-    rp, rm = params.r_plus, params.r_minus
-    kp, km = _kappas(params)
-    if rs > rp + 4.0 * kp:
-        r = max(rs - kp * math.log(max(abs(rs), 2.0 + rp)), rp * (1 + 1e-9))
-    else:
-        r = rp + math.exp(max(min((rs - rp - km * math.log(max(rp - rm, 1e-300))) / kp, 0.0), -700.0))
-        r = max(r, rp * (1 + 1e-14))
-    floor = rp * (1.0 + 1e-15)
-    f = math.inf
-    for _ in range(200):
-        delta = r * r - 2.0 * params.M * r + params.a**2 + params.Q**2
-        f = r + kp * math.log(abs(r - rp)) - rs
-        if km != 0.0:
-            f -= km * math.log(abs(r - rm))
-        step = f * delta / (r * r + params.a**2)
-        lim = 0.5 * (r - rp) + 1e3
-        step = max(min(step, lim), -lim)
-        r = max(r - step, floor)
-        # the attainable rstar residual is limited by the conditioning
-        # |drstar/dr| eps r of the log terms near the horizon
-        delta = r * r - 2.0 * params.M * r + params.a**2 + params.Q**2
-        f_floor = 64.0 * 2.3e-16 * (r * r + params.a**2) / abs(delta) * r
-        if abs(f) < 1e-12 * max(1.0, abs(rs)) + f_floor and abs(step) <= 1e-13 * max(r, 1.0):
-            return r
-    if r > floor * (1.0 + 1e-12):
-        raise ArithmeticError(f"tortoise inversion did not converge at rstar={rs}")
-    return r
+    eps = np.exp(t)
+    return eps if np.ndim(rstar) else float(eps[0])
 
 
 def _invert_exterior(rstar, params):
-    if np.ndim(rstar) == 0:
-        return _invert_exterior_scalar(float(rstar), params)
-    rp = params.r_plus
+    rp, rm = params.r_plus, params.r_minus
     kp, km = _kappas(params)
-    rs = np.asarray(rstar, dtype=float)
+    M, a2, q2 = params.M, params.a * params.a, params.Q * params.Q
+    rs = np.array(rstar, dtype=float, ndmin=1)
     # seed: large rstar -> r ~ rstar - kp log rstar; near horizon -> exponential offset
     far = rs - kp * np.log(np.maximum(np.abs(rs), 2.0 + rp))
-    near = rp + np.exp(np.clip((rs - rp - km * math.log(max(rp - params.r_minus, 1e-300))) / kp, -700.0, 0.0))
+    near = rp + np.exp(np.minimum(np.maximum(
+        (rs - rp - km * math.log(max(rp - rm, 1e-300))) / kp, -700.0), 0.0))
     r = np.where(rs > rp + 4.0 * kp, np.maximum(far, rp * (1 + 1e-9)), np.maximum(near, rp * (1 + 1e-14)))
     floor = rp * (1.0 + 1e-15)
+    f_tol = 1e-12 * max(1.0, np.abs(rs).max())
     for _ in range(200):
-        f = tortoise(r, params) - rs
-        df = tortoise_derivative(r, params)
-        step = f / df
+        # r >= floor > r_plus > r_minus: no absolute values needed in the logs
+        offset = r - rp
+        f = r + kp * np.log(offset) - km * np.log(r - rm) - rs
+        rr = r * r
+        step = f / ((rr + a2) / (rr - 2.0 * M * r + a2 + q2))
         # keep iterates on the branch; the map is monotone so plain damping suffices
-        r = np.maximum(r - np.clip(step, -0.5 * (r - rp) - 1e3, 0.5 * (r - rp) + 1e3), floor)
-        if np.max(np.abs(f)) < 1e-12 * np.maximum(1.0, np.max(np.abs(rs))) and np.max(
-            np.abs(step) / np.maximum(r, 1.0)
-        ) < 1e-14:
+        lim = 0.5 * offset + 1e3
+        r = np.maximum(r - np.minimum(np.maximum(step, -lim), lim), floor)
+        if np.abs(f).max() < f_tol and (np.abs(step) / np.maximum(r, 1.0)).max() < 1e-14:
             break
-    delta = r * r - 2.0 * params.M * r + params.a**2 + params.Q**2
-    f_floor = 64.0 * 2.3e-16 * (r * r + params.a**2) / np.abs(delta) * r
-    bad = (
-        np.abs(tortoise(r, params) - rs) > 1e-10 * np.maximum(1.0, np.abs(rs)) + f_floor
-    ) & (r > floor * (1.0 + 1e-12))
+    delta = r * r - 2.0 * M * r + a2 + q2
+    f_floor = 64.0 * 2.3e-16 * (r * r + a2) / np.abs(delta) * r
+    resid = np.abs(r + kp * np.log(r - rp) - km * np.log(r - rm) - rs)
+    bad = (resid > 1e-10 * np.maximum(1.0, np.abs(rs)) + f_floor) & (r > floor * (1.0 + 1e-12))
     if np.any(bad):
-        raise ArithmeticError("tortoise inversion did not converge for some array entries")
-    return r
+        raise ArithmeticError(f"tortoise inversion did not converge at rstar={rs[bad][0]!r}")
+    return r if np.ndim(rstar) else float(r[0])
 
 
 def tortoise_inverse(rstar, region, params):
     """Invert rstar -> r on the exterior (r > r_plus) or interior branch.
 
-    Safeguarded Newton iteration; the result satisfies
-    |tortoise(r) - rstar| < 1e-12 max(1, |rstar|) whenever the offset from the
-    horizon is representable in double precision, and clamps to the horizon
-    otherwise.
+    Safeguarded Newton iteration, vectorized over rstar (a scalar returns a
+    float); the result satisfies |tortoise(r) - rstar| < 1e-12 max(1, |rstar|)
+    whenever the offset from the horizon is representable in double
+    precision, and clamps to the horizon otherwise.
     """
     if region == "exterior":
         r = _invert_exterior(rstar, params)
-        return r if np.ndim(rstar) else float(r)
-    if region == "interior":
-        eps = interior_offset(rstar, params)
-        r = params.r_minus + eps
-        return r if np.ndim(rstar) else float(r)
-    raise ValueError(f"region must be 'exterior' or 'interior', got {region!r}")
+    elif region == "interior":
+        r = params.r_minus + interior_offset(rstar, params)
+    else:
+        raise ValueError(f"region must be 'exterior' or 'interior', got {region!r}")
+    return r
 
 
 def bl_metric(r, theta, params):

@@ -179,10 +179,8 @@ def radial_potential(rstar, mode, params, branch="exterior"):
     if branch == "interior":
         eps = interior_offset(rstar, params)
         r = params.r_minus + eps
-        width = params.r_plus - params.r_minus
-        delta = -eps * (width - eps)
-        sD = np.sqrt(eps * (width - eps))
-        return _potential_entries(r, delta, sD, -1.0, mode, params)
+        abs_delta = eps * (params.r_plus - params.r_minus - eps)
+        return _potential_entries(r, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params)
     raise ValueError(f"branch must be 'exterior' or 'interior', got {branch!r}")
 
 

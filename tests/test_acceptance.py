@@ -275,7 +275,8 @@ def test_criterion_9_integrator_health(far_field_runs, interior_runs):
     A = np.array([[0.2 + 1.1j, 0.15 - 0.2j], [-0.1 + 0.05j, -0.3j]])
     X0 = np.array([1.0 + 0.0j, 0.4 - 0.7j])
     tol = 1e-11
-    _, ys, _, _ = integrate_linear_system(lambda t: A, (0.0, 3.0), X0, tol=tol)
+    _, ys, _, _ = integrate_linear_system(
+        lambda t: np.broadcast_to(A, np.shape(t) + A.shape), (0.0, 3.0), X0, tol=tol)
     const_err = float(np.abs(ys[-1] - expm(3.0 * A) @ X0).max() / np.abs(ys[-1]).max())
     par, mode = INFTY_SEEDS[0]
     c = 2.0 + 1.0j

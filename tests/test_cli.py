@@ -77,6 +77,15 @@ def test_radial_task_and_determinism(tmp_path):
     assert read(out1, "radial.json") == read(out2, "radial.json")
 
 
+def test_radial_task_default_span(tmp_path):
+    # radial's own default span [10, 200], not the far-field [1e3, 1e6]
+    out = str(tmp_path / "o")
+    assert main(["radial", "--out", out]) == 0
+    rec = json.loads(read(out, "radial.json"))
+    assert (rec["config"]["rstar_min"], rec["config"]["rstar_max"]) == (10.0, 200.0)
+    assert rec["steps"] < 20_000
+
+
 def test_interior_asymptotics_task(tmp_path):
     out = str(tmp_path / "o")
     rc = main(["asymptotics", "--branch", "interior", "--out", out,

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from kndirac.geometry import SpacetimeParams, tortoise_inverse
+from kndirac.geometry import SpacetimeParams, interior_offset, tortoise_inverse
 from kndirac.separation import ModeParams, potential_trace, radial_potential
 from kndirac.radial import (
     RadialTrajectory,
@@ -141,7 +141,8 @@ def test_integrator_constant_coefficients():
     A = np.array([[0.2 + 1.1j, 0.15 - 0.2j], [-0.1 + 0.05j, -0.3j]])
     X0 = np.array([1.0 + 0.0j, 0.4 - 0.7j])
     tol = 1e-11
-    ts, ys, acc, rej = integrate_linear_system(lambda t: A, (0.0, 3.0), X0, tol=tol)
+    ts, ys, acc, rej = integrate_linear_system(
+        lambda t: np.broadcast_to(A, np.shape(t) + A.shape), (0.0, 3.0), X0, tol=tol)
     exact = expm(3.0 * A) @ X0
     assert np.abs(ys[-1] - exact).max() < 10 * tol * np.abs(exact).max()
 
@@ -155,6 +156,111 @@ def test_integrator_superposition():
     t2 = integrate(MODE, PAR, span, c * X0, tol=tol)
     # compare at the common endpoint
     assert np.abs(t2.X[-1] - c * t1.X[-1]).max() < 10 * tol * np.abs(t1.X[-1]).max()
+
+
+# Dormand-Prince 4(5) with seven separate matrix evaluations per step and no
+# stage reuse: the reference the vectorized FSAL integrator must reproduce
+_REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_REF_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_REF_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+
+
+def reference_dormand_prince(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
+    """`matrix(t)` takes one time and returns one matrix."""
+    t0, t1 = float(span[0]), float(span[1])
+    direction = 1.0 if t1 > t0 else -1.0
+    t = t0
+    y = np.asarray(X0, dtype=complex).copy()
+    atol = tol * 1e-2
+    h = direction * max(1e-6, abs(t1 - t0) * 1e-4)
+    ts = [t]
+    ys = [y.copy()]
+    K = [None] * 7
+    accepted = rejected = 0
+    while (t1 - t) * direction > 0:
+        if abs(h) > abs(t1 - t):
+            h = t1 - t
+        K[0] = matrix(t) @ y
+        for i in range(1, 7):
+            yi = y + h * sum(_REF_A[i][j] * K[j] for j in range(i))
+            K[i] = matrix(t + _REF_C[i] * h) @ yi
+        y5 = y + h * sum(_REF_B5[i] * K[i] for i in range(7))
+        y4 = y + h * sum(_REF_B4[i] * K[i] for i in range(7))
+        sc = atol + tol * max(np.max(np.abs(y)), np.max(np.abs(y5)))
+        err = math.sqrt(float(np.mean(np.abs(y5 - y4) ** 2))) / sc
+        if err <= 1.0:
+            t += h
+            y = y5
+            ts.append(t)
+            ys.append(y.copy())
+            accepted += 1
+        else:
+            rejected += 1
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        if abs(h) < 1e-14 * max(1.0, abs(t)):
+            raise ArithmeticError("step size underflow in radial integration")
+        if accepted + rejected > max_steps:
+            raise ArithmeticError("step budget exhausted in radial integration")
+    return np.array(ts), np.array(ys), accepted, rejected
+
+
+@pytest.mark.parametrize("branch", ["interior", "exterior"])
+def test_integrate_matches_seven_evaluation_reference(branch, monkeypatch):
+    import kndirac.radial
+
+    if branch == "interior":
+        mode, span, tol = IMODE, (0.0, 32.0 / cauchy_rate(PAR)), 1e-11
+        X0 = np.array([1.0 + 0.2j, -0.6 + 0.4j])
+    else:
+        mode, span, tol = MODE, (10.0, 60.0), 1e-10
+        X0 = np.array([1.0 + 0.0j, 0.5 - 0.25j])
+    calls = []
+
+    def counted(t, *args, **kwargs):
+        calls.append(np.shape(t))
+        return radial_potential(t, *args, **kwargs)
+
+    monkeypatch.setattr(kndirac.radial, "radial_potential", counted)
+    traj = integrate(mode, PAR, span, X0, tol=tol, branch=branch)
+    monkeypatch.undo()
+    ts, ys, acc, rej = reference_dormand_prince(
+        lambda t: radial_potential(t, mode, PAR, branch=branch), span, X0, tol=tol)
+    assert (traj.steps, traj.rejected) == (acc, rej)
+    assert abs(traj.rstar[-1] - ts[-1]) <= 1e-12 * abs(ts[-1])
+    assert np.abs(traj.X[-1] - ys[-1]).max() < 10 * tol * np.abs(ys[-1]).max()
+    # one call at the start, then one per attempted step on its six nodes
+    assert len(calls) == acc + rej + 1
+    assert calls[0] == (1,) and set(calls[1:]) == {(6,)}
+
+
+def test_step_budget_failure_names_the_state():
+    A = np.array([[0.0, 1.0j], [1.0j, 0.0]])
+    with pytest.raises(ArithmeticError, match=r"t=.*h=.*accepted and \d+ rejected"):
+        integrate_linear_system(lambda t: np.broadcast_to(A, np.shape(t) + A.shape),
+                                (0.0, 1e4), np.array([1.0, 0.0]), tol=1e-10, max_steps=10)
+
+
+@pytest.mark.parametrize("region,rstar", [("exterior", -40.0), ("exterior", 1e6),
+                                          ("interior", 40.0), ("interior", 1e3)])
+def test_inversion_scalar_matches_array(region, rstar):
+    inverses = [lambda s: tortoise_inverse(s, region, PAR)]
+    if region == "interior":
+        inverses.append(lambda s: interior_offset(s, PAR))
+    for inverse in inverses:
+        scalar = inverse(rstar)
+        arr = inverse(np.array([rstar, rstar + 1.0]))
+        assert type(scalar) is float
+        assert arr.shape == (2,)
+        assert abs(scalar - arr[0]) <= 1e-14 * abs(arr[0])
 
 
 def trace_integral(u0, u1, mode, params, branch="exterior"):
