@@ -189,11 +189,15 @@ def _invert_exterior(rstar, params):
         offset = r - rp
         f = r + kp * np.log(offset) - km * np.log(r - rm) - rs
         rr = r * r
-        step = f / ((rr + a2) / (rr - 2.0 * M * r + a2 + q2))
+        drs = (rr + a2) / (rr - 2.0 * M * r + a2 + q2)  # d rstar / dr
+        step = f / drs
         # keep iterates on the branch; the map is monotone so plain damping suffices
         lim = 0.5 * offset + 1e3
         r = np.maximum(r - np.minimum(np.maximum(step, -lim), lim), floor)
-        if np.abs(f).max() < f_tol and (np.abs(step) / np.maximum(r, 1.0)).max() < 1e-14:
+        # near the horizon rounding of r alone leaves |f| up to the
+        # conditioning floor 64 eps r drstar/dr, as the check below allows
+        if (np.abs(step) / np.maximum(r, 1.0)).max() < 1e-14 and (
+                np.abs(f) < f_tol + 64.0 * 2.3e-16 * drs * r).all():
             break
     delta = r * r - 2.0 * M * r + a2 + q2
     f_floor = 64.0 * 2.3e-16 * (r * r + a2) / np.abs(delta) * r

@@ -5,10 +5,14 @@ Two integrators are provided.  `integrate` is an adaptive embedded
 Dormand-Prince 4(5) pair, adequate for spans of up to a few hundred tortoise
 units.  The far-field experiments need phase-coherent trajectories over
 rstar in [1e3, 1e6]; `far_field_trajectory` therefore uses a fixed-grid
-fourth-order Magnus propagator with closed-form 2x2 exponentials, vectorized
-over all steps.  Each Magnus step multiplies the determinant by
-exp(h tr U) exactly, so the Abel/Wronskian identity holds to rounding by
-construction; a beta / beta/2 self-check bounds the phase error.
+fourth-order Magnus propagator, vectorized over all steps of a chunk.  Its
+2x2 algebra (the commutator of the Gauss-node potentials, the closed-form
+exponential and the tree-reduced ordered product) is written out on four
+component arrays, one entry per step, and the exponential runs in real
+arithmetic because the exterior potential lies in u(1,1).  Each Magnus step
+multiplies the determinant by exp(h tr U) exactly, so the Abel/Wronskian
+identity holds to rounding by construction; a beta / beta/2 self-check
+bounds the phase error.
 
 Asymptotics at infinity: with w1 the root of omega^2 - m^2 in the closed
 convex hull of the positive real and positive imaginary axes, w2 = -w1, the
@@ -41,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import interior_offset, tortoise_inverse
-from .separation import radial_potential, radial_potential_from_r
+from .geometry import delta_sigma, interior_offset, tortoise_inverse
+from .separation import _potential_entries, radial_potential
 
 __all__ = [
     "w_roots",
@@ -243,50 +247,81 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
 
 
 # ---------------------------------------------------------------------------
-# far-field propagation (vectorized Magnus-4)
+# far-field propagation (vectorized Magnus-4 on 2x2 components)
+#
+# Every 2x2 quantity of a chunk of steps is held as four component arrays
+# (x00, x01, x10, x11), one entry per step, and multiplied out by hand.  On
+# the exterior branch U lies in u(1,1): its diagonal entries are imaginary
+# and U10 = conj(U01).  The Magnus exponent, a real combination of U and of
+# commutators of U, stays in u(1,1), which `_expm2` uses.
 
 _GAUSS_C1 = 0.5 - math.sqrt(3.0) / 6.0
 _GAUSS_C2 = 0.5 + math.sqrt(3.0) / 6.0
 
 
-def _expm2(Omega):
-    """Closed-form matrix exponential of a stack of 2x2 matrices."""
-    mu = 0.5 * (Omega[..., 0, 0] + Omega[..., 1, 1])
-    N = Omega.copy()
-    N[..., 0, 0] -= mu
-    N[..., 1, 1] -= mu
-    q2 = N[..., 0, 0] * N[..., 0, 0] + N[..., 0, 1] * N[..., 1, 0]
-    q = np.sqrt(q2 + 0j)
-    small = np.abs(q) < 1e-8
-    qs = np.where(small, 1.0, q)
-    sh = np.where(small, 1.0 + q2 / 6.0 + q2 * q2 / 120.0, np.sinh(qs) / qs)
-    out = sh[..., None, None] * N
-    ch = np.cosh(q)
-    out[..., 0, 0] += ch
-    out[..., 1, 1] += ch
-    return np.exp(mu)[..., None, None] * out
+def _expm2(o00, o01, o10, o11):
+    """exp(Omega) for a stack of 2x2 matrices Omega in u(1,1), by components.
+
+    With Omega = i mu + N, N traceless, N^2 = q2 I where q2 = |o01|^2 - g^2,
+    g = Im(o00 - o11) / 2, is real; exp(Omega) = e^{i mu} (cosh q + sinh(q)/q N)
+    is evaluated in real arithmetic, through cos and sin of sqrt(-q2) when
+    q2 < 0 and a series for |q| < 1e-8.
+    """
+    mu = 0.5 * (o00.imag + o11.imag)
+    g = 0.5 * (o00.imag - o11.imag)
+    q2 = o01.real * o01.real + o01.imag * o01.imag - g * g
+    s = np.sqrt(np.abs(q2))
+    grows = q2 > 0
+    small = s < 1e-8
+    ch = np.where(grows, np.cosh(s), np.cos(s))
+    sh = np.where(small, 1.0 + q2 / 6.0 + q2 * q2 / 120.0,
+                  np.where(grows, np.sinh(s), np.sin(s)) / np.where(small, 1.0, s))
+    phase = np.exp(1j * mu)
+    gsh, psh = 1j * (g * sh), phase * sh
+    return phase * (ch + gsh), psh * o01, psh * o10, phase * (ch - gsh)
 
 
-def _ordered_product(Ms):
-    """Product M_{n-1} @ ... @ M_0 of a stack of 2x2 matrices, tree-reduced."""
-    while Ms.shape[0] > 1:
-        n2 = (Ms.shape[0] // 2) * 2
-        P = np.einsum("nij,njk->nik", Ms[1:n2:2], Ms[0:n2:2])
-        if Ms.shape[0] % 2 == 1:
-            P = np.concatenate([P[:-1], (Ms[-1] @ P[-1])[None]])
-        Ms = P
-    return Ms[0]
+def _ordered_product(m00, m01, m10, m11):
+    """Product M_{n-1} ... M_0 of a stack of 2x2 matrices, tree-reduced.
+
+    Takes and returns the four components; each level multiplies neighbours
+    pairwise, and an odd last factor is folded into the last pair product.
+    """
+    while len(m00) > 1:
+        n2 = len(m00) // 2 * 2
+        l00, l01, l10, l11 = m00[1:n2:2], m01[1:n2:2], m10[1:n2:2], m11[1:n2:2]
+        r00, r01, r10, r11 = m00[0:n2:2], m01[0:n2:2], m10[0:n2:2], m11[0:n2:2]
+        p00, p01 = l00 * r00 + l01 * r10, l00 * r01 + l01 * r11
+        p10, p11 = l10 * r00 + l11 * r10, l10 * r01 + l11 * r11
+        if n2 < len(m00):
+            t00, t01, t10, t11 = m00[-1], m01[-1], m10[-1], m11[-1]
+            p00[-1], p01[-1], p10[-1], p11[-1] = (
+                t00 * p00[-1] + t01 * p10[-1], t00 * p01[-1] + t01 * p11[-1],
+                t10 * p00[-1] + t11 * p10[-1], t10 * p01[-1] + t11 * p11[-1])
+        m00, m01, m10, m11 = p00, p01, p10, p11
+    return m00[0], m01[0], m10[0], m11[0]
 
 
-def _magnus_chunk(mode, params, ua, ub, nsteps, r_cache=None):
+def _magnus_chunk(mode, params, ua, ub, nsteps):
+    """Propagator over [ua, ub] in `nsteps` Magnus-4 steps, as a 2x2 matrix."""
     h = (ub - ua) / nsteps
     edges = ua + h * np.arange(nsteps)
     nodes = np.concatenate([edges + _GAUSS_C1 * h, edges + _GAUSS_C2 * h])
     r = tortoise_inverse(nodes, "exterior", params)
-    U = radial_potential_from_r(r, mode, params)
-    A1, A2 = U[:nsteps], U[nsteps:]
-    Om = 0.5 * h * (A1 + A2) + (math.sqrt(3.0) * h * h / 12.0) * (A2 @ A1 - A1 @ A2)
-    return _ordered_product(_expm2(Om)), nsteps
+    delta, _ = delta_sigma(r, 0.0, params)  # > 0 on the exterior branch
+    a, b, c, d = _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)
+    a1, b1, c1, d1 = a[:nsteps], b[:nsteps], c[:nsteps], d[:nsteps]
+    a2, b2, c2, d2 = a[nsteps:], b[nsteps:], c[nsteps:], d[nsteps:]
+    # Omega = h/2 (A1 + A2) + (sqrt(3) h^2 / 12) (A2 A1 - A1 A2); the
+    # commutator's diagonal is +-(b2 c1 - b1 c2)
+    half, k = 0.5 * h, math.sqrt(3.0) * h * h / 12.0
+    e1, e2 = a1 - d1, a2 - d2
+    diag = k * (b2 * c1 - b1 * c2)
+    P = _ordered_product(*_expm2(half * (a1 + a2) + diag,
+                                 half * (b1 + b2) + k * (b1 * e2 - b2 * e1),
+                                 half * (c1 + c2) + k * (c2 * e1 - c1 * e2),
+                                 half * (d1 + d2) - diag))
+    return np.array(P).reshape(2, 2)
 
 
 def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40,
@@ -297,7 +332,9 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40,
     error of the slowly varying potential; beta = 4e-3 keeps the accumulated
     phase error orders of magnitude below the 1/u residual that the far-field
     fit measures (halving beta moves trajectories by less than 1e-9 in
-    practice).
+    practice).  Raising beta is no shortcut: beyond about 1.6e-2 the steps
+    with h |w1| > pi, outside the Magnus convergence bound, spread over most
+    of the span and the error grows far faster than h^4.
     """
     us = np.geomspace(u_min, u_max, n_samples)
     X = np.asarray(X0, dtype=complex).copy()
@@ -312,7 +349,7 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40,
         while n > 0:
             m = min(n, max_chunk)
             ue = start + (ub - start) * (m / n)
-            P, _ = _magnus_chunk(mode, params, start, ue, m)
+            P = _magnus_chunk(mode, params, start, ue, m)
             X = P @ X
             det = det * (P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0])
             start = ue

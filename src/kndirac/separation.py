@@ -147,14 +147,24 @@ def radial_system(r, mode, params):
 
 
 def _potential_entries(r, delta, sD, eps_sign, mode, params):
+    """Components (U00, U01, U10, U11) of U at radius r, given Delta, sqrt|Delta|
+    and the sign of Delta.
+
+    The one evaluator of U: the stacked matrices of `radial_potential` are
+    built from it, and the far-field Magnus kernel works on the components.
+    """
     om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
     a = params.a
     ra = r * r + a * a
-    U = np.zeros(np.shape(r) + (2, 2), dtype=complex)
-    U[..., 0, 0] = 1j * (om * (2 * ra - delta) + 2 * k * a) / ra
-    U[..., 0, 1] = sD * (-1j * m * r + xi) / ra
-    U[..., 1, 0] = eps_sign * sD * (1j * m * r + xi) / ra
-    U[..., 1, 1] = -1j * delta * om / ra
+    return (1j * (om * (2 * ra - delta) + 2 * k * a) / ra,
+            sD * (-1j * m * r + xi) / ra,
+            eps_sign * sD * (1j * m * r + xi) / ra,
+            -1j * delta * om / ra)
+
+
+def _stacked(u00, u01, u10, u11):
+    U = np.empty(np.shape(u00) + (2, 2), dtype=complex)
+    U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1] = u00, u01, u10, u11
     return U
 
 
@@ -163,7 +173,7 @@ def radial_potential_from_r(r, mode, params):
     delta, _ = delta_sigma(r, 0.0, params)
     sD = np.sqrt(np.abs(delta))
     eps = np.where(delta >= 0, 1.0, -1.0)
-    return _potential_entries(r, delta, sD, eps, mode, params)
+    return _stacked(*_potential_entries(r, delta, sD, eps, mode, params))
 
 
 def radial_potential(rstar, mode, params, branch="exterior"):
@@ -180,7 +190,7 @@ def radial_potential(rstar, mode, params, branch="exterior"):
         eps = interior_offset(rstar, params)
         r = params.r_minus + eps
         abs_delta = eps * (params.r_plus - params.r_minus - eps)
-        return _potential_entries(r, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params)
+        return _stacked(*_potential_entries(r, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params))
     raise ValueError(f"branch must be 'exterior' or 'interior', got {branch!r}")
 
 

@@ -110,6 +110,17 @@ def test_tortoise_inverse_roundtrip_exterior():
     assert abs(r - 4.0) < 1e-12
 
 
+@pytest.mark.parametrize("rstar,r_ref", [(-40.0, 1.7416198612243807), (-30.0, 1.741620839074741)])
+def test_tortoise_inverse_near_horizon_floor(rstar, r_ref):
+    # r_ref: the root reached when the Newton loop ran all 200 iterations;
+    # stopping at the conditioning floor must land on the same root
+    r = tortoise_inverse(rstar, "exterior", PAR)
+    assert abs(r - r_ref) <= 1e-14 * r_ref
+    delta, _ = delta_sigma(r, 0.0, PAR)
+    f_floor = 64.0 * 2.3e-16 * (r * r + PAR.a**2) / abs(delta) * r
+    assert abs(tortoise(r, PAR) - rstar) <= 1e-10 * max(1.0, abs(rstar)) + f_floor
+
+
 def test_tortoise_inverse_far_field_window():
     par = SpacetimeParams(M=1.0)
     r = tortoise_inverse(1e6, "exterior", par)

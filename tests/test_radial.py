@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from kndirac.geometry import SpacetimeParams, interior_offset, tortoise_inverse
-from kndirac.separation import ModeParams, potential_trace, radial_potential
+from kndirac.separation import ModeParams, potential_trace, radial_potential, radial_potential_from_r
 from kndirac.radial import (
     RadialTrajectory,
     asymptotic_phases,
@@ -23,7 +23,11 @@ from kndirac.radial import (
     strip_horizon_phase,
     theta_boost,
     w_roots,
+    _GAUSS_C1,
+    _GAUSS_C2,
     _diagonalizer,
+    _expm2,
+    _ordered_product,
 )
 
 PAR = SpacetimeParams(M=1.0, a=0.6, Q=0.3)
@@ -309,6 +313,124 @@ def test_far_field_beta_convergence():
     t1 = far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1e4, n_samples=6, beta=4e-3)
     t2 = far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1e4, n_samples=6, beta=2e-3)
     assert np.abs(t1.X - t2.X).max() < 1e-8
+
+
+# The Magnus chunk on stacked (n, 2, 2) matrices: `@` commutator, complex
+# closed-form exponential and einsum tree product.  The reference the
+# component kernel must reproduce.
+
+def reference_expm2(Omega):
+    mu = 0.5 * (Omega[..., 0, 0] + Omega[..., 1, 1])
+    N = Omega.copy()
+    N[..., 0, 0] -= mu
+    N[..., 1, 1] -= mu
+    q2 = N[..., 0, 0] * N[..., 0, 0] + N[..., 0, 1] * N[..., 1, 0]
+    q = np.sqrt(q2 + 0j)
+    small = np.abs(q) < 1e-8
+    qs = np.where(small, 1.0, q)
+    sh = np.where(small, 1.0 + q2 / 6.0 + q2 * q2 / 120.0, np.sinh(qs) / qs)
+    out = sh[..., None, None] * N
+    ch = np.cosh(q)
+    out[..., 0, 0] += ch
+    out[..., 1, 1] += ch
+    return np.exp(mu)[..., None, None] * out
+
+
+def reference_ordered_product(Ms):
+    while Ms.shape[0] > 1:
+        n2 = (Ms.shape[0] // 2) * 2
+        P = np.einsum("nij,njk->nik", Ms[1:n2:2], Ms[0:n2:2])
+        if Ms.shape[0] % 2 == 1:
+            P = np.concatenate([P[:-1], (Ms[-1] @ P[-1])[None]])
+        Ms = P
+    return Ms[0]
+
+
+def reference_magnus_chunk(mode, params, ua, ub, nsteps):
+    h = (ub - ua) / nsteps
+    edges = ua + h * np.arange(nsteps)
+    nodes = np.concatenate([edges + _GAUSS_C1 * h, edges + _GAUSS_C2 * h])
+    U = radial_potential_from_r(tortoise_inverse(nodes, "exterior", params), mode, params)
+    A1, A2 = U[:nsteps], U[nsteps:]
+    Om = 0.5 * h * (A1 + A2) + (math.sqrt(3.0) * h * h / 12.0) * (A2 @ A1 - A1 @ A2)
+    return reference_ordered_product(reference_expm2(Om))
+
+
+def u11_stack(rng, g, absw):
+    """Stack of u(1,1) matrices [[i(mu+g), w], [conj(w), i(mu-g)]], |w| = absw,
+    random trace mu and phase of w; q2 = |w|^2 - g^2."""
+    n = len(g)
+    mu = rng.normal(size=n)
+    w = absw * np.exp(2j * np.pi * rng.uniform(size=n))
+    Om = np.empty((n, 2, 2), dtype=complex)
+    Om[:, 0, 0], Om[:, 0, 1] = 1j * (mu + g), w
+    Om[:, 1, 0], Om[:, 1, 1] = np.conj(w), 1j * (mu - g)
+    return Om
+
+
+def test_expm2_matches_scipy():
+    rng = np.random.default_rng(11)
+    sym = rng.uniform(-0.5, 0.5, 40)
+    big = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.6, 2.0, 40)
+    stacks = [
+        u11_stack(rng, sym, rng.uniform(0.6, 2.0, 40)),  # q2 > 0: cosh, sinh
+        u11_stack(rng, big, rng.uniform(0.0, 0.5, 40)),  # q2 < 0: cos, sin
+        u11_stack(rng, 1e-10 * sym, 1e-10 * rng.uniform(0.0, 1.0, 40)),  # |q| < 1e-8: series
+        np.zeros((1, 2, 2), dtype=complex),
+    ]
+    for Om in stacks:
+        E = _expm2(Om[:, 0, 0], Om[:, 0, 1], Om[:, 1, 0], Om[:, 1, 1])
+        for i in range(len(Om)):
+            ref = expm(Om[i])
+            got = np.array([[E[0][i], E[1][i]], [E[2][i], E[3][i]]])
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 1000])
+def test_ordered_product_matches_sequential(n):
+    rng = np.random.default_rng(n)
+    Ms = np.eye(2) + 0.1 * (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    ref = np.eye(2, dtype=complex)
+    for M in Ms:
+        ref = M @ ref
+    P = _ordered_product(Ms[:, 0, 0], Ms[:, 0, 1], Ms[:, 1, 0], Ms[:, 1, 1])
+    assert np.abs(np.array(P).reshape(2, 2) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_magnus_exponents_lie_in_u11(monkeypatch):
+    # `_expm2` takes q2 = |o01|^2 - g^2 as real: on the exterior branch every
+    # exponent must have imaginary diagonal entries and o10 = conj(o01)
+    import kndirac.radial
+
+    seen = []
+
+    def recording(o00, o01, o10, o11):
+        seen.append((o00, o01, o10, o11))
+        return _expm2(o00, o01, o10, o11)
+
+    monkeypatch.setattr(kndirac.radial, "_expm2", recording)
+    far_field_trajectory(MODE, PAR, np.array([1.0, 0.5j]), u_min=1.0, u_max=2e3, n_samples=4)
+    assert seen
+    for o00, o01, o10, o11 in seen:
+        assert np.all(o00.real == 0.0) and np.all(o11.real == 0.0)
+        assert np.all(o10 == np.conj(o01))
+
+
+@pytest.mark.parametrize("par,mode", [
+    (SpacetimeParams(M=1.0, a=0.3, Q=0.5), ModeParams(omega=-1.1, k=-0.5, m=0.4, xi=1.1)),
+    (SpacetimeParams(M=0.8, a=0.4, Q=0.2), ModeParams(omega=1.7, k=-1.5, m=0.8, xi=2.1)),
+])
+def test_far_field_matches_stacked_reference(par, mode, monkeypatch):
+    # two of criterion 7's seeds over a short span
+    import kndirac.radial
+
+    X0 = np.array([0.8 + 0.3j, -0.45 + 0.9j])
+    traj = far_field_trajectory(mode, par, X0, u_min=1e3, u_max=3e4, n_samples=12)
+    monkeypatch.setattr(kndirac.radial, "_magnus_chunk", reference_magnus_chunk)
+    ref = far_field_trajectory(mode, par, X0, u_min=1e3, u_max=3e4, n_samples=12)
+    assert traj.steps == ref.steps
+    assert np.abs(traj.X - ref.X).max() < 1e-11
+    assert np.abs(traj.prop_det - ref.prop_det).max() < 1e-11
 
 
 def far_traj():
