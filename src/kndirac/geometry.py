@@ -153,20 +153,39 @@ def interior_offset(rstar, params):
     kp, km = _kappas(params)
     width = rp - rm
     rs = np.array(rstar, dtype=float, ndmin=1)
-    log_half = math.log(0.5 * width)
-    t_cap = math.log(width) - 1e-15
-    # seed from the near-horizon asymptotics rstar ~ rm + kp log(width) - km t;
-    # below the midpoint rstar(rm + width/2) start from the midpoint instead
-    t = np.minimum(np.maximum((rm + kp * math.log(width) - rs) / km, -745.0), math.log(width) - 1e-12)
-    t = np.where(rs < rm + 0.5 * width + (kp - km) * log_half, log_half, t)
+    log_w = math.log(width)
+    log_half = log_w - math.log(2.0)
+    t_cap = log_w - 1e-15
+    # f(t) = rm + e^t + kp log(width - e^t) - km t - rstar is concave and
+    # decreasing in t.  Seeds: beyond the midpoint's rstar the r_minus-side
+    # asymptote rstar ~ rm + kp log(width) - km t, which lies past the root, or
+    # the midpoint where that is nearer; short of it the r_plus-side asymptote
+    # rstar ~ rp + kp log(width - e^t) - km log(width), kept in the upper half
+    t = np.minimum(np.maximum((rm + kp * log_w - rs) / km, -745.0), log_half)
+    rs_mid = rm + 0.5 * width + (kp - km) * log_half
+    if rs.min() < rs_mid:
+        low = rs < rs_mid
+        gap = np.minimum(np.exp((rs[low] - rp + km * log_w) / kp), 0.5 * width)
+        t[low] = np.minimum(np.log(width - gap), t_cap)
+    c = rm - rs
+    # rounding keeps |f| above a few ulps of its terms, whose magnitudes sum to
+    # at most 2 (|rstar| + rp + kp max(|log width|, |log width/2|)) at the
+    # root: one of km |t| and kp |log(width - eps)| is bounded on its half of
+    # the branch, and the other is at most |rstar| + rp plus that bound
+    f_floor = 16 * 2.3e-16 * (np.abs(rs) + (rp + kp * max(abs(log_w), abs(log_half))))
+    # |df/dt| >= km: once |f| is at its floor no step exceeds f_floor / km
+    # (twice that covers the rounding of f / df)
+    floor_move = 2.0 * f_floor.max() / km
+    tol = 1e-15 * max(1.0, np.abs(t).max())
     for _ in range(200):
         e = np.exp(t)
         gap = width - e
-        f = rm + e + kp * np.log(gap) - km * t - rs
-        df = e - kp * e / gap - km  # < 0 on the whole branch
-        step = np.minimum(np.maximum(f / df, -30.0), 30.0)
-        t = np.minimum(t - step, t_cap)
-        if np.abs(step).max() < 1e-15 * max(1.0, np.abs(t).max()):
+        f = e + kp * np.log(gap) - km * t + c
+        # no step passes the cap, so a point resting there takes a zero step
+        step = np.maximum(np.minimum(np.maximum(f / (e - kp * e / gap - km), -30.0), 30.0), t - t_cap)
+        t = t - step
+        moved = np.abs(step).max()
+        if moved < tol or (moved <= floor_move and (np.abs(f) <= f_floor).all()):
             break
     eps = np.exp(t)
     return eps if np.ndim(rstar) else float(eps[0])

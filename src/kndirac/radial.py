@@ -35,7 +35,10 @@ At the Cauchy horizon (interior branch, rstar -> +infinity) the substitution
     Omega_minus = a / (r_minus^2 + a^2),
 turns the system into dh/drstar = B(rstar) h with ||B|| = O(e^{-alpha rstar}),
 alpha = (r_plus - r_minus) / (2 (r_minus^2 + a^2)), so h has a limit and the
-error decays exponentially at rate alpha.
+error decays exponentially at rate alpha.  `integrate` solves the interior
+branch in this frame and re-phases the samples: the Dormand-Prince steps grow
+as B decays, where following the oscillating X1 would cost a fixed number of
+steps per unit of rstar all the way to the horizon.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import delta_sigma, interior_offset, tortoise_inverse
-from .separation import _potential_entries, radial_potential
+from .separation import _potential_entries, _stacked, radial_potential
 
 __all__ = [
     "w_roots",
@@ -234,14 +237,27 @@ def integrate_linear_system(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
 
 
 def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
-    """Integrate dX/drstar = U(rstar) X over a span within one branch."""
+    """Integrate dX/drstar = U(rstar) X over a span within one branch.
+
+    On the interior branch the integrator follows the phase-stripped
+    h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus), through
+    dh/drstar = B h (`horizon_B`), and the samples are re-phased to X.  B decays
+    like e^{-alpha rstar}, so the accepted steps grow toward the Cauchy horizon
+    instead of resolving the phase of X1 all the way there.
+    """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
 
-    def matrix(t):
-        return radial_potential(t, mode, params, branch=branch)
-
-    ts, ys, acc, rej = integrate_linear_system(matrix, span, X0, tol=tol)
+    if branch == "interior":
+        nu = 2.0 * (mode.omega + mode.k * horizon_angular_velocity(params))
+        h0 = np.array(X0, dtype=complex)
+        h0[0] *= np.exp(-1j * nu * float(span[0]))
+        ts, ys, acc, rej = integrate_linear_system(
+            lambda t: horizon_B(t, mode, params), span, h0, tol=tol)
+        ys[:, 0] *= np.exp(1j * nu * ts)
+    else:
+        ts, ys, acc, rej = integrate_linear_system(
+            lambda t: radial_potential(t, mode, params, branch=branch), span, X0, tol=tol)
     return RadialTrajectory(rstar=ts, X=ys, mode=mode, params=params, branch=branch,
                             steps=acc, rejected=rej, tol=tol)
 
@@ -491,32 +507,28 @@ def cauchy_rate(params):
 def horizon_B(rstar, mode, params):
     """Coefficient matrix of the stripped interior system dh/drstar = B h.
 
-    Derived by substituting h = (X1 e^{-2 i (omega + k Omega_minus) rstar}, X2)
-    into the radial equation on the interior branch (where eps(Delta) = -1):
+    Substituting h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus),
+    into dX/drstar = U X on the interior branch gives
 
-        B = i/(r^2+a^2) * [[-omega Delta - 2k(Omega_minus (r^2+a^2) - a),
-                            -e^{-2i(omega + k Omega_minus) rstar} sqrt|Delta| (m r + i xi)],
-                           [-e^{+2i(omega + k Omega_minus) rstar} sqrt|Delta| (m r - i xi),
-                            -omega Delta]].
+        B = [[U00 - i nu,             U01 e^{-i nu rstar}],
+             [U10 e^{+i nu rstar},    U11               ]],
 
-    Every entry vanishes as r -> r_minus; ||B|| = O(e^{-alpha rstar}).
+    built from the components of U.  In U00 - i nu the constant parts cancel
+    exactly; what is left is written as
+    U11 - 2 i k Omega_minus (r^2 - r_minus^2) / (r^2 + a^2), with
+    r^2 - r_minus^2 = eps (2 r_minus + eps), eps = r - r_minus, so nothing is
+    lost to cancellation near the horizon.  Every entry vanishes as
+    r -> r_minus; ||B|| = O(e^{-alpha rstar}).
     """
-    om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
-    a = params.a
-    eps = interior_offset(rstar, params)
-    r = params.r_minus + eps
-    width = params.r_plus - params.r_minus
-    delta = -eps * (width - eps)
-    sD = np.sqrt(eps * (width - eps))
-    ra = r * r + a * a
+    rm = params.r_minus
     om_minus = horizon_angular_velocity(params)
-    ph = np.exp(2j * (om + k * om_minus) * np.asarray(rstar, dtype=float))
-    B = np.zeros(np.shape(rstar) + (2, 2), dtype=complex)
-    B[..., 0, 0] = -om * delta - 2 * k * (om_minus * ra - a)
-    B[..., 0, 1] = -sD * (m * r + 1j * xi) / ph
-    B[..., 1, 0] = -sD * (m * r - 1j * xi) * ph
-    B[..., 1, 1] = -om * delta
-    return 1j * B / ra[..., None, None] if np.ndim(rstar) else 1j * B / ra
+    eps = interior_offset(rstar, params)
+    abs_delta = eps * (params.r_plus - rm - eps)
+    _, u01, u10, u11 = _potential_entries(rm + eps, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params)
+    ph = np.exp(2j * (mode.omega + mode.k * om_minus) * rstar)
+    q = eps * (2.0 * rm + eps)  # r^2 - r_minus^2
+    b00 = u11 - (2j * mode.k * om_minus) * q / (rm * rm + params.a**2 + q)
+    return _stacked(b00, u01 / ph, u10 * ph, u11)
 
 
 @dataclass(frozen=True)
@@ -543,9 +555,13 @@ def fit_horizon(traj, mode, params):
 
     The fit window alpha rstar in [8, 19] starts late enough that the
     e^{-2 alpha rstar} transient (whose interference with the leading phasor
-    biases early-window slopes) has died off, and ends while the signal is
-    still orders of magnitude above the integration error floor; the h limit
-    is anchored at the last sample, which must reach rstar >= 30/alpha.
+    biases early-window slopes) has died off; the h limit is anchored at the
+    last sample, which must reach rstar >= 30/alpha.  At the end of the window
+    the signal is about e^{-19} of the amplitude, so the integration error
+    must lie well below that there.  `integrate` follows h itself, whose
+    error stays near tol; following X across the span at tol = 1e-11 leaves
+    an error of about 6e-9 relative on the near-extremal hole a = 0.95,
+    Q = 0.3 (alpha = 0.05), which moves the fitted rate by 14%.
     """
     if traj.branch != "interior":
         raise ValueError("horizon fit needs an interior-branch trajectory")

@@ -154,6 +154,72 @@ def test_interior_offset_deep_tail():
     assert eps < 1e-20
 
 
+class _CountingNumpy:
+    """numpy with its `log` calls counted: `interior_offset` takes one per
+    Newton sweep, plus one for the r_plus-side seed."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x):
+        self.logs += 1
+        return np.log(x)
+
+
+def _cauchy_rate(par):
+    return 0.5 * (par.r_plus - par.r_minus) / (par.r_minus**2 + par.a**2)
+
+
+@pytest.mark.parametrize("par", [SpacetimeParams(M=1.0, a=0.6, Q=0.3), SpacetimeParams(M=1.0, a=0.3, Q=0.6),
+                                 SpacetimeParams(M=1.2, a=0.8, Q=0.4), SpacetimeParams(M=0.9, a=0.5, Q=0.5)])
+def test_interior_offset_newton_sweeps(par, monkeypatch):
+    # between the midpoint and the near-horizon tail, a seed clamped near the
+    # r_plus end of the branch takes 18-20 sweeps
+    import kndirac.geometry
+
+    counting = _CountingNumpy()
+    monkeypatch.setattr(kndirac.geometry, "np", counting)
+    for alpha_rstar in np.linspace(0.4, 5.0, 47):
+        counting.logs = 0
+        interior_offset(alpha_rstar / _cauchy_rate(par), par)
+        assert counting.logs <= 8
+
+
+# M=1, a=0.3, Q=0.6: points where rounding keeps the Newton step above the
+# relative stop, so only the residual's rounding floor can end the loop;
+# eps_ref is the root computed with 50 digits
+@pytest.mark.parametrize("alpha_rstar,eps_ref", [
+    (4.585, 0.3616392912065139), (5.695, 0.1584414324020266), (6.055, 0.1031968586805222),
+    (6.2, 0.08456588900333877), (6.335, 0.06934840793577314)])
+def test_interior_offset_at_rounding_floor(alpha_rstar, eps_ref, monkeypatch):
+    import kndirac.geometry
+
+    par = SpacetimeParams(M=1.0, a=0.3, Q=0.6)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(kndirac.geometry, "np", counting)
+    eps = interior_offset(alpha_rstar / _cauchy_rate(par), par)
+    assert abs(eps - eps_ref) <= 1e-14 * eps_ref
+    assert counting.logs <= 8
+
+
+def test_interior_offset_held_at_the_cap(monkeypatch):
+    # far from the Cauchy horizon width - eps is below the resolution of
+    # width: the iterate rests on the cap while the Newton step points past
+    # it, so only a stop that measures the move made can end the loop
+    import kndirac.geometry
+
+    par = SpacetimeParams(M=1.0, a=0.95, Q=0.3)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(kndirac.geometry, "np", counting)
+    eps = interior_offset(-30.0 / _cauchy_rate(par), par)
+    width = par.r_plus - par.r_minus
+    assert 0.0 < width - eps <= 2e-15 * width  # the cap, log(eps) <= log(width) - 1e-15
+    assert counting.logs <= 8
+
+
 def test_azimuthal_shift_zero_spin():
     par = SpacetimeParams(M=1.0, Q=0.3)
     assert azimuthal_shift(5.0, par) == 0.0

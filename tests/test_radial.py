@@ -222,25 +222,32 @@ def test_integrate_matches_seven_evaluation_reference(branch, monkeypatch):
     import kndirac.radial
 
     if branch == "interior":
+        # the interior branch integrates the phase-stripped h through horizon_B
         mode, span, tol = IMODE, (0.0, 32.0 / cauchy_rate(PAR)), 1e-11
         X0 = np.array([1.0 + 0.2j, -0.6 + 0.4j])
+        nu = 2.0 * (mode.omega + mode.k * horizon_angular_velocity(PAR))
+        name, evaluate = "horizon_B", lambda t: horizon_B(t, mode, PAR)
+        phase = lambda t: np.array([np.exp(1j * nu * t), 1.0])
     else:
         mode, span, tol = MODE, (10.0, 60.0), 1e-10
         X0 = np.array([1.0 + 0.0j, 0.5 - 0.25j])
+        name, evaluate = "radial_potential", lambda t: radial_potential(t, mode, PAR, branch=branch)
+        phase = lambda t: np.ones(2)
     calls = []
+    original = getattr(kndirac.radial, name)
 
     def counted(t, *args, **kwargs):
         calls.append(np.shape(t))
-        return radial_potential(t, *args, **kwargs)
+        return original(t, *args, **kwargs)
 
-    monkeypatch.setattr(kndirac.radial, "radial_potential", counted)
+    monkeypatch.setattr(kndirac.radial, name, counted)
     traj = integrate(mode, PAR, span, X0, tol=tol, branch=branch)
     monkeypatch.undo()
-    ts, ys, acc, rej = reference_dormand_prince(
-        lambda t: radial_potential(t, mode, PAR, branch=branch), span, X0, tol=tol)
+    ts, ys, acc, rej = reference_dormand_prince(evaluate, span, X0 / phase(span[0]), tol=tol)
+    end = phase(ts[-1]) * ys[-1]
     assert (traj.steps, traj.rejected) == (acc, rej)
     assert abs(traj.rstar[-1] - ts[-1]) <= 1e-12 * abs(ts[-1])
-    assert np.abs(traj.X[-1] - ys[-1]).max() < 10 * tol * np.abs(ys[-1]).max()
+    assert np.abs(traj.X[-1] - end).max() < 10 * tol * np.abs(end).max()
     # one call at the start, then one per attempted step on its six nodes
     assert len(calls) == acc + rej + 1
     assert calls[0] == (1,) and set(calls[1:]) == {(6,)}
@@ -586,6 +593,25 @@ def test_horizon_X2_constant():
     # the residual coupling dies like e^{-alpha rstar}; beyond 25/alpha the
     # unphased component is constant to ~1e-9
     assert np.abs(X2 - X2[-1]).max() < 1e-9
+
+
+def test_interior_matches_direct_path():
+    # oracle: the unstripped system dX/drstar = U X at a tighter tolerance
+    al = cauchy_rate(PAR)
+    span = (0.0, 32.0 / al)
+    X0 = np.array([1.0 + 0.2j, -0.6 + 0.4j])
+    traj = integrate(IMODE, PAR, span, X0, tol=1e-11, branch="interior")
+    _, ys, _, _ = integrate_linear_system(
+        lambda t: radial_potential(t, IMODE, PAR, branch="interior"), span, X0, tol=1e-13)
+    assert np.abs(traj.X[-1] - ys[-1]).max() < 1e-9 * np.abs(ys[-1]).max()
+
+
+def test_horizon_fit_near_extremal():
+    # alpha = 0.050: following X instead of h, the error of 87k steps reaches
+    # the end of the fit window and moves the fitted rate by 13.6%
+    par = SpacetimeParams(M=1.0, a=0.95, Q=0.3)
+    fit = fit_horizon(interior_traj(params=par), IMODE, par)
+    assert abs(fit.rate - fit.alpha) < 0.01 * fit.alpha
 
 
 def test_horizon_fit_requires_interior():
