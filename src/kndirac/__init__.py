@@ -44,7 +44,6 @@ from .separation import (
     angular_operator,
     radial_operator,
     radial_potential,
-    radial_system,
     separation_residual,
 )
 from .angular import AngularEigenpair, DiscretizationSpec, angular_eigenpairs, xi_continuation

@@ -18,17 +18,21 @@ Asymptotics at infinity: with w1 the root of omega^2 - m^2 in the closed
 convex hull of the positive real and positive imaginary axes, w2 = -w1, the
 oscillatory branches carry the phases
 
-    Phi_plus(u)  =  w1 u + M (2 omega + m^2/w1) log u,
-    Phi_minus(u) =  w1 u - M (2 omega - m^2/w1) log u,
+    Phi_plus(u)  =  w1 u + M (2 omega + m^2/w1) log r(u),
+    Phi_minus(u) =  w1 u - M (2 omega - m^2/w1) log r(u),
 
 obtained by integrating d Phi_plus = -i lambda_1, d Phi_minus = +i lambda_2
-with lambda_{1,2} = +-i w1 + (i M / u)(2 omega +- m^2 / w1) + O(1/u^2) the
-eigenvalues of U.  Solutions approach
+with lambda_{1,2} = +-i w1 + (i M / r)(2 omega +- m^2 / w1) + O(1/r^2) the
+eigenvalues of U, and r = u - 2M log u + O(1).  Solutions approach
 
     X(u) = D(u) ( f1 e^{i Phi_plus}, f2 e^{-i Phi_minus} ),  f -> f_inf,
 
 with an O(1/u) error; dropping the log term destroys the decay of the
 residual (the 1/u eigenvalue correction integrates to an unbounded phase).
+The paper prints the phases with log u (`asymptotic_phases`); expanded in u
+the eigenvalues carry a further log u / u^2 term, so that form leaves an
+O(log u / u) remainder, whose log-log slope is -1 + 1/ln u.  `fit_infinity`
+uses log r(u).
 
 At the Cauchy horizon (interior branch, rstar -> +infinity) the substitution
     h = ( X1 e^{-2 i (omega + k Omega_minus) rstar}, X2 ),
@@ -101,7 +105,11 @@ def boost_matrix(theta):
 
 
 def asymptotic_phases(u, mode, params):
-    """(Phi_plus(u), Phi_minus(u)) for u > 0; requires w1 != 0."""
+    """(Phi_plus(u), Phi_minus(u)) in the paper's printed form, with log u;
+    requires u > 0 and w1 != 0.
+
+    `fit_infinity` evaluates it at r(u) and adds w1 (u - r), which gives the
+    phases w1 u + c log r(u) that hold to O(1/u)."""
     w1, _ = w_roots(mode.omega, mode.m)
     if w1 == 0:
         raise ValueError("asymptotic phases are undefined at the threshold |omega| = m")
@@ -249,7 +257,7 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
 
     if branch == "interior":
-        nu = 2.0 * (mode.omega + mode.k * horizon_angular_velocity(params))
+        nu = _cauchy_nu(mode, params)
         h0 = np.array(X0, dtype=complex)
         h0[0] *= np.exp(-1j * nu * float(span[0]))
         ts, ys, acc, rej = integrate_linear_system(
@@ -318,14 +326,20 @@ def _ordered_product(m00, m01, m10, m11):
     return m00[0], m01[0], m10[0], m11[0]
 
 
+def _exterior_entries(u, mode, params):
+    """Radius r(u) and the components (U00, U01, U10, U11) of U on the exterior
+    branch, where Delta > 0."""
+    r = tortoise_inverse(u, "exterior", params)
+    delta, _ = delta_sigma(r, 0.0, params)
+    return r, _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)
+
+
 def _magnus_chunk(mode, params, ua, ub, nsteps):
     """Propagator over [ua, ub] in `nsteps` Magnus-4 steps, as a 2x2 matrix."""
     h = (ub - ua) / nsteps
     edges = ua + h * np.arange(nsteps)
     nodes = np.concatenate([edges + _GAUSS_C1 * h, edges + _GAUSS_C2 * h])
-    r = tortoise_inverse(nodes, "exterior", params)
-    delta, _ = delta_sigma(r, 0.0, params)  # > 0 on the exterior branch
-    a, b, c, d = _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)
+    _, (a, b, c, d) = _exterior_entries(nodes, mode, params)
     a1, b1, c1, d1 = a[:nsteps], b[:nsteps], c[:nsteps], d[:nsteps]
     a2, b2, c2, d2 = a[nsteps:], b[nsteps:], c[nsteps:], d[nsteps:]
     # Omega = h/2 (A1 + A2) + (sqrt(3) h^2 / 12) (A2 A1 - A1 A2); the
@@ -381,27 +395,34 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40,
 # ---------------------------------------------------------------------------
 # fits
 
-def _diagonalizer(u, mode, params, prev=None):
-    """Eigen-decomposition of U(u) with a deterministic gauge.
+def _unit_gauge(x, y):
+    """Column (x, y) scaled to unit norm with its larger-modulus entry (x on a
+    tie) real and positive."""
+    p = np.where(np.abs(x) >= np.abs(y), x, y)
+    scale = np.abs(p) / p / np.sqrt(np.abs(x) ** 2 + np.abs(y) ** 2)
+    return x * scale, y * scale
 
-    Columns ordered by continuity with `prev` (or Im lambda > 0 first), each
-    normalized to unit length with its largest-modulus component real-positive.
+
+def _eigenbasis(a, b, c, d):
+    """Eigenvalues (lambda1, lambda2) and gauge-fixed eigenvectors of
+    U = [[a, b], [c, d]] in closed form, for arrays of components.
+
+    With mu = (a + d)/2 and s^2 = ((a - d)/2)^2 + b c, lambda = mu +- s, and
+    s = i sqrt(-s^2) makes lambda1 = mu + s the root with the larger imaginary
+    part.  Each eigenvector is (b, lambda - a) or (lambda - d, c), whichever
+    has the larger modulus, in the gauge of `_unit_gauge`.  Returns the
+    stacked V, shape (..., 2, 2), whose columns are the two eigenvectors.
     """
-    U = radial_potential(u, mode, params, branch="exterior")
-    lam, V = np.linalg.eig(U)
-    if prev is None:
-        order = np.argsort(-lam.imag)
-    else:
-        order = [int(np.argmin(np.abs(lam - prev[0]))), 0]
-        order[1] = 1 - order[0]
-    lam = lam[list(order)]
-    V = V[:, list(order)]
-    for j in range(2):
-        col = V[:, j]
-        p = int(np.argmax(np.abs(col)))
-        col = col * (np.abs(col[p]) / col[p])
-        V[:, j] = col / np.linalg.norm(col)
-    return lam, V
+    mu, e = 0.5 * (a + d), 0.5 * (a - d)
+    s = 1j * np.sqrt(-(e * e + b * c))
+    lam1, lam2 = mu + s, mu - s
+    cols = []
+    for lam in (lam1, lam2):
+        x1, y1, x2, y2 = b, lam - a, lam - d, c
+        first = np.abs(x1) ** 2 + np.abs(y1) ** 2 >= np.abs(x2) ** 2 + np.abs(y2) ** 2
+        cols.append(_unit_gauge(np.where(first, x1, x2), np.where(first, y1, y2)))
+    (v00, v10), (v01, v11) = cols
+    return lam1, lam2, _stacked(v00, v01, v10, v11)
 
 
 @dataclass(frozen=True)
@@ -415,74 +436,56 @@ class InfinityAsymptotics:
     decay_constant: float
     slope: float
     window: tuple
-    boost_sign: int  # +1 if the numerical diagonalizer matches boost(+Theta)
+    boost_sign: int  # +1 if the closed-form eigenbasis of U(u_max) matches boost(+Theta)
     f_history: np.ndarray = field(repr=False, default=None)
 
 
-def fit_infinity(traj, mode, params, ablate_log_phase=False, fit_upper=None):
-    """Recover f(u) = W^{-1} D^{-1} X, its limit, and the residual decay slope.
+def fit_infinity(traj, mode, params, ablate_log_phase=False):
+    """Recover f(u) = W^{-1} V^{-1} X, its limit, and the residual decay slope.
 
-    The asymptotic model rebuilt from the fitted f_inf is compared with the
-    trajectory; the log-log slope of ||X - X_asym|| over the fit window is
-    close to -1 when the phases carry the log(u) correction and degrades to
-    near 0 when `ablate_log_phase` drops it (the 1/u eigenvalue terms are
-    essential).
+    V(u) is the closed-form eigenbasis of U(u) and W = (e^{i Phi_plus},
+    e^{-i Phi_minus}) carries the phases in log r(u), r = tortoise_inverse(u):
+    Phi(u) = w1 u + c log r(u), whose derivative matches the eigenvalues to
+    O(1/u^2).  The asymptotic model rebuilt from the fitted f_inf is compared
+    with the trajectory; the log-log slope of ||X - X_asym|| over the fit
+    window is close to -1, and degrades to near 0 when `ablate_log_phase`
+    drops the log term (the 1/u eigenvalue terms are essential).
     """
     us, Xs = traj.rstar, traj.X
     if us[-1] < 1e4:
         raise ValueError("far-field fit needs the trajectory to reach rstar >= 1e4")
-    if abs(mode.omega) == mode.m:
-        raise ValueError("threshold |omega| = m excluded from infinity fits")
+    if abs(mode.omega) <= mode.m:
+        raise ValueError(
+            f"infinity fits need |omega| > m: at and below the mass threshold the modes "
+            f"do not oscillate (got |omega| = {abs(mode.omega)!r}, m = {mode.m!r})")
     if np.linalg.norm(Xs[-1]) < 1e-14:
         raise ValueError("trivial solution: no amplitude left at the anchor point")
     w1, w2 = w_roots(mode.omega, mode.m)
 
-    def phases(u):
-        if ablate_log_phase:
-            return w1 * u + 0j, w1 * u + 0j
-        return asymptotic_phases(u, mode, params)
-
-    fs = []
-    Vs = []
-    prev = None
-    for u in reversed(us):
-        lam, V = _diagonalizer(u, mode, params, prev)
-        prev = (lam[0], lam[1])
-        Vs.append(V)
-    Vs = Vs[::-1]
-    for u, Xu, V in zip(us, Xs, Vs):
-        pp, pm = phases(u)
-        W = np.array([np.exp(1j * pp), np.exp(-1j * pm)])
-        fs.append(np.linalg.solve(V, Xu) / W)
-    fs = np.array(fs)
+    r, entries = _exterior_entries(us, mode, params)
+    _, _, V = _eigenbasis(*entries)
+    if ablate_log_phase:
+        pp = pm = w1 * us + 0j
+    else:
+        # w1 u + c log r(u), from the printed log u form evaluated at r
+        pp, pm = asymptotic_phases(r, mode, params)
+        pp, pm = pp + w1 * (us - r), pm + w1 * (us - r)
+    W = np.stack([np.exp(1j * pp), np.exp(-1j * pm)], axis=-1)
+    fs = np.linalg.solve(V, Xs[..., None])[..., 0] / W
     # 1/u Richardson extrapolation from the two outermost samples
     f_inf = (us[-1] * fs[-1] - us[-2] * fs[-2]) / (us[-1] - us[-2])
-    V_inf = Vs[-1]
+    V_inf = V[-1]
 
-    resid = np.empty(len(us))
-    for i, u in enumerate(us):
-        pp, pm = phases(u)
-        model = V_inf @ (f_inf * np.array([np.exp(1j * pp), np.exp(-1j * pm)]))
-        resid[i] = np.linalg.norm(Xs[i] - model)
-    upper = fit_upper if fit_upper is not None else us[-1] / 5.0
-    sel = (us <= upper) & (resid > 0)
+    resid = np.linalg.norm(Xs - (f_inf * W) @ V_inf.T, axis=1)
+    sel = (us <= us[-1] / 5.0) & (resid > 0)
     slope, intercept = np.polyfit(np.log(us[sel]), np.log(resid[sel]), 1)
 
     theta = theta_boost(mode.omega, mode.m)
-    sign = 0
-    if not isinstance(theta, complex):
-        # which printed boost sign the numerical diagonalizer realizes
-        def gauge(Mat):
-            out = Mat.astype(complex).copy()
-            for j in range(2):
-                col = out[:, j]
-                p = int(np.argmax(np.abs(col)))
-                out[:, j] = col * (np.abs(col[p]) / col[p]) / np.linalg.norm(col)
-            return out
-
-        plus = np.abs(gauge(boost_matrix(theta)) - V_inf).max()
-        minus = np.abs(gauge(boost_matrix(-theta)) - V_inf).max()
-        sign = 1 if plus < minus else -1
+    # which printed boost sign the eigenbasis of U(u_max) realizes; the boost
+    # unpacks by rows, so `_unit_gauge` pairs the two entries of each column
+    gap = [np.abs(np.array(_unit_gauge(*boost_matrix(th))) - V_inf).max()
+           for th in (theta, -theta)]
+    sign = 1 if gap[0] < gap[1] else -1
     return InfinityAsymptotics(
         w1=w1, w2=w2, theta=theta, f_inf=f_inf,
         decay_constant=float(np.exp(intercept)), slope=float(slope),
@@ -497,6 +500,12 @@ def fit_infinity(traj, mode, params, ablate_log_phase=False, fit_upper=None):
 def horizon_angular_velocity(params):
     """Omega_minus = a / (r_minus^2 + a^2), co-rotation at the Cauchy horizon."""
     return params.a / (params.r_minus**2 + params.a**2)
+
+
+def _cauchy_nu(mode, params):
+    """nu = 2 (omega + k Omega_minus), the frequency of X1 at the Cauchy
+    horizon, which h = (X1 e^{-i nu rstar}, X2) strips."""
+    return 2.0 * (mode.omega + mode.k * horizon_angular_velocity(params))
 
 
 def cauchy_rate(params):
@@ -525,7 +534,7 @@ def horizon_B(rstar, mode, params):
     eps = interior_offset(rstar, params)
     abs_delta = eps * (params.r_plus - rm - eps)
     _, u01, u10, u11 = _potential_entries(rm + eps, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params)
-    ph = np.exp(2j * (mode.omega + mode.k * om_minus) * rstar)
+    ph = np.exp(1j * _cauchy_nu(mode, params) * rstar)
     q = eps * (2.0 * rm + eps)  # r^2 - r_minus^2
     b00 = u11 - (2j * mode.k * om_minus) * q / (rm * rm + params.a**2 + q)
     return _stacked(b00, u01 / ph, u10 * ph, u11)
@@ -543,10 +552,9 @@ class HorizonAsymptotics:
 
 
 def strip_horizon_phase(traj, mode, params):
-    """h(rstar) = (X1 e^{-2 i (omega + k Omega_minus) rstar}, X2)."""
-    om_minus = horizon_angular_velocity(params)
+    """h(rstar) = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus)."""
     h = traj.X.copy()
-    h[:, 0] *= np.exp(-2j * (mode.omega + mode.k * om_minus) * traj.rstar)
+    h[:, 0] *= np.exp(-1j * _cauchy_nu(mode, params) * traj.rstar)
     return h
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "radial_operator",
     "angular_operator",
     "separation_residual",
-    "radial_system",
     "radial_potential",
     "radial_potential_from_r",
     "potential_trace",
@@ -129,21 +128,6 @@ def separation_residual(mode, radial_data, angular_data, params):
     res_r = R0 @ phi + R1 @ dphi_r - mode.xi * phi
     res_a = A0 @ phi + A1 @ dphi_t + mode.xi * phi
     return float(np.sqrt(np.linalg.norm(res_r) ** 2 + np.linalg.norm(res_a) ** 2))
-
-
-def radial_system(r, mode, params):
-    """The 2x2 matrix Utilde(r) with dX/dr = Utilde X (X2 rescaled by r_plus)."""
-    om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
-    delta, _ = delta_sigma(r, 0.0, params)
-    a = params.a
-    sD = np.sqrt(np.abs(delta))
-    eps = np.where(delta >= 0, 1.0, -1.0)
-    U = np.zeros(np.shape(r) + (2, 2), dtype=complex)
-    U[..., 0, 0] = 1j * (om * (2 * r * r + 2 * a * a - delta) + 2 * k * a) / delta
-    U[..., 0, 1] = sD * (-1j * m * r + xi) / delta
-    U[..., 1, 0] = eps * sD * (1j * m * r + xi) / delta
-    U[..., 1, 1] = -1j * om
-    return U
 
 
 def _potential_entries(r, delta, sD, eps_sign, mode, params):

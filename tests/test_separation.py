@@ -14,12 +14,28 @@ from kndirac.separation import (
     radial_operator,
     radial_potential,
     radial_potential_from_r,
-    radial_system,
     separation_residual,
 )
 
 PAR = SpacetimeParams(M=1.0, a=0.6, Q=0.3)
 MODE = ModeParams(omega=1.1, k=0.5, m=0.7, xi=1.4)
+
+
+# the radial matrix in the r coordinate, written out independently of
+# `_potential_entries`: the oracle behind the manufactured radial solutions
+def radial_system(r, mode, params):
+    """The 2x2 matrix Utilde(r) with dX/dr = Utilde X (X2 rescaled by r_plus)."""
+    om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
+    delta, _ = delta_sigma(r, 0.0, params)
+    a = params.a
+    sD = np.sqrt(np.abs(delta))
+    eps = np.where(delta >= 0, 1.0, -1.0)
+    U = np.zeros(np.shape(r) + (2, 2), dtype=complex)
+    U[..., 0, 0] = 1j * (om * (2 * r * r + 2 * a * a - delta) + 2 * k * a) / delta
+    U[..., 0, 1] = sD * (-1j * m * r + xi) / delta
+    U[..., 1, 0] = eps * sD * (1j * m * r + xi) / delta
+    U[..., 1, 1] = -1j * om
+    return U
 
 
 def integrate_radial_tilde(mode, params, r0, r1, X0):
