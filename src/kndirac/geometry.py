@@ -191,16 +191,30 @@ def interior_offset(rstar, params):
     return eps if np.ndim(rstar) else float(eps[0])
 
 
+def _exterior_seed(rs, params):
+    """Starting radius of the exterior Newton iteration for an array of rstar.
+
+    Large rstar: one fixed-point step of r = rstar - kp log(r - r_plus)
+    + km log(r - r_minus) from r = rstar - 2M log rstar (kp - km = 2M), which
+    misses the root by O(M^2 log(rstar) / rstar^2).  Near the horizon: the
+    exponential offset r_plus + e^{(rstar - r_plus - km log(r_plus - r_minus)) / kp}.
+    """
+    rp, rm = params.r_plus, params.r_minus
+    kp, km = _kappas(params)
+    big = np.maximum(rs, rp + 4.0 * kp)
+    far = np.maximum(big - 2.0 * params.M * np.log(big), rp * (1 + 1e-9))
+    far = big - kp * np.log(far - rp) + km * np.log(far - rm)
+    near = rp + np.exp(np.minimum(np.maximum(
+        (rs - rp - km * math.log(max(rp - rm, 1e-300))) / kp, -700.0), 0.0))
+    return np.where(rs > rp + 4.0 * kp, np.maximum(far, rp * (1 + 1e-9)), np.maximum(near, rp * (1 + 1e-14)))
+
+
 def _invert_exterior(rstar, params):
     rp, rm = params.r_plus, params.r_minus
     kp, km = _kappas(params)
     M, a2, q2 = params.M, params.a * params.a, params.Q * params.Q
     rs = np.array(rstar, dtype=float, ndmin=1)
-    # seed: large rstar -> r ~ rstar - kp log rstar; near horizon -> exponential offset
-    far = rs - kp * np.log(np.maximum(np.abs(rs), 2.0 + rp))
-    near = rp + np.exp(np.minimum(np.maximum(
-        (rs - rp - km * math.log(max(rp - rm, 1e-300))) / kp, -700.0), 0.0))
-    r = np.where(rs > rp + 4.0 * kp, np.maximum(far, rp * (1 + 1e-9)), np.maximum(near, rp * (1 + 1e-14)))
+    r = _exterior_seed(rs, params)
     floor = rp * (1.0 + 1e-15)
     f_tol = 1e-12 * max(1.0, np.abs(rs).max())
     for _ in range(200):

@@ -146,6 +146,24 @@ def _potential_entries(r, delta, sD, eps_sign, mode, params):
             -1j * delta * om / ra)
 
 
+def _potential_slopes(r, delta, sD, mode, params):
+    """Components of dU/drstar on the exterior branch, where Delta > 0, given
+    Delta and sqrt(Delta): dU/dr from the rational forms of `_potential_entries`
+    times dr/drstar = Delta / (r^2+a^2).  The far-field adiabatic frame takes
+    the derivative of its eigenbasis from these."""
+    om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
+    a = params.a
+    ra = r * r + a * a
+    dd = 2.0 * (r - params.M)  # dDelta/dr
+    lr = 2.0 * r / ra  # d log(r^2+a^2) / dr
+    g = delta / (ra * ra)  # (dr/drstar) / (r^2+a^2)
+    d01 = sD / (ra * ra) * ((xi - 1j * m * r) * (0.5 * dd - lr * delta) - 1j * m * delta)
+    return (-1j * g * (om * dd + (2 * k * a - om * delta) * lr),
+            d01,
+            np.conj(d01),
+            -1j * om * g * (dd - delta * lr))
+
+
 def _stacked(u00, u01, u10, u11):
     U = np.empty(np.shape(u00) + (2, 2), dtype=complex)
     U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1] = u00, u01, u10, u11

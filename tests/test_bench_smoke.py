@@ -1,0 +1,28 @@
+"""One far_field case and one cauchy case of the benchmark, solved and checked
+as `bench/run.py` does, so that a change which breaks the benchmark's
+current, Abel, slope or rate checks fails here first.  `bench/workloads.py` is
+imported from the source checkout and not modified."""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload,name", [("far_field", "far_field_0"), ("cauchy", "cauchy_0")])
+def test_benchmark_case_passes_its_checks(workloads, workload, name, tmp_path):
+    case = next(c for c in workloads.build(workload, 0, str(tmp_path)) if c.name == name)
+    result = case.solve()
+    assert case.check(result, {case.name: result}) == []

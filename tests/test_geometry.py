@@ -127,6 +127,28 @@ def test_tortoise_inverse_far_field_window():
     assert 1e6 - 50 < r < 1e6
 
 
+# M=1, a=0.6, Q=0.3: exterior roots r(rstar) computed with 50 digits
+FAR_ROOTS = [(1e3, 986.21621697433211528), (1e4, 9981.5833977285339356),
+             (1e5, 99976.974648739460723), (1e6, 999972.36903805687032)]
+
+
+def test_exterior_seed_far_miss():
+    # r = rstar - kp log rstar, without the km log r term, missed by 2.0-4.0
+    # here and cost a Newton sweep per node
+    from kndirac.geometry import _exterior_seed
+
+    rs = np.array([x for x, _ in FAR_ROOTS])
+    seed = _exterior_seed(rs, PAR)
+    assert np.abs(seed - np.array([r for _, r in FAR_ROOTS])).max() < 1e-2
+
+
+@pytest.mark.parametrize("rstar,r_ref", FAR_ROOTS)
+def test_tortoise_inverse_far_roots(rstar, r_ref):
+    # converged roots within the inversion's tolerance, 1e-12 max(1, |rstar|)
+    # on rstar; dr/drstar is about 1 this far out
+    assert abs(tortoise_inverse(rstar, "exterior", PAR) - r_ref) <= 1e-12 * rstar
+
+
 def test_tortoise_inverse_interior_near_cauchy():
     r = tortoise_inverse(1e3, "interior", PAR)
     assert abs(r - PAR.r_minus) < 1e-6

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from test_acceptance import INFTY_SEEDS
 
-from kndirac.geometry import SpacetimeParams, delta_sigma, interior_offset, tortoise_inverse
+from kndirac.geometry import SpacetimeParams, azimuthal_shift, delta_sigma, interior_offset, tortoise_inverse
 from kndirac.separation import ModeParams, potential_trace, radial_potential, radial_potential_from_r
 from kndirac.radial import (
     RadialTrajectory,
@@ -24,11 +24,15 @@ from kndirac.radial import (
     strip_horizon_phase,
     theta_boost,
     w_roots,
-    _GAUSS_C1,
-    _GAUSS_C2,
+    _F1,
+    _F2,
+    _F3,
+    _LAGRANGE,
+    _adiabatic_frame,
     _eigenbasis,
     _expm2,
     _exterior_entries,
+    _moments,
     _ordered_product,
 )
 
@@ -309,24 +313,10 @@ def test_trajectory_invariants():
         integrate(MODE, PAR, (0.0, 1.0), np.array([1.0, 0.0]), tol=1e-3)
 
 
-def test_far_field_magnus_matches_adaptive():
-    # cross-validate the two integrators over a short far-field stretch
-    X0 = np.array([0.7 - 0.2j, 0.1 + 0.9j])
-    traj = far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1.1e3, n_samples=2, beta=2e-3)
-    ref = integrate(MODE, PAR, (1e3, 1.1e3), X0, tol=1e-12)
-    assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-7
-
-
-def test_far_field_beta_convergence():
-    X0 = np.array([0.8 + 0.3j, -0.45 + 0.9j])
-    t1 = far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1e4, n_samples=6, beta=4e-3)
-    t2 = far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1e4, n_samples=6, beta=2e-3)
-    assert np.abs(t1.X - t2.X).max() < 1e-8
-
-
-# The Magnus chunk on stacked (n, 2, 2) matrices: `@` commutator, complex
-# closed-form exponential and einsum tree product.  The reference the
-# component kernel must reproduce.
+# Magnus-4 chunks on stacked (n, 2, 2) matrices: `@` commutator, complex
+# closed-form exponential and einsum tree product.  The references the
+# component kernels `_expm2` and `_ordered_product` must reproduce, and,
+# chunk by chunk over fixed steps, the far-field oracle.
 
 def reference_expm2(Omega):
     mu = 0.5 * (Omega[..., 0, 0] + Omega[..., 1, 1])
@@ -355,6 +345,10 @@ def reference_ordered_product(Ms):
     return Ms[0]
 
 
+_GAUSS_C1 = 0.5 - math.sqrt(3.0) / 6.0
+_GAUSS_C2 = 0.5 + math.sqrt(3.0) / 6.0
+
+
 def reference_magnus_chunk(mode, params, ua, ub, nsteps):
     h = (ub - ua) / nsteps
     edges = ua + h * np.arange(nsteps)
@@ -363,6 +357,28 @@ def reference_magnus_chunk(mode, params, ua, ub, nsteps):
     A1, A2 = U[:nsteps], U[nsteps:]
     Om = 0.5 * h * (A1 + A2) + (math.sqrt(3.0) * h * h / 12.0) * (A2 @ A1 - A1 @ A2)
     return reference_ordered_product(reference_expm2(Om))
+
+
+def reference_far_field(mode, params, X0, u_min, u_max, n_samples, beta=4e-3, max_chunk=100_000):
+    """Samples (u, X, prop_det) of fixed-grid Magnus-4 steps h = beta u^{2/5}
+    on dX/du = U X itself, chunk by chunk: the oracle that the adiabatic-frame
+    propagator must reproduce."""
+    us = np.geomspace(u_min, u_max, n_samples)
+    X = np.asarray(X0, dtype=complex)
+    Xs, dets, det = [X], [1.0 + 0.0j], 1.0 + 0.0j
+    for ua, ub in zip(us[:-1], us[1:]):
+        n = int(np.ceil((ub - ua) / (beta * ua ** 0.4)))
+        start = ua
+        while n > 0:
+            m = min(n, max_chunk)
+            end = start + (ub - start) * (m / n)
+            P = reference_magnus_chunk(mode, params, start, end, m)
+            X = P @ X
+            det *= np.linalg.det(P)
+            start, n = end, n - m
+        Xs.append(X)
+        dets.append(det)
+    return us, np.array(Xs), np.array(dets)
 
 
 def u11_stack(rng, g, absw):
@@ -429,17 +445,173 @@ def test_magnus_exponents_lie_in_u11(monkeypatch):
     (SpacetimeParams(M=1.0, a=0.3, Q=0.5), ModeParams(omega=-1.1, k=-0.5, m=0.4, xi=1.1)),
     (SpacetimeParams(M=0.8, a=0.4, Q=0.2), ModeParams(omega=1.7, k=-1.5, m=0.8, xi=2.1)),
 ])
-def test_far_field_matches_stacked_reference(par, mode, monkeypatch):
+def test_far_field_matches_stacked_reference(par, mode):
     # two of criterion 7's seeds over a short span
-    import kndirac.radial
-
     X0 = np.array([0.8 + 0.3j, -0.45 + 0.9j])
     traj = far_field_trajectory(mode, par, X0, u_min=1e3, u_max=3e4, n_samples=12)
-    monkeypatch.setattr(kndirac.radial, "_magnus_chunk", reference_magnus_chunk)
-    ref = far_field_trajectory(mode, par, X0, u_min=1e3, u_max=3e4, n_samples=12)
-    assert traj.steps == ref.steps
-    assert np.abs(traj.X - ref.X).max() < 1e-11
-    assert np.abs(traj.prop_det - ref.prop_det).max() < 1e-11
+    _, X, dets = reference_far_field(mode, par, X0, 1e3, 3e4, 12)
+    assert np.abs(traj.X - X).max() < 1e-11
+    assert np.abs(traj.prop_det - dets).max() < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# far field in the adiabatic frame
+
+def test_far_field_magnus_matches_adaptive():
+    # cross-validate against Dormand-Prince over a short far-field stretch
+    X0 = np.array([0.7 - 0.2j, 0.1 + 0.9j])
+    traj = far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1.1e3, n_samples=2)
+    ref = integrate(MODE, PAR, (1e3, 1.1e3), X0, tol=1e-12)
+    assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-7
+
+
+def test_far_field_matches_adaptive_near_horizon():
+    # from u = 1 (r = 2.35, where C is O(1) and the halving check refines the
+    # steps) to 2e3; Dormand-Prince takes 157k steps here
+    X0 = np.array([0.8 + 0.3j, -0.45 + 0.9j])
+    traj = far_field_trajectory(MODE, PAR, X0, u_min=1.0, u_max=2e3, n_samples=4)
+    ref = integrate(MODE, PAR, (1.0, 2e3), X0, tol=1e-12)
+    assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-8 * np.abs(ref.X[-1]).max()
+
+
+def test_far_field_beta_convergence():
+    # against the Magnus-4 oracle at half its production step
+    X0 = np.array([0.8 + 0.3j, -0.45 + 0.9j])
+    traj = far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1e4, n_samples=6)
+    _, X, _ = reference_far_field(MODE, PAR, X0, 1e3, 1e4, 6, beta=2e-3)
+    assert np.abs(traj.X - X).max() < 1e-8
+
+
+@pytest.fixture(scope="module")
+def magnus_oracle():
+    """Criterion 7's five seeds by the Magnus-4 oracle at beta = 4e-3."""
+    X0 = np.array([0.8 + 0.3j, -0.45 + 0.9j])
+    return [reference_far_field(mode, par, X0, 1e3, 1e6, 36) for par, mode in INFTY_SEEDS]
+
+
+def test_far_field_matches_magnus_oracle(infinity_fits, magnus_oracle):
+    for (traj, _), (us, X, dets) in zip(infinity_fits, magnus_oracle):
+        assert np.array_equal(traj.rstar, us)
+        rel = np.linalg.norm(traj.X - X, axis=1) / np.linalg.norm(X, axis=1)
+        assert rel.max() < 1e-9
+        assert np.abs(traj.prop_det - dets).max() < 1e-10
+
+
+def test_far_field_fit_matches_magnus_oracle(infinity_fits, magnus_oracle):
+    for ((traj, fit), (us, X, _)), (par, mode) in zip(zip(infinity_fits, magnus_oracle), INFTY_SEEDS):
+        ref = fit_infinity(RadialTrajectory(rstar=us, X=X, mode=mode, params=par, branch="exterior",
+                                            steps=0, rejected=0, tol=0.0), mode, par)
+        assert np.abs(fit.f_inf - ref.f_inf).max() < 1e-8
+        assert abs(fit.slope - ref.slope) < 1e-5
+
+
+def test_far_field_health(infinity_fits):
+    # step count, the current |X1|^2 - |X2|^2 and the closed-form Abel factor
+    # exp(int tr U) = exp(2 i omega (du - dr) + 2 i k dphitilde)
+    for (traj, _), (par, mode) in zip(infinity_fits, INFTY_SEEDS):
+        assert traj.steps <= 2000  # fixed Magnus-4 steps on X take 1,699,998
+        J = np.abs(traj.X[:, 0]) ** 2 - np.abs(traj.X[:, 1]) ** 2
+        assert np.abs(J - J[0]).max() <= 1e-12 * abs(J[0])
+        u = traj.rstar
+        r = tortoise_inverse(u, "exterior", par)
+        phase = 2 * mode.omega * ((u - u[0]) - (r - r[0])) \
+            + 2 * mode.k * (azimuthal_shift(r, par) - azimuthal_shift(r[0], par))
+        assert np.abs(traj.prop_det - np.exp(1j * phase)).max() < 1e-9
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-6, 0.7, 1.999, 2.0, 2.001, 7.3, -30.0])
+def test_moments_match_quadrature(kappa):
+    # the Taylor series below |kappa| = 2, integration by parts above
+    x, w = np.polynomial.legendre.leggauss(200)
+    mu = _moments(np.array([kappa]))[0]
+    ref = np.array([(w * x**l * np.exp(1j * kappa * x)).sum() for l in range(8)])
+    assert np.abs(mu - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("kappa", [0.3, 2.5, 9.0])
+def test_filon_magnus_weights_match_quadrature(kappa):
+    # the single and double integrals of the step exponent, against nested
+    # Gauss quadrature of the Lagrange basis at the nodes
+    x, w = np.polynomial.legendre.leggauss(60)
+
+    def ell(t):
+        return np.vander(np.ravel(t), 4, increasing=True) @ _LAGRANGE
+
+    mu = _moments(np.array([kappa]))[0]
+    assert np.abs(mu @ _F1 - (w[:, None] * ell(x) * np.exp(1j * kappa * x)[:, None]).sum(0)).max() < 1e-13
+    # inner variable x2 on [-1, x1]: x2 = (x1 - 1)/2 + (x1 + 1)/2 x, weight (x1 + 1)/2
+    x1 = x[:, None]
+    x2 = 0.5 * (x1 - 1) + 0.5 * (x1 + 1) * x[None, :]
+    w12 = w[:, None] * 0.5 * (x1 + 1) * w[None, :]
+    l1 = ell(np.broadcast_to(x1, x2.shape)).reshape(60, 60, 4)
+    l2 = ell(x2).reshape(60, 60, 4)
+    e1 = np.exp(1j * kappa * x1)[..., None, None]
+    e2 = np.exp(1j * kappa * x2)[..., None, None]
+    outer = l1[..., :, None] * l2[..., None, :]  # ell_q(x1) ell_r(x2)
+    swapped = l2[..., :, None] * l1[..., None, :]  # ell_q(x2) ell_r(x1)
+    Y = (w12[..., None, None] * (outer * e2 - swapped * e1)).sum((0, 1))
+    W2 = (w12[..., None, None] * outer * e1 / e2).sum((0, 1))
+    assert np.abs(np.einsum("l,lqr->qr", mu, _F2) - Y).max() < 1e-13
+    assert np.abs(np.exp(1j * kappa) * np.einsum("l,lqr->qr", mu, _F3) - W2).max() < 1e-13
+
+
+def _frame_matrices(u, mode, params):
+    _, _, _, V, K = _adiabatic_frame(u, mode, params)
+    return np.stack([np.stack(V[:2], -1), np.stack(V[2:], -1)], -2), \
+        np.stack([np.stack(K[:2], -1), np.stack(K[2:], -1)], -2)
+
+
+@pytest.mark.parametrize("par,mode", INFTY_SEEDS)
+def test_frame_is_sigma3_normalized(par, mode):
+    us = np.concatenate([[1.0, 10.0, 100.0], np.geomspace(1e3, 1e6, 36)])
+    V, _ = _frame_matrices(us, mode, par)
+    s3 = np.diag([1.0, -1.0])
+    gram = np.conj(np.swapaxes(V, -1, -2)) @ s3 @ V
+    s1 = np.sign(gram[:, 0, 0].real)
+    assert np.abs(gram - s1[:, None, None] * s3).max() < 1e-14
+    # so the trace of C needs no log det V term
+    assert np.abs(np.linalg.det(V) - s1).max() < 1e-14
+
+
+@pytest.mark.parametrize("par,mode", INFTY_SEEDS)
+def test_frame_derivative_matches_finite_difference(par, mode):
+    # closed-form V^{-1} dV/du against a 4th-order central difference of V
+    us = np.array([3.0, 30.0, 300.0, 3e3, 3e4])
+    V, K = _frame_matrices(us, mode, par)
+    h = 1e-3 * us
+    Vp2, _ = _frame_matrices(us + 2 * h, mode, par)
+    Vp1, _ = _frame_matrices(us + h, mode, par)
+    Vm1, _ = _frame_matrices(us - h, mode, par)
+    Vm2, _ = _frame_matrices(us - 2 * h, mode, par)
+    dV = (-Vp2 + 8 * Vp1 - 8 * Vm1 + Vm2) / (12 * h[:, None, None])
+    K_fd = np.linalg.solve(V, dV)
+    scale = np.abs(K).max(axis=(1, 2))
+    assert (np.abs(K - K_fd).max(axis=(1, 2)) / scale).max() < 1e-8
+
+
+def test_far_field_below_mass_threshold_raises():
+    # omega = 0.3, m = 0.8: the untransformed Magnus path overflowed here, or
+    # returned |X| of about 1e32 over [1e3, 1.1e3]
+    mode = ModeParams(omega=0.3, k=0.5, m=0.8, xi=0.9)
+    with pytest.raises(ValueError, match=r"omega = 0\.3.*m = 0\.8"):
+        far_field_trajectory(mode, PAR, np.array([1.0, 0.5j]), u_min=1e3, u_max=2e3, n_samples=3)
+
+
+def test_far_field_turning_point_raises():
+    # xi = 10: |U01|^2 exceeds ((U00 - U11)/2)^2 near the hole, so U has no
+    # two distinct imaginary eigenvalues there
+    mode = ModeParams(omega=1.3, k=0.5, m=0.55, xi=10.0)
+    with pytest.raises(ValueError, match=r"turning point .* at u=\d"):
+        far_field_trajectory(mode, PAR, np.array([1.0, 0.5j]), u_min=1.0, u_max=2e3, n_samples=4)
+
+
+def test_far_field_step_budget(monkeypatch):
+    import kndirac.radial
+
+    monkeypatch.setattr(kndirac.radial, "_FAR_STEP_BUDGET", 200)
+    with pytest.raises(ArithmeticError, match=r"budget of 200 .*omega=1\.3.*u in \[1\.0, .*steps per "
+                                              r"interval .* \d+ steps evaluated, \d+ accepted"):
+        far_field_trajectory(MODE, PAR, np.array([1.0, 0.5j]), u_min=1.0, u_max=2e3, n_samples=4)
 
 
 def far_traj():
