@@ -11,15 +11,29 @@ behave like theta^{|k - 1/2|} (component 1) and theta^{|k + 1/2|}
 pole; both exponents are integers for half-integer k.  The matching
 discretization is a Galerkin basis built on Jacobi polynomials,
 
-    comp1: s^A c^B P_n^(A,B)(cos theta),  comp2: s^B c^A P_n^(B,A)(cos theta),
+    comp1: s^A c^B p_n^(A,B)(x),  comp2: s^B c^A p_n^(B,A)(x),
 
-with s = sin(theta/2), c = cos(theta/2), A = |k - 1/2|, B = |k + 1/2|.
-Because A, B are integers every Galerkin integrand is a polynomial in
-cos(theta) and a single Gauss-Legendre rule in cos(theta) (interior nodes,
-never touching the poles) evaluates all matrix elements exactly; the
-discrete matrix is real symmetric with an identity mass matrix, so the
-eigenvalues are exactly real and the eigenvectors exactly orthonormal in the
-sin(theta) measure.
+with x = cos(theta), s = sin(theta/2), c = cos(theta/2), A = |k - 1/2|,
+B = |k + 1/2| and p_n^(a,b) the Jacobi polynomials orthonormal under the
+weight (1-x)^a (1+x)^b / 2^(a+b) on [-1, 1].
+
+Every block of the Galerkin matrix is known in closed form:
+- sin(theta) dtheta = dx and s^2A c^2B = (1-x)^A (1+x)^B / 2^(A+B), so both
+  bases are orthonormal, and cos(theta) acts on component 1 as the Jacobi
+  matrix J = tridiag(e, d, e) of (A, B) and on component 2 as
+  J' = tridiag(e, -d, e): swapping a and b negates d_n and keeps e_n.
+- D = d_theta + cot(theta)/2 + k csc(theta), the a = 0 part of L-, maps the
+  n-th basis function of component 2 onto sigma L_n times the n-th of
+  component 1, with sigma = sign k and L_n = n + |k| + 1/2; hence the a = 0
+  spectrum xi = +-(|k| + 1/2 + n).
+- D(x f) = x D f - sin(theta) f, so sin(theta) acts between the two bases as
+  sigma (J L - L J') with L = diag(L_n).
+
+So A11 = -a m J, A22 = a m J' and
+A12 = sigma [diag(L_n + 2 a omega L_n d_n) + a omega (e above, -e below)].
+The matrix is real and exactly symmetric with an identity mass matrix, so the
+eigenvalues are real and the eigenvectors orthonormal in the sin(theta)
+measure.  The same d_n and e_n sample the basis by the three-term recurrence.
 """
 
 from __future__ import annotations
@@ -29,12 +43,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.special import eval_jacobi, gammaln
 
 __all__ = [
     "DiscretizationSpec",
     "AngularEigenpair",
-    "AngularBasis",
     "discretize_angular",
     "angular_eigenpairs",
     "eigenfunction_values",
@@ -68,95 +80,61 @@ class AngularEigenpair:
     coeffs: np.ndarray = field(repr=False, default=None)
 
 
-def _jacobi_norm(n, a, b):
-    """L2 norm^2 of P_n^(a,b) under (1-x)^a (1+x)^b dx."""
-    n = np.asarray(n, dtype=float)
-    return np.exp(
-        (a + b + 1) * math.log(2.0)
-        - np.log(2 * n + a + b + 1)
-        + gammaln(n + a + 1)
-        + gammaln(n + b + 1)
-        - gammaln(n + a + b + 1)
-        - gammaln(n + 1)
-    )
+def _exponents(k):
+    """(A, B) = (|k - 1/2|, |k + 1/2|), the pole exponents of component 1."""
+    return int(round(abs(k - 0.5))), int(round(abs(k + 0.5)))
 
 
-class AngularBasis:
-    """Jacobi bases for the two components of one (k)-sector."""
-
-    def __init__(self, k, N):
-        self.k = k
-        self.N = N
-        self.A = int(round(abs(k - 0.5)))
-        self.B = int(round(abs(k + 0.5)))
-
-    def _phi(self, theta, x, comp):
-        a, b = (self.A, self.B) if comp == 0 else (self.B, self.A)
-        s = np.sin(theta / 2.0)
-        c = np.cos(theta / 2.0)
-        pref = s**a * c**b  # vanishing orders of the regular solution
-        n = np.arange(self.N)
-        # normalized so that <phi_n, phi_m>_{sin th dth} = delta_nm
-        norms = np.sqrt(_jacobi_norm(n, a, b) * 2.0 ** (-(a + b)))
-        P = np.stack([eval_jacobi(int(m), a, b, x) for m in n], axis=-1)
-        return pref[..., None] * P / norms
-
-    def _dphi_dtheta(self, theta, x, comp):
-        a, b = (self.A, self.B) if comp == 0 else (self.B, self.A)
-        s = np.sin(theta / 2.0)
-        c = np.cos(theta / 2.0)
-        n = np.arange(self.N)
-        norms = np.sqrt(_jacobi_norm(n, a, b) * 2.0 ** (-(a + b)))
-        P = np.stack([eval_jacobi(int(m), a, b, x) for m in n], axis=-1)
-        dP = np.zeros_like(P)
-        for m in range(1, self.N):
-            dP[..., m] = 0.5 * (m + a + b + 1) * eval_jacobi(m - 1, a + 1, b + 1, x)
-        pref = s**a * c**b
-        dpref = (0.5 * a * s ** max(a - 1, 0) * c ** (b + 1) if a > 0 else np.zeros_like(s)) - (
-            0.5 * b * s ** (a + 1) * c ** max(b - 1, 0) if b > 0 else np.zeros_like(s)
-        )
-        # d/dtheta [pref P(cos theta)] ; dx/dtheta = -sin theta
-        return dpref[..., None] * P / norms + pref[..., None] * dP * (-np.sin(theta))[..., None] / norms
-
-    def values(self, theta, comp):
-        return self._phi(np.asarray(theta, float), np.cos(np.asarray(theta, float)), comp)
-
-    def derivative_values(self, theta, comp):
-        th = np.asarray(theta, float)
-        return self._dphi_dtheta(th, np.cos(th), comp)
+def _jacobi_matrix(a, b, N):
+    """Diagonal d_n (n < N) and off-diagonal e_n (n < N - 1) of the Jacobi
+    matrix of (a, b), a + b > 0: x p_n = e_{n-1} p_{n-1} + d_n p_n + e_n p_{n+1}
+    for the orthonormal p_n."""
+    n = np.arange(N, dtype=float)
+    s = 2 * n + a + b
+    d = (b * b - a * a) / (s * (s + 2))
+    n, s = n[:-1], s[:-1]
+    e = 2 / (s + 2) * np.sqrt((n + 1) * (n + a + 1) * (n + b + 1) * (n + a + b + 1) / ((s + 1) * (s + 3)))
+    return d, e
 
 
-def _galerkin_matrix(mode, spec, params, basis=None):
-    k = mode.k
-    N = spec.N
-    bas = basis or AngularBasis(k, N)
-    aw = params.a * mode.omega
-    am = params.a * mode.m
-    nq = 2 * N + 2 * (bas.A + bas.B) + 16
-    x, wq = np.polynomial.legendre.leggauss(nq)
-    theta = np.arccos(x)
-    st = np.sin(theta)
-    ct = x
+def _basis_values(a, b, N, theta):
+    """s^a c^b p_n^(a,b)(cos theta) for n < N, shape theta.shape + (N,)."""
+    d, e = _jacobi_matrix(a, b, N)
+    x = np.cos(theta)
+    # p_0^2 = (a + b + 1) C(a + b, a) / 2, in logs so that large |k| does not overflow
+    log_p0 = 0.5 * (math.log((a + b + 1) / 2) + math.lgamma(a + b + 1) - math.lgamma(a + 1) - math.lgamma(b + 1))
+    F = np.empty(np.shape(theta) + (N,))
+    F[..., 0] = math.exp(log_p0) * np.sin(theta / 2) ** a * np.cos(theta / 2) ** b
+    F[..., 1] = (x - d[0]) * F[..., 0] / e[0]
+    for n in range(1, N - 1):
+        F[..., n + 1] = ((x - d[n]) * F[..., n] - e[n - 1] * F[..., n - 1]) / e[n]
+    return F
 
-    F1 = bas._phi(theta, x, 0)
-    F2 = bas._phi(theta, x, 1)
-    dF2 = bas._dphi_dtheta(theta, x, 1)
-    # L- acting on component-2 basis, evaluated at the interior nodes
-    w_theta = aw * st + k / st
-    Lm_F2 = dF2 + ((0.5 * ct / st) + w_theta)[:, None] * F2
 
-    # <f, g>_{sin th dth} = integral f g dx: plain Gauss-Legendre weights
-    A12 = F1.T @ (wq[:, None] * Lm_F2)
-    A11 = -am * (F1.T @ ((wq * ct)[:, None] * F1))
-    A22 = am * (F2.T @ ((wq * ct)[:, None] * F2))
-    A = np.block([[A11, A12], [A12.T, A22]])
-    return 0.5 * (A + A.T), bas
+def _sample(coeffs, k, theta):
+    """(Y1, Y2) at interior angles from Galerkin coefficients of shape (2N,)
+    or (2N, count); the component axis is last."""
+    A, B = _exponents(k)
+    N = len(coeffs) // 2
+    theta = np.asarray(theta, dtype=float)
+    Y1 = _basis_values(A, B, N, theta) @ coeffs[:N]
+    Y2 = _basis_values(B, A, N, theta) @ coeffs[N:]
+    return np.stack([Y1, Y2], axis=-1)
+
+
+def _tridiag(lower, diag, upper):
+    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
 
 
 def discretize_angular(mode, spec, params):
     """Symmetric 2N x 2N Galerkin matrix whose eigenvalues are the xi_n."""
-    A, _ = _galerkin_matrix(mode, spec, params)
-    return A
+    k, N = mode.k, spec.N
+    d, e = _jacobi_matrix(*_exponents(k), N)
+    aw = params.a * mode.omega
+    am = params.a * mode.m
+    L = np.arange(N) + abs(k) + 0.5
+    A12 = math.copysign(1.0, k) * _tridiag(-aw * e, L + 2 * aw * L * d, aw * e)
+    return np.block([[-am * _tridiag(e, d, e), A12], [A12.T, am * _tridiag(e, -d, e)]])
 
 
 def _branch_indices(xi_sorted):
@@ -179,10 +157,9 @@ def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     returned on an interior theta grid.  A spectral gap below 1e-10 between
     consecutive returned eigenvalues is reported as a degeneracy error.
     """
-    if count > spec.N:
-        raise ValueError("count must not exceed the basis size N")
-    A, bas = _galerkin_matrix(mode, spec, params)
-    vals, vecs = eigh(A)
+    if not 0 <= count <= spec.N:
+        raise ValueError(f"count must be between 0 and the basis size N = {spec.N}, got {count}")
+    vals, vecs = eigh(discretize_angular(mode, spec, params))
     sel = np.argsort(np.abs(vals))[:count]
     sel = sel[np.argsort(vals[sel])]
     xi = vals[sel]
@@ -190,41 +167,23 @@ def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     if len(gaps) and np.min(np.abs(gaps)) < 1e-10:
         raise ArithmeticError(f"degenerate angular eigenvalues detected: min gap {np.min(np.abs(gaps)):.2e}")
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    F1 = bas.values(theta, 0)
-    F2 = bas.values(theta, 1)
+    C = vecs[:, sel]
+    Y = _sample(C, mode.k, theta)  # (n_theta, count, 2)
+    # deterministic sign: largest-|Y1| sample positive.  The largest |Y| over
+    # both components is often attained twice, at mirrored angles with
+    # opposite signs, so a sign fixed on it would flip with rounding.
+    pivot = Y[np.argmax(np.abs(Y[..., 0]), axis=0), np.arange(count), 0]
+    flip = np.where(pivot < 0, -1.0, 1.0)
+    Y, C = Y * flip[:, None], C * flip
     indices = _branch_indices(xi)
-    out = []
-    for j, col in enumerate(sel):
-        c = vecs[:, col]
-        Y = np.stack([F1 @ c[: spec.N], F2 @ c[spec.N :]], axis=-1)
-        # deterministic sign: largest-|Y| sample positive
-        pivot = np.argmax(np.abs(Y))
-        if Y.flat[pivot].real < 0:
-            Y = -Y
-            c = -c
-        out.append(AngularEigenpair(xi=float(xi[j]), n=int(indices[j]), theta=theta,
-                                    Y=Y.astype(complex), N=spec.N, coeffs=c.copy()))
-    return out
+    return [AngularEigenpair(xi=float(xi[j]), n=int(indices[j]), theta=theta,
+                             Y=Y[:, j].astype(complex), N=spec.N, coeffs=C[:, j].copy())
+            for j in range(count)]
 
 
 def eigenfunction_values(pair, mode, theta):
     """Evaluate an eigenpair's (Y1, Y2) at arbitrary interior angles."""
-    bas = AngularBasis(mode.k, pair.N)
-    th = np.asarray(theta, dtype=float)
-    F1 = bas.values(th, 0)
-    F2 = bas.values(th, 1)
-    N = pair.N
-    return np.stack([F1 @ pair.coeffs[:N], F2 @ pair.coeffs[N:]], axis=-1)
-
-
-def eigenfunction_derivatives(pair, mode, theta):
-    """d/dtheta of (Y1, Y2) at arbitrary interior angles."""
-    bas = AngularBasis(mode.k, pair.N)
-    th = np.asarray(theta, dtype=float)
-    D1 = bas.derivative_values(th, 0)
-    D2 = bas.derivative_values(th, 1)
-    N = pair.N
-    return np.stack([D1 @ pair.coeffs[:N], D2 @ pair.coeffs[N:]], axis=-1)
+    return _sample(pair.coeffs, mode.k, theta)
 
 
 def xi_continuation(omegas, mode, spec, params, branch_n=1, count=12):

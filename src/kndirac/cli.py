@@ -268,9 +268,16 @@ def load_config(args):
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("a config file must hold one JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise KeyError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            # each value takes the type of its default; an int may stand for a float
+            want = type(DEFAULTS[key])
+            if isinstance(val, bool) or not (isinstance(val, want) or (want is float and isinstance(val, int))):
+                raise ValueError(f"config key {key!r} must be {want.__name__}, got {val!r}")
         cfg.update(file_cfg)
     for key in cfg:
         val = getattr(args, key, None)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 from conftest import random_slow_params
+from scipy.special import eval_jacobi, gammaln
 
+from kndirac import angular
 from kndirac.angular import (
-    AngularBasis,
     DiscretizationSpec,
+    _basis_values,
     angular_eigenpairs,
     discretize_angular,
-    eigenfunction_derivatives,
     eigenfunction_values,
     xi_continuation,
 )
@@ -18,6 +19,99 @@ from kndirac.separation import ModeParams
 
 PAR = SpacetimeParams(M=1.0, a=0.6, Q=0.3)
 
+
+# ---------------------------------------------------------------------------
+# Oracle: the Galerkin matrix by Gauss-Legendre quadrature over a basis
+# evaluated with scipy's eval_jacobi, one call per degree.  Every integrand is
+# a polynomial in cos(theta), so the rule is exact up to rounding.
+
+def _jacobi_norm(n, a, b):
+    """L2 norm^2 of P_n^(a,b) under (1-x)^a (1+x)^b dx."""
+    n = np.asarray(n, dtype=float)
+    return np.exp(
+        (a + b + 1) * math.log(2.0)
+        - np.log(2 * n + a + b + 1)
+        + gammaln(n + a + 1)
+        + gammaln(n + b + 1)
+        - gammaln(n + a + b + 1)
+        - gammaln(n + 1)
+    )
+
+
+class ReferenceBasis:
+    """Jacobi bases for the two components of one (k)-sector."""
+
+    def __init__(self, k, N):
+        self.N = N
+        self.A = int(round(abs(k - 0.5)))
+        self.B = int(round(abs(k + 0.5)))
+
+    def _ab_norms(self, comp):
+        a, b = (self.A, self.B) if comp == 0 else (self.B, self.A)
+        # normalized so that <phi_n, phi_m>_{sin th dth} = delta_nm
+        return a, b, np.sqrt(_jacobi_norm(np.arange(self.N), a, b) * 2.0 ** (-(a + b)))
+
+    def values(self, theta, comp):
+        a, b, norms = self._ab_norms(comp)
+        theta = np.asarray(theta, float)
+        x = np.cos(theta)
+        pref = np.sin(theta / 2.0) ** a * np.cos(theta / 2.0) ** b
+        P = np.stack([eval_jacobi(m, a, b, x) for m in range(self.N)], axis=-1)
+        return pref[..., None] * P / norms
+
+    def derivative_values(self, theta, comp):
+        a, b, norms = self._ab_norms(comp)
+        theta = np.asarray(theta, float)
+        x = np.cos(theta)
+        s = np.sin(theta / 2.0)
+        c = np.cos(theta / 2.0)
+        P = np.stack([eval_jacobi(m, a, b, x) for m in range(self.N)], axis=-1)
+        dP = np.zeros_like(P)
+        for m in range(1, self.N):
+            dP[..., m] = 0.5 * (m + a + b + 1) * eval_jacobi(m - 1, a + 1, b + 1, x)
+        pref = s**a * c**b
+        dpref = (0.5 * a * s ** max(a - 1, 0) * c ** (b + 1) if a > 0 else np.zeros_like(s)) - (
+            0.5 * b * s ** (a + 1) * c ** max(b - 1, 0) if b > 0 else np.zeros_like(s)
+        )
+        # d/dtheta [pref P(cos theta)] ; dx/dtheta = -sin theta
+        return dpref[..., None] * P / norms + pref[..., None] * dP * (-np.sin(theta))[..., None] / norms
+
+
+def reference_galerkin_matrix(mode, spec, params, nq=None):
+    k = mode.k
+    N = spec.N
+    bas = ReferenceBasis(k, N)
+    aw = params.a * mode.omega
+    am = params.a * mode.m
+    nq = nq or 2 * N + 2 * (bas.A + bas.B) + 16
+    x, wq = np.polynomial.legendre.leggauss(nq)
+    theta = np.arccos(x)
+    st = np.sin(theta)
+    ct = x
+    F1 = bas.values(theta, 0)
+    F2 = bas.values(theta, 1)
+    dF2 = bas.derivative_values(theta, 1)
+    # L- acting on component-2 basis, evaluated at the interior nodes
+    w_theta = aw * st + k / st
+    Lm_F2 = dF2 + ((0.5 * ct / st) + w_theta)[:, None] * F2
+    # <f, g>_{sin th dth} = integral f g dx: plain Gauss-Legendre weights
+    A12 = F1.T @ (wq[:, None] * Lm_F2)
+    A11 = -am * (F1.T @ ((wq * ct)[:, None] * F1))
+    A22 = am * (F2.T @ ((wq * ct)[:, None] * F2))
+    A = np.block([[A11, A12], [A12.T, A22]])
+    return 0.5 * (A + A.T)
+
+
+def eigenfunction_derivatives(pair, mode, theta):
+    """d/dtheta of (Y1, Y2) at arbitrary interior angles."""
+    bas = ReferenceBasis(mode.k, pair.N)
+    D1 = bas.derivative_values(theta, 0)
+    D2 = bas.derivative_values(theta, 1)
+    N = pair.N
+    return np.stack([D1 @ pair.coeffs[:N], D2 @ pair.coeffs[N:]], axis=-1)
+
+
+# ---------------------------------------------------------------------------
 
 def sin_measure_inner(theta_nodes, weights, Ya, Yb):
     return np.sum(weights * (np.conj(Ya[:, 0]) * Yb[:, 0] + np.conj(Ya[:, 1]) * Yb[:, 1]))
@@ -83,22 +177,61 @@ def test_eigenfunctions_solve_the_ode():
 def test_matrix_action_matches_quadrature_oracle():
     # Galerkin entries against an independent fine quadrature of <phi, T psi>
     mode = ModeParams(omega=0.7, k=0.5, m=0.3, xi=0.0)
-    N = 12
-    A = discretize_angular(mode, DiscretizationSpec(N=N), PAR)
-    bas = AngularBasis(mode.k, N)
-    x, wq = np.polynomial.legendre.leggauss(1500)
-    th = np.arccos(x)
-    st, ct = np.sin(th), x
-    F1 = bas.values(th, 0)
-    F2 = bas.values(th, 1)
-    dF2 = bas.derivative_values(th, 1)
-    w = PAR.a * mode.omega * st + mode.k / st
-    Lm_F2 = dF2 + ((0.5 * ct / st) + w)[:, None] * F2
-    A12 = F1.T @ (wq[:, None] * Lm_F2)
-    am = PAR.a * mode.m
-    A11 = -am * (F1.T @ ((wq * ct)[:, None] * F1))
-    assert np.abs(A[:N, N:] - A12).max() < 1e-10
-    assert np.abs(A[:N, :N] - A11).max() < 1e-10
+    spec = DiscretizationSpec(N=12)
+    A = discretize_angular(mode, spec, PAR)
+    assert np.abs(A - reference_galerkin_matrix(mode, spec, PAR, nq=1500)).max() < 1e-10
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+@pytest.mark.parametrize("k", [0.5, -0.5, 1.5, -1.5, 7.5, -40.5])
+def test_closed_form_matches_quadrature_oracle(N, k):
+    # the oracle's own rounding reaches about 5e-12 of max|A| at N = 256
+    rng = np.random.default_rng([N, int(2 * k) + 100])
+    par = SpacetimeParams(M=1.0, a=float(rng.uniform(-0.9, 0.9)), Q=0.2)
+    mode = ModeParams(omega=float(rng.uniform(-2, 2)), k=k, m=float(rng.uniform(0, 1)), xi=0.0)
+    spec = DiscretizationSpec(N=N)
+    A = discretize_angular(mode, spec, par)
+    ref = reference_galerkin_matrix(mode, spec, par)
+    assert np.array_equal(A, A.T)
+    assert np.abs(A - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [0.5, -1.5, 7.5, -40.5])
+def test_recurrence_matches_eval_jacobi(k):
+    N = 256
+    ref = ReferenceBasis(k, N)
+    theta = np.pi * (np.arange(129) + 0.5) / 129
+    for comp, (a, b) in enumerate([(ref.A, ref.B), (ref.B, ref.A)]):
+        F, F_ref = _basis_values(a, b, N, theta), ref.values(theta, comp)
+        assert np.all(np.abs(F - F_ref) <= 1e-11 * np.abs(F_ref).max(axis=0))
+
+
+@pytest.mark.parametrize("k", [0.5, -2.5, 7.5, -40.5])
+def test_spectrum_at_zero_spin_closed_form(k):
+    # a = 0: xi = +-(|k| + 1/2 + n), n = 0, 1, ...
+    mode = ModeParams(omega=1.3, k=k, m=0.55, xi=0.0)
+    N = 64
+    pairs = angular_eigenpairs(mode, DiscretizationSpec(N=N), SpacetimeParams(M=1.0, Q=0.3), count=N)
+    levels = abs(k) + 0.5 + np.arange(N // 2)
+    expected = np.concatenate([-levels[::-1], levels])
+    assert np.all(np.abs(np.array([p.xi for p in pairs]) - expected) <= 1e-13 * np.abs(expected))
+
+
+def test_eigenfunction_sign_stable_under_rounding(monkeypatch):
+    # Y must not change sign when the matrix moves by rounding: swap in the
+    # quadrature oracle, which differs from the closed form by about 1e-12
+    rng = np.random.default_rng(8)
+    spec = DiscretizationSpec(N=48)
+    cases = []
+    for _ in range(120):
+        par = random_slow_params(rng)
+        mode = ModeParams(omega=float(rng.uniform(-1.5, 1.5)), k=float(rng.integers(-3, 3) + 0.5),
+                          m=float(rng.uniform(0, 1)), xi=0.0)
+        cases.append((par, mode, angular_eigenpairs(mode, spec, par, count=8)))
+    monkeypatch.setattr(angular, "discretize_angular", reference_galerkin_matrix)
+    for par, mode, pairs in cases:
+        for p, q in zip(pairs, angular_eigenpairs(mode, spec, par, count=8)):
+            assert np.abs(p.Y - q.Y).max() < 1e-9
 
 
 def test_eigenvalues_real_and_normalized():

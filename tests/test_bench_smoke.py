@@ -1,7 +1,8 @@
-"""One far_field case and one cauchy case of the benchmark, solved and checked
-as `bench/run.py` does, so that a change which breaks the benchmark's
-current, Abel, slope or rate checks fails here first.  `bench/workloads.py` is
-imported from the source checkout and not modified."""
+"""One far_field case, one cauchy case and two spectrum_cli angular cases of
+the benchmark, solved and checked as `bench/run.py` does, so that a change
+which breaks the benchmark's current, Abel, slope, rate or a = 0 spectrum
+checks fails here first.  `bench/workloads.py` is imported from the source
+checkout and not modified."""
 
 import importlib.util
 import pathlib
@@ -21,7 +22,10 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("workload,name", [("far_field", "far_field_0"), ("cauchy", "cauchy_0")])
+@pytest.mark.parametrize("workload,name", [
+    ("far_field", "far_field_0"), ("cauchy", "cauchy_0"),
+    ("spectrum_cli", "angular_N64_a0_k-2.5"), ("spectrum_cli", "angular_N256_k-40.5"),
+])
 def test_benchmark_case_passes_its_checks(workloads, workload, name, tmp_path):
     case = next(c for c in workloads.build(workload, 0, str(tmp_path)) if c.name == name)
     result = case.solve()

@@ -38,6 +38,30 @@ def test_configuration_errors(tmp_path):
     notjson = tmp_path / "nj.json"
     notjson.write_text("{')")
     assert main(["horizons", "--config", str(notjson), "--out", str(tmp_path)]) == 2
+    notobject = tmp_path / "no.json"
+    notobject.write_text("5")
+    assert main(["horizons", "--config", str(notobject), "--out", str(tmp_path)]) == 2
+    assert main(["angular", "--count", "-1", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("task,key,value", [
+    ("angular", "N", 64.5), ("angular", "N", "64"), ("angular", "count", 2.5),
+    ("tetrad-check", "n_points", 3.5), ("asymptotics", "n_samples", 20.5),
+    ("tetrad-check", "tol", "1e-9"), ("angular", "N", True),
+])
+def test_config_value_types(tmp_path, capsys, task, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main([task, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_int_for_float_key(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": 1, "a": 0, "Q": 0}))
+    out = str(tmp_path / "o")
+    assert main(["horizons", "--config", str(cfg), "--out", out]) == 0
+    assert json.loads(read(out, "horizons.json"))["r_plus"] == 2.0
 
 
 def test_tetrad_check_passes(tmp_path):

@@ -8,16 +8,12 @@ transformed Dirac stencil -> far-field fit -> Cauchy-horizon fit.
 
 import numpy as np
 
-from kndirac.angular import (
-    DiscretizationSpec,
-    angular_eigenpairs,
-    eigenfunction_derivatives,
-    eigenfunction_values,
-)
+from kndirac.angular import DiscretizationSpec, angular_eigenpairs, eigenfunction_values
 from kndirac.dirac import dirac_stencil, transform_stencil
 from kndirac.geometry import BLPoint, SpacetimeParams
 from kndirac.radial import cauchy_rate, far_field_trajectory, fit_horizon, fit_infinity, integrate
 from kndirac.separation import ModeParams
+from test_angular import eigenfunction_derivatives
 from test_separation import integrate_radial_tilde
 
 PAR = SpacetimeParams(M=1.0, a=0.6, Q=0.3)
