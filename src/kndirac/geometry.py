@@ -226,11 +226,15 @@ def _invert_exterior(rstar, params):
         step = f / drs
         # keep iterates on the branch; the map is monotone so plain damping suffices
         lim = 0.5 * offset + 1e3
+        # an iterate on the floor whose step points down has its root below
+        # the floor (f increases in r): it stays there
+        pinned = (r == floor) & (step > 0)
         r = np.maximum(r - np.minimum(np.maximum(step, -lim), lim), floor)
         # near the horizon rounding of r alone leaves |f| up to the
         # conditioning floor 64 eps r drstar/dr, as the check below allows
-        if (np.abs(step) / np.maximum(r, 1.0)).max() < 1e-14 and (
-                np.abs(f) < f_tol + 64.0 * 2.3e-16 * drs * r).all():
+        converged = (np.abs(step) / np.maximum(r, 1.0) < 1e-14) & (
+            np.abs(f) < f_tol + 64.0 * 2.3e-16 * drs * r)
+        if (converged | pinned).all():
             break
     delta = r * r - 2.0 * M * r + a2 + q2
     f_floor = 64.0 * 2.3e-16 * (r * r + a2) / np.abs(delta) * r

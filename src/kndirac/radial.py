@@ -2,8 +2,15 @@
 horizon.
 
 Two integrators are provided.  `integrate` is an adaptive embedded
-Dormand-Prince 4(5) pair, adequate for spans of up to a few hundred tortoise
-units.  The far-field experiments need phase-coherent trajectories over
+Dormand-Prince 4(5) pair whose steps follow the local wavelength, so its
+cost grows with the span.  r(rstar) has no closed form, so on the exterior
+branch it steps in the log offset s = log(r - r_plus), where
+r = r_plus + e^s and rstar = r + kp s - km log(r - r_minus) are explicit and
+Delta = e^s (r - r_minus) carries no cancellation at any depth.  The tortoise
+inversion runs once, on the two span endpoints, and Newton on rstar(s) then
+places them on the span to rounding.
+
+The far-field experiments need phase-coherent trajectories over
 rstar in [1e3, 1e6]; `far_field_trajectory` integrates there in the adiabatic
 frame X = V E f, with V the closed-form eigenbasis of U and E the phases
 below, where f varies only through an O(1/u^2) coupling whose off-diagonal
@@ -56,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _kappas, azimuthal_shift, delta_sigma, interior_offset, tortoise_inverse
-from .separation import _potential_entries, _potential_slopes, _stacked, radial_potential
+from .separation import _potential_entries, _potential_slopes, _stacked
 
 __all__ = [
     "w_roots",
@@ -65,8 +72,10 @@ __all__ = [
     "asymptotic_phases",
     "eigen_expansion",
     "RadialTrajectory",
+    "IntegrationError",
     "integrate",
     "integrate_linear_system",
+    "exterior_system",
     "far_field_trajectory",
     "InfinityAsymptotics",
     "fit_infinity",
@@ -186,6 +195,16 @@ _DP_E = np.append(_DP_A[6], 0.0) - _DP_B4  # B5 - B4: the embedded error weights
 _DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # nodes of stages 1..6
 
 
+class IntegrationError(ArithmeticError):
+    """Step-size underflow or an exhausted step budget; `t` is the value of
+    the independent variable where the integration stopped (rstar for
+    `integrate`)."""
+
+    def __init__(self, message, t):
+        super().__init__(message)
+        self.t = t
+
+
 def integrate_linear_system(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
     """Adaptive Dormand-Prince integration of dX/dt = matrix(t) X.
 
@@ -197,7 +216,7 @@ def integrate_linear_system(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
     or the step's own first stage after a rejection.
 
     Returns (t samples, X samples, accepted, rejected).  Raises
-    ArithmeticError on step-size underflow or when more than `max_steps`
+    IntegrationError on step-size underflow or when more than `max_steps`
     steps are attempted, naming t, h and the step counts.
     """
     t0, t1 = float(span[0]), float(span[1])
@@ -237,40 +256,107 @@ def integrate_linear_system(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
             rejected += 1
         h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
         if abs(h) < 1e-14 * max(1.0, abs(t)):
-            raise ArithmeticError(
+            raise IntegrationError(
                 f"step size underflow in radial integration at t={t!r}, h={h!r} "
-                f"after {accepted} accepted and {rejected} rejected steps")
+                f"after {accepted} accepted and {rejected} rejected steps", t)
         if accepted + rejected > max_steps:
-            raise ArithmeticError(
+            raise IntegrationError(
                 f"step budget of {max_steps} exhausted in radial integration at t={t!r}, "
-                f"h={h!r} after {accepted} accepted and {rejected} rejected steps")
+                f"h={h!r} after {accepted} accepted and {rejected} rejected steps", t)
     return ts[:accepted + 1].copy(), ys[:accepted + 1].copy(), accepted, rejected
 
 
 def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     """Integrate dX/drstar = U(rstar) X over a span within one branch.
 
+    On the exterior branch the integrator steps dX/ds = J U X in the log
+    offset s = log(r - r_plus) (`exterior_system`), where r and rstar are
+    explicit: each sample's rstar comes from the closed form
+    r + kp s - km log(r - r_minus), and only the two span endpoints are solved
+    for s (`_exterior_log_offset`), so that rstar[0] and rstar[-1] lie on the
+    span to rounding at any depth.
+
     On the interior branch the integrator follows the phase-stripped
     h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus), through
     dh/drstar = B h (`horizon_B`), and the samples are re-phased to X.  B decays
     like e^{-alpha rstar}, so the accepted steps grow toward the Cauchy horizon
     instead of resolving the phase of X1 all the way there.
+
+    Step-size underflow or an exhausted step budget raises IntegrationError
+    naming the branch, the mode and the rstar reached.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
 
+    y0 = np.array(X0, dtype=complex)
     if branch == "interior":
         nu = _cauchy_nu(mode, params)
-        h0 = np.array(X0, dtype=complex)
-        h0[0] *= np.exp(-1j * nu * float(span[0]))
-        ts, ys, acc, rej = integrate_linear_system(
-            lambda t: horizon_B(t, mode, params), span, h0, tol=tol)
-        ys[:, 0] *= np.exp(1j * nu * ts)
+        y0[0] *= np.exp(-1j * nu * float(span[0]))
+        t_span, variable = span, "rstar"
+        system = lambda t: horizon_B(t, mode, params)
+        rstar_of = lambda t: t
+    elif branch == "exterior":
+        t_span, variable = _exterior_log_offset(np.array(span, dtype=float), params), "s = log(r - r_plus)"
+        system = lambda s: exterior_system(s, mode, params)
+        rstar_of = lambda s: _exterior_tortoise(s, params)
     else:
-        ts, ys, acc, rej = integrate_linear_system(
-            lambda t: radial_potential(t, mode, params, branch=branch), span, X0, tol=tol)
-    return RadialTrajectory(rstar=ts, X=ys, mode=mode, params=params, branch=branch,
+        raise ValueError(f"branch must be 'exterior' or 'interior', got {branch!r}")
+    try:
+        ts, ys, acc, rej = integrate_linear_system(system, t_span, y0, tol=tol)
+    except IntegrationError as exc:
+        rstar = float(rstar_of(exc.t))
+        raise IntegrationError(
+            f"{branch} integration of the mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
+            f"xi={mode.xi!r} stopped at rstar={rstar!r}; in {variable}: {exc}", rstar) from exc
+    if branch == "interior":
+        ys[:, 0] *= np.exp(1j * nu * ts)
+    return RadialTrajectory(rstar=rstar_of(ts), X=ys, mode=mode, params=params, branch=branch,
                             steps=acc, rejected=rej, tol=tol)
+
+
+def _exterior_tortoise(s, params):
+    """rstar = r + kp s - km log(r - r_minus) at r = r_plus + e^s: the tortoise
+    coordinate in closed form, free of the cancellation in r - r_plus."""
+    kp, km = _kappas(params)
+    e = np.exp(s)
+    return params.r_plus + e + kp * s - km * np.log(params.r_plus - params.r_minus + e)
+
+
+def _exterior_log_offset(rstar, params):
+    """s = log(r - r_plus) at an array of exterior rstar.
+
+    Seeded from `tortoise_inverse`, which clamps r at r_plus (1 + 1e-15),
+    about rstar = -75 on M = 1, a = 0.6, Q = 0.3, and polished by Newton on
+    the closed form `_exterior_tortoise`, whose slope
+    J = (r^2 + a^2) / (r - r_minus) = kp + e^s - km e^s / (r - r_minus)
+    exceeds kp - km = 2M: rstar(s) meets rstar to rounding at any depth.
+    """
+    rp, rm, a2 = params.r_plus, params.r_minus, params.a * params.a
+    s = np.log(tortoise_inverse(rstar, "exterior", params) - rp)
+    for _ in range(100):
+        r = rp + np.exp(s)
+        step = (_exterior_tortoise(s, params) - rstar) * (r - rm) / (r * r + a2)
+        s = s - step
+        if (np.abs(step) <= 1e-12 * np.maximum(1.0, np.abs(s))).all():
+            return s
+    raise ArithmeticError(f"no log offset found for the exterior span endpoints rstar={rstar!r}")
+
+
+def exterior_system(s, mode, params):
+    """Coefficient matrix J U of the exterior system dX/ds = J U X in the log
+    offset s = log(r - r_plus).
+
+    r = r_plus + e^s, Delta = e^s (r - r_minus), which no rounding of r
+    cancels, and J = drstar/ds = (r^2 + a^2) / (r - r_minus), which tends to
+    kp at the event horizon and to r at infinity.  r is explicit in s, so no
+    tortoise inversion is needed at the nodes.
+    """
+    e = np.exp(s)
+    r = params.r_plus + e
+    gap = params.r_plus - params.r_minus + e  # r - r_minus
+    delta = e * gap
+    jac = (r * r + params.a ** 2) / gap
+    return _stacked(*(jac * u for u in _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)))
 
 
 # ---------------------------------------------------------------------------

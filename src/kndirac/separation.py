@@ -134,7 +134,8 @@ def _potential_entries(r, delta, sD, eps_sign, mode, params):
     """Components (U00, U01, U10, U11) of U at radius r, given Delta, sqrt|Delta|
     and the sign of Delta.
 
-    The one evaluator of U: the stacked matrices of `radial_potential` are
+    The one evaluator of U: the stacked matrices of `radial_potential` and the
+    Dormand-Prince systems `radial.horizon_B` and `radial.exterior_system` are
     built from it, and the far-field Magnus kernel works on the components.
     """
     om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi

@@ -1,8 +1,9 @@
-"""One far_field case, one cauchy case and two spectrum_cli angular cases of
-the benchmark, solved and checked as `bench/run.py` does, so that a change
-which breaks the benchmark's current, Abel, slope, rate or a = 0 spectrum
-checks fails here first.  `bench/workloads.py` is imported from the source
-checkout and not modified."""
+"""One far_field case, one cauchy case, two spectrum_cli angular cases and
+the spectrum_cli exterior radial case of the benchmark, solved and checked as
+`bench/run.py` does, so that a change which breaks the benchmark's current,
+Abel, slope, rate, a = 0 spectrum or trajectory CSV checks fails here
+first.  `bench/workloads.py` is imported from the source checkout and not
+modified."""
 
 import importlib.util
 import pathlib
@@ -25,6 +26,7 @@ def workloads():
 @pytest.mark.parametrize("workload,name", [
     ("far_field", "far_field_0"), ("cauchy", "cauchy_0"),
     ("spectrum_cli", "angular_N64_a0_k-2.5"), ("spectrum_cli", "angular_N256_k-40.5"),
+    ("spectrum_cli", "radial_exterior"),
 ])
 def test_benchmark_case_passes_its_checks(workloads, workload, name, tmp_path):
     case = next(c for c in workloads.build(workload, 0, str(tmp_path)) if c.name == name)

@@ -242,6 +242,21 @@ def test_interior_offset_held_at_the_cap(monkeypatch):
     assert counting.logs <= 8
 
 
+def test_tortoise_inverse_stops_on_the_floor(monkeypatch):
+    # below about rstar = -75 the root lies under the floor r_plus (1 + 1e-15),
+    # where the residual never meets the stop test: the iterate rests on the
+    # floor, and running out the 200 sweeps there took 405 logs
+    import kndirac.geometry
+
+    counting = _CountingNumpy()
+    monkeypatch.setattr(kndirac.geometry, "np", counting)
+    r = tortoise_inverse(np.array([-300.0, -120.0, -40.0]), "exterior", PAR)
+    assert counting.logs <= 20
+    monkeypatch.undo()
+    assert np.all(r[:2] == PAR.r_plus * (1.0 + 1e-15))
+    assert r[2] == tortoise_inverse(-40.0, "exterior", PAR)
+
+
 def test_azimuthal_shift_zero_spin():
     par = SpacetimeParams(M=1.0, Q=0.3)
     assert azimuthal_shift(5.0, par) == 0.0

@@ -9,11 +9,13 @@ from test_acceptance import INFTY_SEEDS
 from kndirac.geometry import SpacetimeParams, azimuthal_shift, delta_sigma, interior_offset, tortoise_inverse
 from kndirac.separation import ModeParams, potential_trace, radial_potential, radial_potential_from_r
 from kndirac.radial import (
+    IntegrationError,
     RadialTrajectory,
     asymptotic_phases,
     boost_matrix,
     cauchy_rate,
     eigen_expansion,
+    exterior_system,
     far_field_trajectory,
     fit_horizon,
     fit_infinity,
@@ -32,6 +34,8 @@ from kndirac.radial import (
     _eigenbasis,
     _expm2,
     _exterior_entries,
+    _exterior_log_offset,
+    _exterior_tortoise,
     _moments,
     _ordered_product,
 )
@@ -233,11 +237,14 @@ def test_integrate_matches_seven_evaluation_reference(branch, monkeypatch):
         X0 = np.array([1.0 + 0.2j, -0.6 + 0.4j])
         nu = 2.0 * (mode.omega + mode.k * horizon_angular_velocity(PAR))
         name, evaluate = "horizon_B", lambda t: horizon_B(t, mode, PAR)
+        t_span, rstar_of = span, lambda t: t
         phase = lambda t: np.array([np.exp(1j * nu * t), 1.0])
     else:
+        # the exterior branch steps dX/ds = J U X in s = log(r - r_plus)
         mode, span, tol = MODE, (10.0, 60.0), 1e-10
         X0 = np.array([1.0 + 0.0j, 0.5 - 0.25j])
-        name, evaluate = "radial_potential", lambda t: radial_potential(t, mode, PAR, branch=branch)
+        name, evaluate = "exterior_system", lambda s: exterior_system(s, mode, PAR)
+        t_span, rstar_of = _exterior_log_offset(np.array(span), PAR), lambda s: _exterior_tortoise(s, PAR)
         phase = lambda t: np.ones(2)
     calls = []
     original = getattr(kndirac.radial, name)
@@ -249,10 +256,10 @@ def test_integrate_matches_seven_evaluation_reference(branch, monkeypatch):
     monkeypatch.setattr(kndirac.radial, name, counted)
     traj = integrate(mode, PAR, span, X0, tol=tol, branch=branch)
     monkeypatch.undo()
-    ts, ys, acc, rej = reference_dormand_prince(evaluate, span, X0 / phase(span[0]), tol=tol)
+    ts, ys, acc, rej = reference_dormand_prince(evaluate, t_span, X0 / phase(t_span[0]), tol=tol)
     end = phase(ts[-1]) * ys[-1]
     assert (traj.steps, traj.rejected) == (acc, rej)
-    assert abs(traj.rstar[-1] - ts[-1]) <= 1e-12 * abs(ts[-1])
+    assert abs(traj.rstar[-1] - rstar_of(ts[-1])) <= 1e-12 * abs(span[1])
     assert np.abs(traj.X[-1] - end).max() < 10 * tol * np.abs(end).max()
     # one call at the start, then one per attempted step on its six nodes
     assert len(calls) == acc + rej + 1
@@ -264,6 +271,69 @@ def test_step_budget_failure_names_the_state():
     with pytest.raises(ArithmeticError, match=r"t=.*h=.*accepted and \d+ rejected"):
         integrate_linear_system(lambda t: np.broadcast_to(A, np.shape(t) + A.shape),
                                 (0.0, 1e4), np.array([1.0, 0.0]), tol=1e-10, max_steps=10)
+
+
+@pytest.mark.parametrize("branch,span", [("exterior", (10.0, 60.0)), ("interior", (0.0, 100.0))])
+def test_integrate_budget_error_names_the_mode(branch, span, monkeypatch):
+    # the exterior integrator's t is log(r - r_plus): integrate reports rstar
+    import kndirac.radial
+
+    original = kndirac.radial.integrate_linear_system
+    monkeypatch.setattr(kndirac.radial, "integrate_linear_system",
+                        lambda *args, **kwargs: original(*args, **kwargs, max_steps=10))
+    with pytest.raises(IntegrationError, match=rf"{branch} integration of the mode omega=1\.3, k=0\.5, "
+                                               r"m=0\.55, xi=1\.7 stopped at rstar=.*budget of 10") as info:
+        integrate(MODE, PAR, span, np.array([1.0, 0.5j]), branch=branch)
+    assert span[0] < info.value.t < span[1]
+    assert f"rstar={info.value.t!r}" in str(info.value)
+
+
+def test_exterior_integrate_inverts_only_the_endpoints(monkeypatch):
+    # r is explicit in s = log(r - r_plus): two inversions per trajectory,
+    # where stepping in rstar inverted the six nodes of every step
+    import kndirac.geometry
+
+    calls = []
+    original = kndirac.geometry._invert_exterior
+
+    def counted(rstar, params):
+        calls.append(np.size(rstar))
+        return original(rstar, params)
+
+    monkeypatch.setattr(kndirac.geometry, "_invert_exterior", counted)
+    traj = integrate(MODE, PAR, (10.0, 60.0), np.array([1.0 + 0.0j, 0.5 - 0.25j]))
+    assert traj.steps > 1000
+    assert sum(calls) <= 2 and len(calls) <= 2
+
+
+SUBLUMINAL = ModeParams(omega=0.3, k=0.5, m=0.8, xi=0.9)
+
+
+@pytest.mark.parametrize("mode,span", [(MODE, (10.0, 60.0)), (MODE, (-40.0, 0.0)),
+                                       (SUBLUMINAL, (260.0, 200.0))])
+def test_exterior_matches_rstar_stepping_oracle(mode, span):
+    # oracle: Dormand-Prince on dX/drstar = U X, inverting rstar at every node
+    X0 = np.array([1.0 + 0.2j, 0.5 - 0.1j])
+    traj = integrate(mode, PAR, span, X0, tol=1e-10)
+    _, ys, _, _ = integrate_linear_system(
+        lambda t: radial_potential(t, mode, PAR, branch="exterior"), span, X0, tol=1e-12)
+    assert np.abs(traj.X[-1] - ys[-1]).max() < 1e-8 * np.abs(ys[-1]).max()
+
+
+def test_exterior_deep_span_matches_event_horizon_limit():
+    # below rstar = -200 here r - r_plus < 1e-38: U is diag(2 i (omega +
+    # k Omega_plus), 0) to rounding, Omega_plus = a / (r_plus^2 + a^2), so X1
+    # turns at a fixed rate and X2 is constant.  The inversion clamps r at
+    # r_plus (1 + 1e-15), about rstar = -75, so only the polished log offset
+    # places the span's endpoints
+    span = (-300.0, -200.0)
+    X0 = np.array([0.8 + 0.3j, -0.45 + 0.9j])
+    traj = integrate(MODE, PAR, span, X0, tol=1e-10)
+    assert abs(traj.rstar[0] - span[0]) <= 1e-13 * abs(span[0])
+    assert abs(traj.rstar[-1] - span[1]) <= 1e-13 * abs(span[1])
+    nu_plus = 2.0 * (MODE.omega + MODE.k * PAR.a / (PAR.r_plus**2 + PAR.a**2))
+    expected = np.array([X0[0] * np.exp(1j * nu_plus * (span[1] - span[0])), X0[1]])
+    assert np.abs(traj.X[-1] - expected).max() < 1e-7
 
 
 @pytest.mark.parametrize("region,rstar", [("exterior", -40.0), ("exterior", 1e6),
