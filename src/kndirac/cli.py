@@ -290,7 +290,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        SpacetimeParams(M=cfg["M"], a=cfg["a"], Q=cfg["Q"])  # slow-condition check
+        SpacetimeParams(M=cfg["M"], a=cfg["a"], Q=cfg["Q"])  # finite and slow
         ModeParams(omega=cfg["omega"], k=cfg["k"], m=cfg["mass"], xi=cfg["xi"])
         if cfg["branch"] not in ("exterior", "interior"):
             raise ValueError(f"invalid branch {cfg['branch']!r}")

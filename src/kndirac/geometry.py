@@ -29,6 +29,7 @@ __all__ = [
     "tortoise",
     "tortoise_derivative",
     "tortoise_inverse",
+    "log_offset",
     "interior_offset",
     "azimuthal_shift",
     "azimuthal_shift_derivative",
@@ -45,8 +46,9 @@ __all__ = [
 class SpacetimeParams:
     """Mass, angular momentum per mass and charge of a slow Kerr-Newman hole.
 
-    The slow (sub-extremal) condition a^2 + Q^2 < M^2 is enforced so that
-    Delta has two distinct positive-discriminant roots.
+    All three must be finite, and the slow (sub-extremal) condition
+    a^2 + Q^2 < M^2 is enforced so that Delta has two distinct
+    positive-discriminant roots.
     """
 
     M: float
@@ -54,6 +56,9 @@ class SpacetimeParams:
     Q: float = 0.0
 
     def __post_init__(self):
+        for name in ("M", "a", "Q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.M > 0:
             raise ValueError(f"M must be positive, got {self.M}")
         if self.a * self.a + self.Q * self.Q >= self.M * self.M:
@@ -140,126 +145,134 @@ def azimuthal_shift_derivative(r, params):
     return params.a / delta
 
 
-def interior_offset(rstar, params):
-    """Radial offset eps = r - r_minus on the interior branch, solved in log(eps).
+def _exterior_tortoise(s, params):
+    """rstar = r_plus + e^s + kp s - km log(r_plus - r_minus + e^s) at the log
+    offset s = log(r - r_plus): free of the cancellation in r - r_plus."""
+    kp, km = _kappas(params)
+    e = np.exp(s)
+    return params.r_plus + e + kp * s - km * np.log(params.r_plus - params.r_minus + e)
 
-    Working in t = log(eps) keeps the inversion accurate arbitrarily close to
-    the Cauchy horizon, where eps underflows any direct subtraction r - r_minus.
-    Arrays are solved together; a scalar rstar returns a float.
+
+def _far_seed(rs, params):
+    """Exterior s = log(r - r_plus) from one fixed-point step of
+    r = rstar - kp log(r - r_plus) + km log(r - r_minus) from r = rstar - 2M log rstar
+    (kp - km = 2M); it misses the root by O(M^2 log(rstar) / rstar^2)."""
+    kp, km = _kappas(params)
+    rp, floor = params.r_plus, 1e-9 * params.r_plus
+    offset = np.maximum(rs - 2.0 * params.M * np.log(rs) - rp, floor)
+    r = rs - kp * np.log(offset) + km * np.log(offset + rp - params.r_minus)
+    return np.log(np.maximum(r - rp, floor))
+
+
+def log_offset(rstar, region, params):
+    """Log offset s = log(r - r_0) of the root r(rstar), r_0 = r_plus on the
+    exterior branch and r_minus on the interior branch.
+
+    Newton on rstar = r + kp log|r - r_plus| - km log|r - r_minus|, which is
+    explicit in s with r = r_0 + e^s and log|r - r_0| = s, vectorized over
+    rstar (a scalar returns a float).  Its slope
+    +-(r^2 + a^2) / (r - r_1), r_1 the other horizon, is at least 2M in size on
+    the exterior and km on the interior, so no iterate needs a floor or damping
+    at any depth.  The loop stops once the step is below 1e-15 relative, or
+    once the step and the residual are at a rounding floor fixed from rstar;
+    steps are clamped to +-30 and the interior s is capped at log(width) - 1e-15.
+    A non-finite rstar raises ValueError, and 200 sweeps without convergence
+    raise ArithmeticError naming the rstar.
     """
+    rs = np.array(rstar, dtype=float, ndmin=1, copy=None)
     rp, rm = params.r_plus, params.r_minus
-    if rm <= 0.0:
-        raise ValueError("interior branch requires a Cauchy horizon (a, Q not both 0)")
     kp, km = _kappas(params)
     width = rp - rm
-    rs = np.array(rstar, dtype=float, ndmin=1)
     log_w = math.log(width)
-    log_half = log_w - math.log(2.0)
-    t_cap = log_w - 1e-15
-    # f(t) = rm + e^t + kp log(width - e^t) - km t - rstar is concave and
-    # decreasing in t.  Seeds: beyond the midpoint's rstar the r_minus-side
-    # asymptote rstar ~ rm + kp log(width) - km t, which lies past the root, or
-    # the midpoint where that is nearer; short of it the r_plus-side asymptote
-    # rstar ~ rp + kp log(width - e^t) - km log(width), kept in the upper half
-    t = np.minimum(np.maximum((rm + kp * log_w - rs) / km, -745.0), log_half)
-    rs_mid = rm + 0.5 * width + (kp - km) * log_half
-    if rs.min() < rs_mid:
-        low = rs < rs_mid
-        gap = np.minimum(np.exp((rs[low] - rp + km * log_w) / kp), 0.5 * width)
-        t[low] = np.minimum(np.log(width - gap), t_cap)
-    c = rm - rs
-    # rounding keeps |f| above a few ulps of its terms, whose magnitudes sum to
-    # at most 2 (|rstar| + rp + kp max(|log width|, |log width/2|)) at the
-    # root: one of km |t| and kp |log(width - eps)| is bounded on its half of
-    # the branch, and the other is at most |rstar| + rp plus that bound
-    f_floor = 16 * 2.3e-16 * (np.abs(rs) + (rp + kp * max(abs(log_w), abs(log_half))))
-    # |df/dt| >= km: once |f| is at its floor no step exceeds f_floor / km
-    # (twice that covers the rounding of f / df)
-    floor_move = 2.0 * f_floor.max() / km
-    tol = 1e-15 * max(1.0, np.abs(t).max())
+    # f = rstar(s) - rstar = e^s + k_log log(gap) + k_s s + r_0 - rstar, gap = width -+ e^s;
+    # its slope e^s - k_1 e^s / gap + k_s is at least slope_min in size
+    if region == "interior":
+        if rm <= 0.0:
+            raise ValueError("interior branch requires a Cauchy horizon (a, Q not both 0)")
+        r0, k_log, k_1, k_s, gap_of, slope_min, s_cap = rm, kp, kp, -km, np.subtract, km, log_w - 1e-15
+        log_half = log_w - math.log(2.0)
+        # one of km |s| and kp |log(width - e^s)| is bounded on its half of the
+        # branch, and the other is at most |rstar| + rp plus that bound
+        bound = rp + kp * max(abs(log_w), abs(log_half))
+    elif region == "exterior":
+        r0, k_log, k_1, k_s, gap_of, slope_min, s_cap = rp, -km, km, kp, np.add, kp - km, math.inf
+        # while e^s <= width both log terms are bounded by (kp + km) |log(2 width)|
+        # or (kp + km) |log width|; beyond it they grow like log r < |rstar| + rp
+        bound = rp + (kp + km) * max(abs(log_w), abs(log_w + math.log(2.0)))
+    else:
+        raise ValueError(f"region must be 'exterior' or 'interior', got {region!r}")
+    # rounding keeps |f| above a few ulps of its terms, whose magnitudes sum
+    # to at most 2 (|rstar| + bound) at the root.  Its maximum is not finite
+    # exactly when some rstar is not, which must be caught before the seeds
+    f_floor = 16 * 2.3e-16 * (np.abs(rs) + bound)
+    f_floor_max = f_floor.max()
+    if not f_floor_max < math.inf:
+        raise ValueError(f"rstar must be finite, got {float(rs[~np.isfinite(rs)][0])!r}")
+    if region == "interior":
+        # rstar(s) is concave and decreasing.  Seeds: beyond the midpoint's
+        # rstar the r_minus-side asymptote rstar ~ rm + kp log(width) - km s,
+        # which lies past the root, or the midpoint where that is nearer; short
+        # of it the r_plus-side asymptote rstar ~ rp + kp log(width - e^s)
+        # - km log(width), kept in the upper half
+        s = np.minimum((rm + kp * log_w - rs) / km, log_half)
+        rs_mid = rm + 0.5 * width + (kp - km) * log_half
+        if rs.min() < rs_mid:
+            low = rs < rs_mid
+            gap = np.minimum(np.exp((rs[low] - rp + km * log_w) / kp), 0.5 * width)
+            s[low] = np.minimum(np.log(width - gap), s_cap)
+    else:
+        # the event-horizon asymptote rstar ~ rp + kp s - km log(width), or far out `_far_seed`
+        s = (rs - rp + km * log_w) / kp
+        far = rs > rp + 4.0 * kp
+        if far.any():
+            s[far] = _far_seed(rs[far], params)
+    c = r0 - rs
+    # once |f| is at its floor no step exceeds f_floor / slope_min (twice
+    # that covers the rounding of f / slope)
+    floor_move = 2.0 * f_floor_max / slope_min
+    tol = 1e-15 * max(1.0, np.abs(s).max())
     for _ in range(200):
-        e = np.exp(t)
-        gap = width - e
-        f = e + kp * np.log(gap) - km * t + c
+        e = np.exp(s)
+        gap = gap_of(width, e)
+        f = e + k_log * np.log(gap) + k_s * s + c
         # no step passes the cap, so a point resting there takes a zero step
-        step = np.maximum(np.minimum(np.maximum(f / (e - kp * e / gap - km), -30.0), 30.0), t - t_cap)
-        t = t - step
+        step = np.maximum(np.minimum(np.maximum(f / (e - k_1 * e / gap + k_s), -30.0), 30.0), s - s_cap)
+        s = s - step
         moved = np.abs(step).max()
         if moved < tol or (moved <= floor_move and (np.abs(f) <= f_floor).all()):
-            break
-    eps = np.exp(t)
-    return eps if np.ndim(rstar) else float(eps[0])
+            return s if np.ndim(rstar) else float(s[0])
+    raise ArithmeticError(f"tortoise inversion did not converge at rstar={float(rs[np.abs(step) >= tol][0])!r}")
 
 
-def _exterior_seed(rs, params):
-    """Starting radius of the exterior Newton iteration for an array of rstar.
-
-    Large rstar: one fixed-point step of r = rstar - kp log(r - r_plus)
-    + km log(r - r_minus) from r = rstar - 2M log rstar (kp - km = 2M), which
-    misses the root by O(M^2 log(rstar) / rstar^2).  Near the horizon: the
-    exponential offset r_plus + e^{(rstar - r_plus - km log(r_plus - r_minus)) / kp}.
-    """
-    rp, rm = params.r_plus, params.r_minus
-    kp, km = _kappas(params)
-    big = np.maximum(rs, rp + 4.0 * kp)
-    far = np.maximum(big - 2.0 * params.M * np.log(big), rp * (1 + 1e-9))
-    far = big - kp * np.log(far - rp) + km * np.log(far - rm)
-    near = rp + np.exp(np.minimum(np.maximum(
-        (rs - rp - km * math.log(max(rp - rm, 1e-300))) / kp, -700.0), 0.0))
-    return np.where(rs > rp + 4.0 * kp, np.maximum(far, rp * (1 + 1e-9)), np.maximum(near, rp * (1 + 1e-14)))
-
-
-def _invert_exterior(rstar, params):
-    rp, rm = params.r_plus, params.r_minus
-    kp, km = _kappas(params)
-    M, a2, q2 = params.M, params.a * params.a, params.Q * params.Q
-    rs = np.array(rstar, dtype=float, ndmin=1)
-    r = _exterior_seed(rs, params)
-    floor = rp * (1.0 + 1e-15)
-    f_tol = 1e-12 * max(1.0, np.abs(rs).max())
-    for _ in range(200):
-        # r >= floor > r_plus > r_minus: no absolute values needed in the logs
-        offset = r - rp
-        f = r + kp * np.log(offset) - km * np.log(r - rm) - rs
-        rr = r * r
-        drs = (rr + a2) / (rr - 2.0 * M * r + a2 + q2)  # d rstar / dr
-        step = f / drs
-        # keep iterates on the branch; the map is monotone so plain damping suffices
-        lim = 0.5 * offset + 1e3
-        # an iterate on the floor whose step points down has its root below
-        # the floor (f increases in r): it stays there
-        pinned = (r == floor) & (step > 0)
-        r = np.maximum(r - np.minimum(np.maximum(step, -lim), lim), floor)
-        # near the horizon rounding of r alone leaves |f| up to the
-        # conditioning floor 64 eps r drstar/dr, as the check below allows
-        converged = (np.abs(step) / np.maximum(r, 1.0) < 1e-14) & (
-            np.abs(f) < f_tol + 64.0 * 2.3e-16 * drs * r)
-        if (converged | pinned).all():
-            break
-    delta = r * r - 2.0 * M * r + a2 + q2
-    f_floor = 64.0 * 2.3e-16 * (r * r + a2) / np.abs(delta) * r
-    resid = np.abs(r + kp * np.log(r - rp) - km * np.log(r - rm) - rs)
-    bad = (resid > 1e-10 * np.maximum(1.0, np.abs(rs)) + f_floor) & (r > floor * (1.0 + 1e-12))
-    if np.any(bad):
-        raise ArithmeticError(f"tortoise inversion did not converge at rstar={rs[bad][0]!r}")
-    return r if np.ndim(rstar) else float(r[0])
+def interior_offset(rstar, params):
+    """eps = r - r_minus = e^s on the interior branch, s from `log_offset`:
+    accurate arbitrarily close to the Cauchy horizon, where eps underflows
+    any direct subtraction r - r_minus.  A scalar rstar returns a float."""
+    eps = np.exp(log_offset(rstar, "interior", params))
+    return eps if np.ndim(rstar) else float(eps)
 
 
 def tortoise_inverse(rstar, region, params):
-    """Invert rstar -> r on the exterior (r > r_plus) or interior branch.
+    """r(rstar) = r_0 + e^s on the exterior (r > r_plus) or interior branch,
+    s from `log_offset`; a scalar rstar returns a float.
 
-    Safeguarded Newton iteration, vectorized over rstar (a scalar returns a
-    float); the result satisfies |tortoise(r) - rstar| < 1e-12 max(1, |rstar|)
-    whenever the offset from the horizon is representable in double
-    precision, and clamps to the horizon otherwise.
+    Far out, r_plus + e^s carries the rounding of s times |s|, so on the
+    exterior one Newton step in r follows, and r is held at r_plus (1 + 1e-15),
+    which it meets below about rstar = -75 on M = 1, a = 0.6, Q = 0.3.
     """
-    if region == "exterior":
-        r = _invert_exterior(rstar, params)
-    elif region == "interior":
-        r = params.r_minus + interior_offset(rstar, params)
+    rs = np.array(rstar, dtype=float, ndmin=1, copy=None)
+    e = np.exp(log_offset(rs, region, params))
+    if region == "interior":
+        r = params.r_minus + e
     else:
-        raise ValueError(f"region must be 'exterior' or 'interior', got {region!r}")
-    return r
+        rp, rm = params.r_plus, params.r_minus
+        kp, km = _kappas(params)
+        floor = rp * (1.0 + 1e-15)
+        r = np.maximum(rp + e, floor)
+        # r - rstar first: it is exact wherever r is within a factor 2 of rstar
+        f = (r - rs) + kp * np.log(r - rp) - km * np.log(r - rm)
+        r = np.maximum(r - f * (r - rp) * (r - rm) / (r * r + params.a * params.a), floor)
+    return r if np.ndim(rstar) else float(r[0])
 
 
 def bl_metric(r, theta, params):

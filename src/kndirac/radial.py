@@ -7,8 +7,8 @@ cost grows with the span.  r(rstar) has no closed form, so on the exterior
 branch it steps in the log offset s = log(r - r_plus), where
 r = r_plus + e^s and rstar = r + kp s - km log(r - r_minus) are explicit and
 Delta = e^s (r - r_minus) carries no cancellation at any depth.  The tortoise
-inversion runs once, on the two span endpoints, and Newton on rstar(s) then
-places them on the span to rounding.
+inversion, Newton on rstar(s) itself, runs once, on the two span endpoints,
+and places them on the span to rounding.
 
 The far-field experiments need phase-coherent trajectories over
 rstar in [1e3, 1e6]; `far_field_trajectory` integrates there in the adiabatic
@@ -62,7 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _kappas, azimuthal_shift, delta_sigma, interior_offset, tortoise_inverse
+from .geometry import (_exterior_tortoise, _kappas, azimuthal_shift, delta_sigma, interior_offset, log_offset,
+                       tortoise_inverse)
 from .separation import _potential_entries, _potential_slopes, _stacked
 
 __all__ = [
@@ -196,9 +197,9 @@ _DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # nodes of stages 1..
 
 
 class IntegrationError(ArithmeticError):
-    """Step-size underflow or an exhausted step budget; `t` is the value of
-    the independent variable where the integration stopped (rstar for
-    `integrate`)."""
+    """A non-finite error estimate, step-size underflow or an exhausted step
+    budget; `t` is the value of the independent variable where the
+    integration stopped (rstar for `integrate`)."""
 
     def __init__(self, message, t):
         super().__init__(message)
@@ -216,8 +217,9 @@ def integrate_linear_system(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
     or the step's own first stage after a rejection.
 
     Returns (t samples, X samples, accepted, rejected).  Raises
-    IntegrationError on step-size underflow or when more than `max_steps`
-    steps are attempted, naming t, h and the step counts.
+    IntegrationError on a non-finite error estimate, on step-size underflow
+    or when more than `max_steps` steps are attempted, naming t, h and the
+    step counts.
     """
     t0, t1 = float(span[0]), float(span[1])
     direction = 1.0 if t1 > t0 else -1.0
@@ -243,6 +245,10 @@ def integrate_linear_system(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
         y5 = yi  # row 6 of A is B5
         sc = atol + tol * max(np.abs(y).max(), np.abs(y5).max())
         err = math.sqrt(float((np.abs(h * (_DP_E @ K)) ** 2).sum()) / y.size) / sc
+        if not math.isfinite(err):
+            raise IntegrationError(
+                f"non-finite error estimate in radial integration at t={t!r}, h={h!r} "
+                f"after {accepted} accepted and {rejected} rejected steps", t)
         if err <= 1.0:
             t += h
             y = y5
@@ -273,8 +279,8 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     offset s = log(r - r_plus) (`exterior_system`), where r and rstar are
     explicit: each sample's rstar comes from the closed form
     r + kp s - km log(r - r_minus), and only the two span endpoints are solved
-    for s (`_exterior_log_offset`), so that rstar[0] and rstar[-1] lie on the
-    span to rounding at any depth.
+    for s (`log_offset`), so that rstar[0] and rstar[-1] lie on the span to
+    rounding at any depth.
 
     On the interior branch the integrator follows the phase-stripped
     h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus), through
@@ -282,8 +288,9 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     like e^{-alpha rstar}, so the accepted steps grow toward the Cauchy horizon
     instead of resolving the phase of X1 all the way there.
 
-    Step-size underflow or an exhausted step budget raises IntegrationError
-    naming the branch, the mode and the rstar reached.
+    A non-finite error estimate, step-size underflow or an exhausted step
+    budget raises IntegrationError naming the branch, the mode and the rstar
+    reached.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -296,7 +303,7 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
         system = lambda t: horizon_B(t, mode, params)
         rstar_of = lambda t: t
     elif branch == "exterior":
-        t_span, variable = _exterior_log_offset(np.array(span, dtype=float), params), "s = log(r - r_plus)"
+        t_span, variable = log_offset(np.array(span, dtype=float), "exterior", params), "s = log(r - r_plus)"
         system = lambda s: exterior_system(s, mode, params)
         rstar_of = lambda s: _exterior_tortoise(s, params)
     else:
@@ -312,34 +319,6 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
         ys[:, 0] *= np.exp(1j * nu * ts)
     return RadialTrajectory(rstar=rstar_of(ts), X=ys, mode=mode, params=params, branch=branch,
                             steps=acc, rejected=rej, tol=tol)
-
-
-def _exterior_tortoise(s, params):
-    """rstar = r + kp s - km log(r - r_minus) at r = r_plus + e^s: the tortoise
-    coordinate in closed form, free of the cancellation in r - r_plus."""
-    kp, km = _kappas(params)
-    e = np.exp(s)
-    return params.r_plus + e + kp * s - km * np.log(params.r_plus - params.r_minus + e)
-
-
-def _exterior_log_offset(rstar, params):
-    """s = log(r - r_plus) at an array of exterior rstar.
-
-    Seeded from `tortoise_inverse`, which clamps r at r_plus (1 + 1e-15),
-    about rstar = -75 on M = 1, a = 0.6, Q = 0.3, and polished by Newton on
-    the closed form `_exterior_tortoise`, whose slope
-    J = (r^2 + a^2) / (r - r_minus) = kp + e^s - km e^s / (r - r_minus)
-    exceeds kp - km = 2M: rstar(s) meets rstar to rounding at any depth.
-    """
-    rp, rm, a2 = params.r_plus, params.r_minus, params.a * params.a
-    s = np.log(tortoise_inverse(rstar, "exterior", params) - rp)
-    for _ in range(100):
-        r = rp + np.exp(s)
-        step = (_exterior_tortoise(s, params) - rstar) * (r - rm) / (r * r + a2)
-        s = s - step
-        if (np.abs(step) <= 1e-12 * np.maximum(1.0, np.abs(s))).all():
-            return s
-    raise ArithmeticError(f"no log offset found for the exterior span endpoints rstar={rstar!r}")
 
 
 def exterior_system(s, mode, params):

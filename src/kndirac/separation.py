@@ -38,7 +38,7 @@ __all__ = [
 @dataclass(frozen=True)
 class ModeParams:
     """Frequency omega, azimuthal half-integer k, fermion mass m and
-    separation constant xi."""
+    separation constant xi, all finite."""
 
     omega: float
     k: float
@@ -46,6 +46,9 @@ class ModeParams:
     xi: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega", "k", "m", "xi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         two_k = 2.0 * self.k
         if abs(two_k - round(two_k)) > 1e-12 or round(two_k) % 2 == 0:
             raise ValueError(f"k must be half-integer (k = j + 1/2), got {self.k}")

@@ -44,6 +44,18 @@ def test_configuration_errors(tmp_path):
     assert main(["angular", "--count", "-1", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["radial", "--rstar-max", "inf"], ["radial", "--rstar-min", "nan"],
+    ["asymptotics", "--branch", "interior", "--omega", "nan"], ["horizons", "--M", "inf"],
+    ["angular", "--xi", "inf"],
+])
+def test_non_finite_inputs_are_configuration_errors(tmp_path, capsys, argv):
+    # --rstar-max inf used to exit 3 (numerical failure), and an interior
+    # --omega nan ran its integrator for minutes
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("task,key,value", [
     ("angular", "N", 64.5), ("angular", "N", "64"), ("angular", "count", 2.5),
     ("tetrad-check", "n_points", 3.5), ("asymptotics", "n_samples", 20.5),

@@ -1,11 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kndirac.geometry import (
     BLPoint,
     SpacetimeParams,
+    _exterior_tortoise,
+    _kappas,
     azimuthal_shift,
     azimuthal_shift_derivative,
     bl_metric,
@@ -15,6 +20,7 @@ from kndirac.geometry import (
     horizons,
     interior_offset,
     inverse_metric,
+    log_offset,
     metric,
     temporal_minors,
     tortoise,
@@ -52,6 +58,13 @@ def test_extremal_rejected(a, Q):
 def test_nonpositive_mass_rejected():
     with pytest.raises(ValueError):
         SpacetimeParams(M=0.0)
+
+
+@pytest.mark.parametrize("field,value", [("M", math.inf), ("M", math.nan), ("a", math.nan), ("a", -math.inf),
+                                         ("Q", math.nan), ("Q", math.inf)])
+def test_non_finite_params_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SpacetimeParams(**{"M": 1.0, "a": 0.3, "Q": 0.2, field: value})
 
 
 def test_delta_vanishes_on_horizons_random_params():
@@ -135,10 +148,10 @@ FAR_ROOTS = [(1e3, 986.21621697433211528), (1e4, 9981.5833977285339356),
 def test_exterior_seed_far_miss():
     # r = rstar - kp log rstar, without the km log r term, missed by 2.0-4.0
     # here and cost a Newton sweep per node
-    from kndirac.geometry import _exterior_seed
+    from kndirac.geometry import _far_seed
 
     rs = np.array([x for x, _ in FAR_ROOTS])
-    seed = _exterior_seed(rs, PAR)
+    seed = PAR.r_plus + np.exp(_far_seed(rs, PAR))
     assert np.abs(seed - np.array([r for _, r in FAR_ROOTS])).max() < 1e-2
 
 
@@ -255,6 +268,127 @@ def test_tortoise_inverse_stops_on_the_floor(monkeypatch):
     monkeypatch.undo()
     assert np.all(r[:2] == PAR.r_plus * (1.0 + 1e-15))
     assert r[2] == tortoise_inverse(-40.0, "exterior", PAR)
+
+
+@pytest.mark.parametrize("region", ["exterior", "interior"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_offset_rejects_non_finite_rstar(region, bad):
+    # a NaN used to run all 200 sweeps and return NaN, and an exterior +inf
+    # returned NaN with RuntimeWarnings
+    for rstar in (bad, np.array([3.0, bad])):
+        for inverse in (lambda x: log_offset(x, region, PAR), lambda x: tortoise_inverse(x, region, PAR)):
+            with pytest.raises(ValueError, match=f"rstar must be finite, got {bad!r}"):
+                inverse(rstar)
+    if region == "interior":
+        with pytest.raises(ValueError, match="rstar must be finite"):
+            interior_offset(bad, PAR)
+
+
+@pytest.mark.parametrize("region", ["exterior", "interior"])
+def test_log_offset_failure_names_the_rstar(region, monkeypatch):
+    # a residual that rounding cannot settle (here a log off by 1e-6,
+    # alternating in sign) runs out the sweeps: the solver raises instead of
+    # returning an unconverged offset
+    import kndirac.geometry
+
+    class NoisyNumpy:
+        calls = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def log(self, x):
+            NoisyNumpy.calls += 1
+            return np.log(x) + (-1e-6) ** (NoisyNumpy.calls % 2) * 1e-6
+
+    monkeypatch.setattr(kndirac.geometry, "np", NoisyNumpy())
+    with pytest.raises(ArithmeticError, match=r"did not converge at rstar=5\.0"):
+        log_offset(np.array([5.0]), region, PAR)
+
+
+# Hypothesis draws of the slow parameter space: Kerr-Newman holes up to
+# a^2 + Q^2 = 0.99 M^2, and the Schwarzschild (exterior only), Kerr and
+# Reissner-Nordstrom limits
+@st.composite
+def slow_holes(draw, interior):
+    M = draw(st.floats(0.25, 4.0))
+    limits = ["kerr-newman", "kerr", "reissner-nordstrom"] + ([] if interior else ["schwarzschild"])
+    limit = draw(st.sampled_from(limits))
+    q = 0.0 if limit == "schwarzschild" else draw(st.floats(1e-6 if interior else 0.0, 0.99))
+    phi = {"kerr": 0.0, "reissner-nordstrom": 0.5 * math.pi}.get(limit) or draw(st.floats(0.0, 0.5 * math.pi))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return SpacetimeParams(M=M, a=sign * M * math.sqrt(q) * math.cos(phi), Q=M * math.sqrt(q) * math.sin(phi))
+
+
+class _LogCounter:
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, x):
+        self.logs += 1
+        return np.log(x)
+
+
+def _interior_tortoise(s, par):
+    """rstar and drstar/ds at s = log(r - r_minus) on the interior branch."""
+    kp, km = _kappas(par)
+    e, width = math.exp(s), par.r_plus - par.r_minus
+    return par.r_minus + e + kp * math.log(width - e) - km * s, e - kp * e / (width - e) - km
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(par=slow_holes(interior=False), rstar=st.lists(st.floats(-300.0, 1e6), min_size=1, max_size=3))
+def test_tortoise_inverse_round_trip_exterior(par, rstar):
+    # tortoise(r) meets rstar to 1e-12 max(1, |rstar|) plus its conditioning
+    # floor, or r rests on r_plus (1 + 1e-15) with the root beneath it
+    import kndirac.geometry
+
+    rs = np.array(rstar)
+    counter = _LogCounter()
+    with mock.patch.object(kndirac.geometry, "np", counter):
+        r = tortoise_inverse(rs, "exterior", par)
+    assert counter.logs <= 14  # a sweep each, 3 for the far seed and 2 for the step in r
+    floor = par.r_plus * (1.0 + 1e-15)
+    assert np.all(r >= floor)
+    below = _exterior_tortoise(math.log(floor - par.r_plus), par)
+    for ri, rsi in zip(r, rs):
+        if ri == floor:
+            assert rsi <= below + 1e-12 * max(1.0, abs(rsi))
+            continue
+        drs = (ri * ri + par.a**2) / ((ri - par.r_plus) * (ri - par.r_minus))
+        bound = 1e-12 * max(1.0, abs(rsi)) + 64 * 2.3e-16 * drs * ri
+        assert abs(tortoise(ri, par) - rsi) <= bound
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(par=slow_holes(interior=True), alpha_rstar=st.lists(st.floats(-40.0, 60.0), min_size=1, max_size=3))
+def test_tortoise_inverse_round_trip_interior(par, alpha_rstar):
+    # rstar(s) meets rstar to 1e-12 max(1, |rstar|) plus its conditioning
+    # floor, or s rests on the cap log(width) - 1e-15 with the root beyond it
+    import kndirac.geometry
+
+    alpha = 0.5 * (par.r_plus - par.r_minus) / (par.r_minus**2 + par.a**2)
+    rs = np.array(alpha_rstar) / alpha
+    counter = _LogCounter()
+    with mock.patch.object(kndirac.geometry, "np", counter):
+        r = tortoise_inverse(rs, "interior", par)
+    # one log per sweep and one for the r_plus-side seed; sweeps grow like
+    # log(1 / (a^2 + Q^2)) toward Schwarzschild, 17 at a^2 + Q^2 = 1e-6 M^2
+    assert counter.logs <= 20
+    s = log_offset(rs, "interior", par)
+    assert np.array_equal(r, par.r_minus + np.exp(s))
+    cap = math.log(par.r_plus - par.r_minus) - 1e-15
+    assert np.all(s <= cap)
+    for si, rsi in zip(s, rs):
+        rstar_s, slope = _interior_tortoise(si, par)
+        bound = 1e-12 * max(1.0, abs(rsi)) + 64 * 2.3e-16 * abs(slope) * max(1.0, abs(si))
+        if si == cap:
+            assert rsi <= rstar_s + bound
+        else:
+            assert abs(rstar_s - rsi) <= bound
 
 
 def test_azimuthal_shift_zero_spin():

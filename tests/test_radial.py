@@ -6,7 +6,15 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from test_acceptance import INFTY_SEEDS
 
-from kndirac.geometry import SpacetimeParams, azimuthal_shift, delta_sigma, interior_offset, tortoise_inverse
+from kndirac.geometry import (
+    SpacetimeParams,
+    _exterior_tortoise,
+    azimuthal_shift,
+    delta_sigma,
+    interior_offset,
+    log_offset,
+    tortoise_inverse,
+)
 from kndirac.separation import ModeParams, potential_trace, radial_potential, radial_potential_from_r
 from kndirac.radial import (
     IntegrationError,
@@ -34,8 +42,6 @@ from kndirac.radial import (
     _eigenbasis,
     _expm2,
     _exterior_entries,
-    _exterior_log_offset,
-    _exterior_tortoise,
     _moments,
     _ordered_product,
 )
@@ -244,7 +250,8 @@ def test_integrate_matches_seven_evaluation_reference(branch, monkeypatch):
         mode, span, tol = MODE, (10.0, 60.0), 1e-10
         X0 = np.array([1.0 + 0.0j, 0.5 - 0.25j])
         name, evaluate = "exterior_system", lambda s: exterior_system(s, mode, PAR)
-        t_span, rstar_of = _exterior_log_offset(np.array(span), PAR), lambda s: _exterior_tortoise(s, PAR)
+        t_span = log_offset(np.array(span), "exterior", PAR)
+        rstar_of = lambda s: _exterior_tortoise(s, PAR)
         phase = lambda t: np.ones(2)
     calls = []
     original = getattr(kndirac.radial, name)
@@ -273,6 +280,23 @@ def test_step_budget_failure_names_the_state():
                                 (0.0, 1e4), np.array([1.0, 0.0]), tol=1e-10, max_steps=10)
 
 
+def test_non_finite_error_estimate_stops_at_once():
+    # NaN entries from t = 0.5 on: a NaN error norm used to count as a
+    # rejection that grew h fivefold, until all 20,001 attempts of a
+    # 20,000-step budget were spent
+    A = np.array([[0.0, 1.0j], [1.0j, 0.0]])
+    calls = []
+
+    def matrix(t):
+        calls.append(t)
+        return np.where((t < 0.5)[:, None, None], A, np.nan)
+
+    with pytest.raises(IntegrationError, match=r"non-finite error estimate .* at t=") as info:
+        integrate_linear_system(matrix, (0.0, 10.0), np.array([1.0, 0.0]), tol=1e-10, max_steps=20_000)
+    assert 0.0 < info.value.t < 0.5
+    assert len(calls) < 100
+
+
 @pytest.mark.parametrize("branch,span", [("exterior", (10.0, 60.0)), ("interior", (0.0, 100.0))])
 def test_integrate_budget_error_names_the_mode(branch, span, monkeypatch):
     # the exterior integrator's t is log(r - r_plus): integrate reports rstar
@@ -292,15 +316,17 @@ def test_exterior_integrate_inverts_only_the_endpoints(monkeypatch):
     # r is explicit in s = log(r - r_plus): two inversions per trajectory,
     # where stepping in rstar inverted the six nodes of every step
     import kndirac.geometry
+    import kndirac.radial
 
     calls = []
-    original = kndirac.geometry._invert_exterior
+    original = kndirac.geometry.log_offset
 
-    def counted(rstar, params):
+    def counted(rstar, region, params):
         calls.append(np.size(rstar))
-        return original(rstar, params)
+        return original(rstar, region, params)
 
-    monkeypatch.setattr(kndirac.geometry, "_invert_exterior", counted)
+    for module in (kndirac.geometry, kndirac.radial):
+        monkeypatch.setattr(module, "log_offset", counted)
     traj = integrate(MODE, PAR, (10.0, 60.0), np.array([1.0 + 0.0j, 0.5 - 0.25j]))
     assert traj.steps > 1000
     assert sum(calls) <= 2 and len(calls) <= 2

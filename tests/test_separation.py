@@ -316,3 +316,12 @@ def test_mode_params_validation():
     with pytest.raises(ValueError):
         ModeParams(omega=1.0, k=0.5, m=-0.1)
     ModeParams(omega=1.0, k=-2.5)  # fine
+
+
+@pytest.mark.parametrize("field,value", [("omega", math.nan), ("omega", math.inf), ("k", math.nan), ("k", math.inf),
+                                         ("m", math.nan), ("m", math.inf), ("xi", math.nan), ("xi", math.inf)])
+def test_mode_params_reject_non_finite(field, value):
+    # a NaN omega used to reach the interior integrator, which rejected every
+    # step on its way to the step budget
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModeParams(**{"omega": 1.3, "k": 0.5, "m": 0.55, "xi": 1.7, field: value})
