@@ -43,7 +43,6 @@ from .separation import (
     ModeParams,
     angular_operator,
     radial_operator,
-    radial_potential,
     separation_residual,
 )
 from .angular import AngularEigenpair, DiscretizationSpec, angular_eigenpairs, xi_continuation

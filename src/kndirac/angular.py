@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 __all__ = [
     "DiscretizationSpec",
@@ -159,7 +158,7 @@ def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     """
     if not 0 <= count <= spec.N:
         raise ValueError(f"count must be between 0 and the basis size N = {spec.N}, got {count}")
-    vals, vecs = eigh(discretize_angular(mode, spec, params))
+    vals, vecs = np.linalg.eigh(discretize_angular(mode, spec, params))
     sel = np.argsort(np.abs(vals))[:count]
     sel = sel[np.argsort(vals[sel])]
     xi = vals[sel]

@@ -27,17 +27,14 @@ __all__ = [
     "horizons",
     "delta_sigma",
     "tortoise",
-    "tortoise_derivative",
     "tortoise_inverse",
     "log_offset",
     "interior_offset",
     "azimuthal_shift",
-    "azimuthal_shift_derivative",
     "bl_metric",
     "ef_metric",
     "metric",
     "inverse_metric",
-    "bl_to_ef_jacobian",
     "temporal_minors",
 ]
 
@@ -116,16 +113,11 @@ def _kappas(params):
 
 
 def tortoise(r, params):
-    """Tortoise coordinate rstar(r); diverges to -inf at r_plus (from outside)
-    and to +inf at r_minus (from inside)."""
+    """Tortoise coordinate rstar(r), with d rstar / dr = (r^2 + a^2) / Delta;
+    diverges to -inf at r_plus (from outside) and to +inf at r_minus (from
+    inside)."""
     kp, km = _kappas(params)
     return r + kp * np.log(np.abs(r - params.r_plus)) - km * np.log(np.abs(r - params.r_minus))
-
-
-def tortoise_derivative(r, params):
-    """d rstar / dr = (r^2 + a^2) / Delta."""
-    delta, _ = delta_sigma(r, 0.0, params)
-    return (r * r + params.a * params.a) / delta
 
 
 def azimuthal_shift(r, params):
@@ -137,12 +129,6 @@ def azimuthal_shift(r, params):
     return (a / (params.r_plus - params.r_minus)) * np.log(
         np.abs((r - params.r_plus) / (r - params.r_minus))
     )
-
-
-def azimuthal_shift_derivative(r, params):
-    """d phitilde / dr = a / Delta."""
-    delta, _ = delta_sigma(r, 0.0, params)
-    return params.a / delta
 
 
 def _exterior_tortoise(s, params):
@@ -326,15 +312,6 @@ def metric(point, chart, params):
 def inverse_metric(point, chart, params):
     """Contravariant metric components at a BLPoint."""
     return np.linalg.inv(metric(point, chart, params))
-
-
-def bl_to_ef_jacobian(r, params):
-    """J[mu_EF, nu_BL] = d x_EF^mu / d x_BL^nu at radius r (theta-independent)."""
-    delta, _ = delta_sigma(r, 0.0, params)
-    J = np.eye(4)
-    J[0, 1] = (r * r + params.a * params.a) / delta - 1.0
-    J[3, 1] = params.a / delta
-    return J
 
 
 def temporal_minors(r, theta, params):

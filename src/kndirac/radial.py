@@ -566,7 +566,8 @@ def _coupling(u, mode, params):
 
 def _trace_phase(r, mode, params):
     """Im of T - i (Phi_plus - Phi_minus), where T = 2 i omega (u - r) + 2 i k
-    phitilde(r) is `trace_antiderivative`, the antiderivative of tr U: the
+    phitilde(r) is the antiderivative of tr U = 2 i omega (1 - Delta/(r^2+a^2))
+    + 2 i k a/(r^2+a^2), with phitilde = `geometry.azimuthal_shift`: the
     antiderivative of Im tr C, since tr K = (log det V)' vanishes (det V = s1
     in the gauge of `_adiabatic_frame`).  u - r is taken as
     kp log(r - r_plus) - km log(r - r_minus), which the rounding of r(u) does
@@ -646,6 +647,8 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
             f"modes do not oscillate (got omega = {mode.omega!r}, m = {mode.m!r})")
     if not 0 < u_min < u_max:
         raise ValueError(f"far-field span needs 0 < u_min < u_max, got [{u_min!r}, {u_max!r}]")
+    if n_samples < 2:
+        raise ValueError(f"far-field propagation needs n_samples >= 2, got {n_samples!r}")
     us = np.geomspace(u_min, u_max, n_samples)
     r, _, _, (v00, v01, v10, v11), _ = _adiabatic_frame(us, mode, params)
     pp, pm = _log_r_phases(us, r, mode, params)
@@ -743,6 +746,10 @@ def fit_infinity(traj, mode, params, ablate_log_phase=False):
 
     resid = np.linalg.norm(Xs - (f_inf * W) @ V_inf.T, axis=1)
     sel = (us <= us[-1] / 5.0) & (resid > 0)
+    if np.count_nonzero(sel) < 2:
+        raise ValueError(
+            f"far-field fit window u in [{float(us[0])!r}, {float(us[-1]) / 5.0!r}] (u <= u_max/5) holds "
+            f"{np.count_nonzero(sel)} of the {len(us)} samples; a slope needs at least 2")
     slope, intercept = np.polyfit(np.log(us[sel]), np.log(resid[sel]), 1)
 
     theta = theta_boost(mode.omega, mode.m)

@@ -21,17 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import delta_sigma, interior_offset, tortoise_inverse
+from .geometry import delta_sigma
 
 __all__ = [
     "ModeParams",
     "radial_operator",
     "angular_operator",
     "separation_residual",
-    "radial_potential",
-    "radial_potential_from_r",
-    "potential_trace",
-    "trace_antiderivative",
 ]
 
 
@@ -137,9 +133,9 @@ def _potential_entries(r, delta, sD, eps_sign, mode, params):
     """Components (U00, U01, U10, U11) of U at radius r, given Delta, sqrt|Delta|
     and the sign of Delta.
 
-    The one evaluator of U: the stacked matrices of `radial_potential` and the
-    Dormand-Prince systems `radial.horizon_B` and `radial.exterior_system` are
-    built from it, and the far-field Magnus kernel works on the components.
+    The one evaluator of U: the Dormand-Prince systems `radial.horizon_B` and
+    `radial.exterior_system` are built from it, and the far-field Magnus
+    kernel works on the components.
     """
     om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
     a = params.a
@@ -172,45 +168,3 @@ def _stacked(u00, u01, u10, u11):
     U = np.empty(np.shape(u00) + (2, 2), dtype=complex)
     U[..., 0, 0], U[..., 0, 1], U[..., 1, 0], U[..., 1, 1] = u00, u01, u10, u11
     return U
-
-
-def radial_potential_from_r(r, mode, params):
-    """U = (Delta / (r^2+a^2)) Utilde evaluated directly at radius r."""
-    delta, _ = delta_sigma(r, 0.0, params)
-    sD = np.sqrt(np.abs(delta))
-    eps = np.where(delta >= 0, 1.0, -1.0)
-    return _stacked(*_potential_entries(r, delta, sD, eps, mode, params))
-
-
-def radial_potential(rstar, mode, params, branch="exterior"):
-    """Tortoise-coordinate radial potential U(rstar), finite at the horizons.
-
-    On the interior branch the horizon offset eps = r - r_minus is carried in
-    log form so that Delta = -eps (r_plus - r_minus - eps) stays accurate all
-    the way into the exponential tail.
-    """
-    if branch == "exterior":
-        r = tortoise_inverse(rstar, "exterior", params)
-        return radial_potential_from_r(r, mode, params)
-    if branch == "interior":
-        eps = interior_offset(rstar, params)
-        r = params.r_minus + eps
-        abs_delta = eps * (params.r_plus - params.r_minus - eps)
-        return _stacked(*_potential_entries(r, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params))
-    raise ValueError(f"branch must be 'exterior' or 'interior', got {branch!r}")
-
-
-def potential_trace(r, mode, params):
-    """tr U in closed form: 2 i omega - 2 i omega Delta/(r^2+a^2) + 2 i k a/(r^2+a^2)."""
-    om, k = mode.omega, mode.k
-    delta, _ = delta_sigma(r, 0.0, params)
-    ra = r * r + params.a * params.a
-    return 2j * om - 2j * om * delta / ra + 2j * k * params.a / ra
-
-
-def trace_antiderivative(rstar, r, mode, params):
-    """Closed-form antiderivative of tr U along rstar: 2 i omega (rstar - r)
-    + 2 i k phitilde(r), up to a constant; drives the Abel/Wronskian identity."""
-    from .geometry import azimuthal_shift
-
-    return 2j * mode.omega * (rstar - r) + 2j * mode.k * azimuthal_shift(r, params)

@@ -36,9 +36,9 @@ from kndirac.radial import (
     integrate_linear_system,
     strip_horizon_phase,
 )
-from kndirac.separation import ModeParams, potential_trace, radial_potential
+from kndirac.separation import ModeParams
 from kndirac.tetrads import orthonormal_bl, orthonormal_u_ef
-from test_separation import integrate_angular, integrate_radial_tilde
+from test_separation import integrate_angular, integrate_radial_tilde, potential_trace, radial_potential
 
 
 def report(num, ok, detail, t0, limit):

@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,15 @@ from kndirac.cli import main
 def read(outdir, name):
     with open(os.path.join(outdir, name)) as fh:
         return fh.read()
+
+
+def test_runtime_imports_numpy_only():
+    # the package needs numpy alone; scipy is a test dependency of the oracles
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, kndirac.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_horizons_record(tmp_path):
@@ -42,6 +54,7 @@ def test_configuration_errors(tmp_path):
     notobject.write_text("5")
     assert main(["horizons", "--config", str(notobject), "--out", str(tmp_path)]) == 2
     assert main(["angular", "--count", "-1", "--out", str(tmp_path)]) == 2
+    assert main(["asymptotics", "--n-samples", "2", "--rstar-min", "2e4", "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 from test_acceptance import INFTY_SEEDS
+from test_separation import potential_trace, radial_potential, radial_potential_from_r
 
 from kndirac.geometry import (
     SpacetimeParams,
@@ -15,7 +16,7 @@ from kndirac.geometry import (
     log_offset,
     tortoise_inverse,
 )
-from kndirac.separation import ModeParams, potential_trace, radial_potential, radial_potential_from_r
+from kndirac.separation import ModeParams
 from kndirac.radial import (
     IntegrationError,
     RadialTrajectory,
@@ -559,6 +560,17 @@ def test_far_field_magnus_matches_adaptive():
     traj = far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1.1e3, n_samples=2)
     ref = integrate(MODE, PAR, (1e3, 1.1e3), X0, tol=1e-12)
     assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-7
+
+
+def test_far_field_sample_counts():
+    # one sample cannot propagate, and two samples from 2e4 to 1e6 leave one
+    # in the fit window u <= u_max/5, where polyfit used to warn and return a slope
+    X0 = np.array([0.8 + 0.3j, -0.45 + 0.9j])
+    with pytest.raises(ValueError, match="n_samples >= 2, got 1"):
+        far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1e6, n_samples=1)
+    traj = far_field_trajectory(MODE, PAR, X0, u_min=2e4, u_max=1e6, n_samples=2)
+    with pytest.raises(ValueError, match=r"window u in \[20000\.0, 200000\.0\].* holds 1 of the 2 samples"):
+        fit_infinity(traj, MODE, PAR)
 
 
 def test_far_field_matches_adaptive_near_horizon():

@@ -6,14 +6,13 @@ from conftest import random_mode, random_slow_params
 from scipy.integrate import solve_ivp
 
 from kndirac.dirac import dirac_stencil, transform_stencil
-from kndirac.geometry import BLPoint, SpacetimeParams, delta_sigma, tortoise_inverse
+from kndirac.geometry import BLPoint, SpacetimeParams, delta_sigma, interior_offset, tortoise_inverse
 from kndirac.separation import (
     ModeParams,
+    _potential_entries,
+    _stacked,
     angular_operator,
-    potential_trace,
     radial_operator,
-    radial_potential,
-    radial_potential_from_r,
     separation_residual,
 )
 
@@ -36,6 +35,42 @@ def radial_system(r, mode, params):
     U[..., 1, 0] = eps * sD * (1j * m * r + xi) / delta
     U[..., 1, 1] = -1j * om
     return U
+
+
+# U itself, stacked from `_potential_entries` at a radius or a tortoise
+# coordinate: the oracle for the rstar-stepping checks of the radial systems
+def radial_potential_from_r(r, mode, params):
+    """U = (Delta / (r^2+a^2)) Utilde evaluated directly at radius r."""
+    delta, _ = delta_sigma(r, 0.0, params)
+    sD = np.sqrt(np.abs(delta))
+    eps = np.where(delta >= 0, 1.0, -1.0)
+    return _stacked(*_potential_entries(r, delta, sD, eps, mode, params))
+
+
+def radial_potential(rstar, mode, params, branch="exterior"):
+    """Tortoise-coordinate radial potential U(rstar), finite at the horizons.
+
+    On the interior branch the horizon offset eps = r - r_minus is carried in
+    log form so that Delta = -eps (r_plus - r_minus - eps) stays accurate all
+    the way into the exponential tail.
+    """
+    if branch == "exterior":
+        r = tortoise_inverse(rstar, "exterior", params)
+        return radial_potential_from_r(r, mode, params)
+    if branch == "interior":
+        eps = interior_offset(rstar, params)
+        r = params.r_minus + eps
+        abs_delta = eps * (params.r_plus - params.r_minus - eps)
+        return _stacked(*_potential_entries(r, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params))
+    raise ValueError(f"branch must be 'exterior' or 'interior', got {branch!r}")
+
+
+def potential_trace(r, mode, params):
+    """tr U in closed form: 2 i omega - 2 i omega Delta/(r^2+a^2) + 2 i k a/(r^2+a^2)."""
+    om, k = mode.omega, mode.k
+    delta, _ = delta_sigma(r, 0.0, params)
+    ra = r * r + params.a * params.a
+    return 2j * om - 2j * om * delta / ra + 2j * k * params.a / ra
 
 
 def integrate_radial_tilde(mode, params, r0, r1, X0):
