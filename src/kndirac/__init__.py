@@ -55,7 +55,6 @@ from .radial import (
     far_field_trajectory,
     fit_horizon,
     fit_infinity,
-    horizon_B,
     integrate,
     theta_boost,
     w_roots,

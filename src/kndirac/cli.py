@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .geometry import BLPoint, SpacetimeParams, bl_metric, ef_metric, horizons, inverse_metric, tortoise_inverse
+from .geometry import BLPoint, SpacetimeParams, bl_metric, ef_metric, horizons, inverse_metric
 from .tetrads import (
     ef_null_tetrad,
     np_condition_residual,
@@ -184,10 +184,12 @@ def task_radial(cfg, outdir):
     X0 = np.array([1.0 + 0.0j, 0.5 - 0.25j])
     traj = integrate(mode, params, (cfg["rstar_min"], cfg["rstar_max"]), X0,
                      tol=cfg["tol"], branch=cfg["branch"])
-    r = tortoise_inverse(traj.rstar, cfg["branch"], params)
+    # r from the trajectory's own log offset s = log(r - r_0): re-inverting
+    # rstar would meet the rounding floor of r deep in the exterior
+    r = (params.r_plus if cfg["branch"] == "exterior" else params.r_minus) + np.exp(traj.s)
     X1, X2 = traj.X[:, 0], traj.X[:, 1]
-    rows = zip(traj.rstar, r, X1.real, X1.imag, X2.real, X2.imag)
-    _write_table(outdir, "trajectory", ("rstar", "r", "ReX1", "ImX1", "ReX2", "ImX2"), rows)
+    rows = zip(traj.rstar, r, X1.real, X1.imag, X2.real, X2.imag, traj.s)
+    _write_table(outdir, "trajectory", ("rstar", "r", "ReX1", "ImX1", "ReX2", "ImX2", "s"), rows)
     _write_record(outdir, "radial", {"task": "radial", "config": cfg,
                                      "steps": traj.steps, "rejected": traj.rejected})
     return 0

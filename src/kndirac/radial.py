@@ -1,28 +1,38 @@
 """Radial ODE integration and the asymptotics at infinity and at the Cauchy
 horizon.
 
-Two integrators are provided.  `integrate` is an adaptive embedded
-Dormand-Prince 4(5) pair whose steps follow the local wavelength, so its
-cost grows with the span.  r(rstar) has no closed form, so on the exterior
-branch it steps in the log offset s = log(r - r_plus), where
-r = r_plus + e^s and rstar = r + kp s - km log(r - r_minus) are explicit and
+Every integrator here but one takes Filon-Magnus steps: second-order Magnus
+exponents of a 2x2 coupling whose off-diagonal is a smooth amplitude times an
+exact phase e^{i kappa x} across the step, with that oscillation integrated
+exactly (Filon quadrature) and the trace taken from closed forms.  Their
+steps follow the coupling, not the wavelength.  One kernel
+(`_filon_magnus_products`) and one halving loop (`_settled_products`)
+serve two frames:
+
+- The far-field experiments need phase-coherent trajectories over
+  rstar in [1e3, 1e6]; `far_field_trajectory` integrates there in the
+  adiabatic frame X = V E f, with V the closed-form eigenbasis of U and E the
+  phases below, where f varies only through an O(1/u^2) coupling whose
+  off-diagonal oscillates like e^{-+2 i w1 u}: tens of steps where a Magnus
+  propagator of X itself needs millions.  The coupling and every step
+  exponent lie in u(1,1), so the current |X1|^2 - |X2|^2 and the
+  Abel/Wronskian identity hold to rounding by construction.
+- On the interior branch `integrate` follows the phase-stripped h below,
+  whose coupling B lies in u(2) and carries the phase e^{-+i nu rstar} off
+  the diagonal; every step conserves |X1|^2 + |X2|^2.
+
+The 2x2 algebra (the exponential and the tree-reduced ordered product) is
+written out on four component arrays, in real arithmetic for the
+exponential, and halving the steps bounds the error.
+
+The one exception is the exterior `integrate`, an adaptive embedded
+Dormand-Prince 4(5) pair whose steps follow the local wavelength, so its cost
+grows with the span.  r(rstar) has no closed form, so it steps in the log
+offset s = log(r - r_plus), where r = r_plus + e^s and
+rstar = r + kp s - km log(r - r_minus) are explicit and
 Delta = e^s (r - r_minus) carries no cancellation at any depth.  The tortoise
 inversion, Newton on rstar(s) itself, runs once, on the two span endpoints,
 and places them on the span to rounding.
-
-The far-field experiments need phase-coherent trajectories over
-rstar in [1e3, 1e6]; `far_field_trajectory` integrates there in the adiabatic
-frame X = V E f, with V the closed-form eigenbasis of U and E the phases
-below, where f varies only through an O(1/u^2) coupling whose off-diagonal
-oscillates like e^{-+2 i w1 u}.  Its steps are second-order Magnus
-exponents with the oscillation integrated exactly (Filon quadrature), so
-they are set by the 1/u^2 drift instead of the wavelength: tens of steps
-where a Magnus propagator of X itself needs millions.  The 2x2 algebra (the
-exponential and the tree-reduced ordered product) is written out on four
-component arrays, and the exponential runs in real arithmetic because every
-step exponent lies in u(1,1); the current |X1|^2 - |X2|^2 and the
-Abel/Wronskian identity hold to rounding by construction, and halving the
-steps bounds the error.
 
 Asymptotics at infinity: with w1 the root of omega^2 - m^2 in the closed
 convex hull of the positive real and positive imaginary axes, w2 = -w1, the
@@ -45,14 +55,16 @@ O(log u / u) remainder, whose log-log slope is -1 + 1/ln u.  `fit_infinity`
 and the far-field frame use log r(u).
 
 At the Cauchy horizon (interior branch, rstar -> +infinity) the substitution
-    h = ( X1 e^{-2 i (omega + k Omega_minus) rstar}, X2 ),
+    h = ( X1 e^{-i nu rstar}, X2 ),  nu = 2 (omega + k Omega_minus),
     Omega_minus = a / (r_minus^2 + a^2),
 turns the system into dh/drstar = B(rstar) h with ||B|| = O(e^{-alpha rstar}),
 alpha = (r_plus - r_minus) / (2 (r_minus^2 + a^2)), so h has a limit and the
-error decays exponentially at rate alpha.  `integrate` solves the interior
-branch in this frame and re-phases the samples: the Dormand-Prince steps grow
-as B decays, where following the oscillating X1 would cost a fixed number of
-steps per unit of rstar all the way to the horizon.
+error decays exponentially at rate alpha.  The coupling itself integrates to
+O(1) whatever alpha is, while X1 turns through nu / (2 pi) periods per unit
+of rstar all the way to the horizon: about 350 over [0, 32/alpha] at
+alpha = 0.05.  The Filon-Magnus steps integrate that phase exactly, so they
+cluster at alpha rstar < 2, where ||B|| = O(1), and their number grows far
+more slowly than 1/alpha.
 """
 
 from __future__ import annotations
@@ -62,8 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (_exterior_tortoise, _kappas, azimuthal_shift, delta_sigma, interior_offset, log_offset,
-                       tortoise_inverse)
+from .geometry import _exterior_tortoise, _kappas, azimuthal_shift, delta_sigma, log_offset, tortoise_inverse
 from .separation import _potential_entries, _potential_slopes, _stacked
 
 __all__ = [
@@ -80,7 +91,6 @@ __all__ = [
     "far_field_trajectory",
     "InfinityAsymptotics",
     "fit_infinity",
-    "horizon_B",
     "HorizonAsymptotics",
     "fit_horizon",
     "cauchy_rate",
@@ -159,6 +169,9 @@ class RadialTrajectory:
     prop_det carries the cumulative determinant of the propagator from the
     first sample when the trajectory came from `far_field_trajectory`; the Abel
     identity det = exp(int tr U) can then be audited without re-propagation.
+    s carries the log offset s = log(r - r_0) of each sample when it came from
+    `integrate`: r = r_0 + e^s holds at any depth, where re-inverting rstar
+    meets the rounding floor of r.
     """
 
     rstar: np.ndarray
@@ -170,6 +183,7 @@ class RadialTrajectory:
     rejected: int
     tol: float
     prop_det: np.ndarray = None
+    s: np.ndarray = None
 
     def __post_init__(self):
         d = np.diff(self.rstar)
@@ -199,7 +213,8 @@ _DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # nodes of stages 1..
 class IntegrationError(ArithmeticError):
     """A non-finite error estimate, step-size underflow or an exhausted step
     budget; `t` is the value of the independent variable where the
-    integration stopped (rstar for `integrate`)."""
+    integration stopped (rstar for `integrate`), or for the Filon-Magnus
+    halving the end of the first sample interval that did not settle."""
 
     def __init__(self, message, t):
         super().__init__(message)
@@ -275,50 +290,70 @@ def integrate_linear_system(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
 def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     """Integrate dX/drstar = U(rstar) X over a span within one branch.
 
-    On the exterior branch the integrator steps dX/ds = J U X in the log
-    offset s = log(r - r_plus) (`exterior_system`), where r and rstar are
-    explicit: each sample's rstar comes from the closed form
+    On the exterior branch the adaptive Dormand-Prince pair
+    (`integrate_linear_system`) steps dX/ds = J U X in the log offset
+    s = log(r - r_plus) (`exterior_system`), where r and rstar are explicit:
+    each sample's rstar comes from the closed form
     r + kp s - km log(r - r_minus), and only the two span endpoints are solved
     for s (`log_offset`), so that rstar[0] and rstar[-1] lie on the span to
-    rounding at any depth.
+    rounding at any depth.  `steps` and `rejected` count its steps.
 
-    On the interior branch the integrator follows the phase-stripped
-    h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus), through
-    dh/drstar = B h (`horizon_B`), and the samples are re-phased to X.  B decays
-    like e^{-alpha rstar}, so the accepted steps grow toward the Cauchy horizon
-    instead of resolving the phase of X1 all the way there.
+    On the interior branch the samples lie on a uniform grid in rstar spaced
+    about 0.25/alpha, and the phase-stripped h = (X1 e^{-i nu rstar}, X2),
+    nu = 2 (omega + k Omega_minus), is carried across each sample interval by
+    Filon-Magnus steps on dh/drstar = B h (`_interior_products`), halved until
+    the interval's product moves by less than `tol` (`_settled_products`);
+    the samples are re-phased to X.  B lies in u(2), so every step conserves
+    |X1|^2 + |X2|^2, and its off-diagonal phase e^{-+i nu rstar} is integrated
+    exactly, so the steps follow the O(1) coupling and not the periods of X1.
+    `steps` counts the Magnus steps, and `rejected` is 0.
 
-    A non-finite error estimate, step-size underflow or an exhausted step
-    budget raises IntegrationError naming the branch, the mode and the rstar
-    reached.
+    The trajectory carries the log offset s = log(r - r_0) of every sample,
+    r_0 = r_plus or r_minus.  A non-finite error estimate, step-size
+    underflow or an exhausted step budget (`_INTERIOR_STEP_BUDGET` evaluated
+    Magnus steps on the interior) raises IntegrationError naming the branch,
+    the mode and the rstar reached.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
-
-    y0 = np.array(X0, dtype=complex)
-    if branch == "interior":
-        nu = _cauchy_nu(mode, params)
-        y0[0] *= np.exp(-1j * nu * float(span[0]))
-        t_span, variable = span, "rstar"
-        system = lambda t: horizon_B(t, mode, params)
-        rstar_of = lambda t: t
-    elif branch == "exterior":
-        t_span, variable = log_offset(np.array(span, dtype=float), "exterior", params), "s = log(r - r_plus)"
-        system = lambda s: exterior_system(s, mode, params)
-        rstar_of = lambda s: _exterior_tortoise(s, params)
-    else:
+    if branch not in ("exterior", "interior"):
         raise ValueError(f"branch must be 'exterior' or 'interior', got {branch!r}")
+    # also rejects a non-finite span, and an interior without a Cauchy horizon
+    s_span = log_offset(np.array(span, dtype=float), branch, params)
+    y0 = np.array(X0, dtype=complex)
     try:
-        ts, ys, acc, rej = integrate_linear_system(system, t_span, y0, tol=tol)
+        if branch == "exterior":
+            variable = "s = log(r - r_plus)"
+            s, X, steps, rejected = integrate_linear_system(
+                lambda s: exterior_system(s, mode, params), s_span, y0, tol=tol)
+            rstar = _exterior_tortoise(s, params)
+        else:
+            variable, rejected = "rstar", 0
+            t0, t1 = float(span[0]), float(span[1])
+            # 45 samples in the fit window alpha rstar in [8, 19] of `fit_horizon`
+            width = 0.25 / cauchy_rate(params)
+            intervals = abs(t1 - t0) / width
+            if intervals > _INTERIOR_STEP_BUDGET:
+                # as `_settled_products` would, before the grid is allocated
+                end = t0 + math.copysign(width, t1 - t0)
+                raise IntegrationError(
+                    f"step budget of {_INTERIOR_STEP_BUDGET} exhausted on rstar in [{t0!r}, {end!r}]: one step "
+                    f"on each of the {intervals:.4g} sample intervals exceeds it", end)
+            rstar = np.linspace(t0, t1, max(1, math.ceil(intervals - 1e-9)) + 1)
+            products, steps = _settled_products(
+                lambda index, n: _interior_products(rstar[index], rstar[index + 1], n, mode, params),
+                rstar, tol, _INTERIOR_STEP_BUDGET, "on rstar")
+            nu = _cauchy_nu(mode, params)
+            X = _propagated(products, np.array([y0[0] * np.exp(-1j * nu * t0), y0[1]]))
+            X[:, 0] *= np.exp(1j * nu * rstar)
+            s = log_offset(rstar, "interior", params)
     except IntegrationError as exc:
-        rstar = float(rstar_of(exc.t))
+        stop = float(exc.t if branch == "interior" else _exterior_tortoise(exc.t, params))
         raise IntegrationError(
             f"{branch} integration of the mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
-            f"xi={mode.xi!r} stopped at rstar={rstar!r}; in {variable}: {exc}", rstar) from exc
-    if branch == "interior":
-        ys[:, 0] *= np.exp(1j * nu * ts)
-    return RadialTrajectory(rstar=rstar_of(ts), X=ys, mode=mode, params=params, branch=branch,
-                            steps=acc, rejected=rej, tol=tol)
+            f"xi={mode.xi!r} stopped at rstar={stop!r}; in {variable}: {exc}", stop) from exc
+    return RadialTrajectory(rstar=rstar, X=X, mode=mode, params=params, branch=branch,
+                            steps=steps, rejected=rejected, tol=tol, s=s)
 
 
 def exterior_system(s, mode, params):
@@ -339,14 +374,16 @@ def exterior_system(s, mode, params):
 
 
 # ---------------------------------------------------------------------------
-# far-field propagation in the adiabatic frame
+# Filon-Magnus steps: the far field in the adiabatic frame, the interior in
+# the phase-stripped frame
 #
 # Every 2x2 quantity is held as four component arrays (x00, x01, x10, x11) and
 # multiplied out by hand.  On the exterior branch U lies in u(1,1): its
 # diagonal entries are imaginary and U10 = conj(U01).  So do the frame
-# coupling C and every step exponent, which `_expm2` uses.
+# coupling C and every step exponent.  On the interior branch U10 =
+# -conj(U01), so B and its step exponents lie in u(2).  `_expm2` takes both.
 
-# Gauss-Legendre nodes and weights on [-1, 1]; the amplitudes of C are
+# Gauss-Legendre nodes and weights on [-1, 1]; the coupling amplitudes are
 # interpolated at the nodes, and the Lagrange basis ell_q(x) has the monomial
 # coefficients _LAGRANGE[j, q]
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -361,7 +398,7 @@ _SERIES = np.array([[(1 + (-1) ** (l + n)) / (l + n + 1) / math.factorial(n) for
 
 def _filon_magnus_tensors():
     """Weights of the step exponent on the node values, as linear maps of the
-    moments mu_l (see `_interval_products`):
+    moments mu_l (see `_filon_magnus_products`):
 
     F1[l, q]:     int ell_q(x) e^{i kappa x} dx = sum_l mu_l F1[l, q];
     F2[l, q, r]:  int_{-1}^{1} dx1 int_{-1}^{x1} dx2 [ell_q(x1) ell_r(x2) e^{i kappa x2}
@@ -394,24 +431,31 @@ def _filon_magnus_tensors():
 
 
 _F1, _F2, _F3 = _filon_magnus_tensors()
-# a sample interval's product is accepted when it moves by less than this
-# (relative to its largest entry) on halving every step
+# a far-field sample interval's product is accepted when it moves by less than
+# this (relative to its largest entry) on halving every step; the interior
+# takes the caller's tol
 _FAR_TOL = 1e-10
-# most steps one far-field trajectory may evaluate, over all halvings
+# most steps one trajectory may evaluate, over all halvings.  The far field
+# settles in 70-72 steps per seed on criterion 7.  Over [0, 32/alpha] the
+# interior evaluates 18,436 on a = 0.995, Q = 0.09 at tol 1e-11, and 57,488
+# at the tightest tol, 1e-13
 _FAR_STEP_BUDGET = 20_000
+_INTERIOR_STEP_BUDGET = 200_000
 
 
 def _expm2(o00, o01, o10, o11):
-    """exp(Omega) for a stack of 2x2 matrices Omega in u(1,1), by components.
+    """exp(Omega) for a stack of 2x2 matrices Omega in u(1,1) or u(2), by
+    components.
 
-    With Omega = i mu + N, N traceless, N^2 = q2 I where q2 = |o01|^2 - g^2,
-    g = Im(o00 - o11) / 2, is real; exp(Omega) = e^{i mu} (cosh q + sinh(q)/q N)
-    is evaluated in real arithmetic, through cos and sin of sqrt(-q2) when
-    q2 < 0 and a series for |q| < 1e-8.
+    With Omega = i mu + N, N traceless, N^2 = q2 I where q2 = Re(o01 o10) - g^2,
+    g = Im(o00 - o11) / 2, is real: o10 = +-conj(o01), so q2 = |o01|^2 - g^2 on
+    u(1,1) and -|o01|^2 - g^2 <= 0 on u(2).  exp(Omega) = e^{i mu} (cosh q +
+    sinh(q)/q N) is evaluated in real arithmetic, through cos and sin of
+    sqrt(-q2) when q2 < 0 and a series for |q| < 1e-8.
     """
     mu = 0.5 * (o00.imag + o11.imag)
     g = 0.5 * (o00.imag - o11.imag)
-    q2 = o01.real * o01.real + o01.imag * o01.imag - g * g
+    q2 = o01.real * o10.real - o01.imag * o10.imag - g * g
     s = np.sqrt(np.abs(q2))
     grows = q2 > 0
     small = s < 1e-8
@@ -578,38 +622,94 @@ def _trace_phase(r, mode, params):
     return 2.0 * om * (u_minus_r - 2.0 * M * np.log(r)) + 2.0 * mode.k * azimuthal_shift(r, params)
 
 
-def _interval_products(ua, ub, n, mode, params):
-    """Propagators of f over the intervals [ua, ub] (arrays), each in n steps
-    geometric in u, as four component arrays.
+def _filon_magnus_products(edges, carrier, coupling, trace_phase, sign):
+    """Products over the steps between consecutive `edges` (axis 0; the other
+    axes run over intervals) of the step exponentials, as four component
+    arrays.
 
-    On a step u = m + eta x, x in [-1, 1], write C = i tau/2 + i G sigma3 +
-    [[0, A e^{i kappa x}], [conj(.), 0]] e^{-2 i w1 m}, kappa = -2 w1 eta, with
-    G and the slow amplitude A interpolated at the Gauss nodes.  The step
-    exponent is the Magnus series to second order,
+    On a step t = m + eta x, x in [-1, 1], the coupling is
+    C = i tau/2 + i G sigma3 + [[0, A e^{i kappa x}], [sign conj(.), 0]] e^{-i carrier m},
+    kappa = -carrier eta, with G (real) and the slow amplitude A interpolated
+    at the Gauss nodes, where `coupling(t)` returns them.  sign = +1 puts C
+    in u(1,1) and -1 in u(2).  The step exponent is the Magnus series to
+    second order,
 
         Omega = eta int C dx + (eta^2 / 2) int dx1 int^{x1} dx2 [C(x1), C(x2)],
 
     with every oscillatory moment exact (`_filon_magnus_tensors`); its
     commutator carries 2 i (G1 A2 e^{i kappa x2} - G2 A1 e^{i kappa x1}) off
-    the diagonal and 2 i Im(A1 conj(A2) e^{i kappa (x1 - x2)}) sigma3 on it.
-    Omega10 = conj(Omega01), and the trace int tau comes in closed form from
-    `_trace_phase`, so Omega lies in u(1,1).
+    the diagonal and 2 i sign Im(A1 conj(A2) e^{i kappa (x1 - x2)}) sigma3 on
+    it.  Omega10 = sign conj(Omega01), and the trace int tau over each step
+    comes in closed form from the antiderivative `trace_phase(t)` at the
+    edges, so Omega lies in the algebra of C.
+    """
+    eta, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+    G, A = coupling(mid[..., None] + eta[..., None] * _NODES)
+    trace = np.diff(trace_phase(edges), axis=0)
+    kappa = -carrier * eta
+    mu = _moments(kappa)
+    W2 = np.exp(1j * kappa)[..., None, None] * np.einsum("...l,lqr->...qr", mu, _F3)
+    diag = eta * (G @ _WEIGHTS) + sign * (eta * eta * np.einsum("...qr,...q,...r->...", W2, A, np.conj(A)).imag)
+    o01 = np.exp(-1j * carrier * mid) * (eta * np.einsum("...l,lq,...q->...", mu, _F1, A)
+                                         + 1j * eta * eta * np.einsum("...l,lqr,...q,...r->...", mu, _F2, G, A))
+    o00 = 1j * (0.5 * trace + diag)
+    o11 = 1j * (0.5 * trace - diag)
+    return _ordered_product(*_expm2(o00, o01, sign * np.conj(o01), o11))
+
+
+def _settled_products(products_of, samples, tol, budget, where):
+    """Propagators over the intervals between consecutive `samples`, each
+    halved throughout until it settles: (products, steps).
+
+    `products_of(index, n)` returns the four components of the products over
+    the intervals `index`, each in n steps.  Each interval starts as one step
+    and is halved until its product moves by less than `tol` of its largest
+    entry; the finer product is kept, and `steps` counts its steps.  Past
+    `budget` evaluated steps IntegrationError names the first unsettled
+    interval, `where` ("on u", say) and the step counts; its t is the end of
+    that interval, whose start no unsettled product precedes.
+    """
+    products = np.empty((4, len(samples) - 1), dtype=complex)
+    pending, coarse = np.arange(len(samples) - 1), None
+    n, evaluated, steps = 1, 0, 0
+    while pending.size:
+        if evaluated + n * pending.size > budget:
+            a, b = float(samples[pending[0]]), float(samples[pending[0] + 1])
+            raise IntegrationError(
+                f"step budget of {budget} exhausted {where} in [{a!r}, {b!r}]: {n} steps per interval "
+                f"on {pending.size} intervals, {evaluated} steps evaluated, {steps} accepted", b)
+        fine = np.array(products_of(pending, n))
+        evaluated += n * pending.size
+        done = np.zeros(pending.size, dtype=bool) if coarse is None else \
+            np.abs(fine - coarse).max(axis=0) <= tol * np.abs(fine).max(axis=0)
+        products[:, pending[done]] = fine[:, done]
+        steps += n * int(done.sum())
+        pending, coarse, n = pending[~done], fine[:, ~done], 2 * n
+    return products, steps
+
+
+def _propagated(products, f):
+    """Samples (len + 1, 2) of f carried across the interval products."""
+    fs = [f]
+    for p00, p01, p10, p11 in products.T:
+        f = np.array([p00 * f[0] + p01 * f[1], p10 * f[0] + p11 * f[1]])
+        fs.append(f)
+    return np.array(fs)
+
+
+def _far_field_products(ua, ub, n, mode, params):
+    """Propagators of f over the intervals [ua, ub] (arrays), each in n steps
+    geometric in u, as four component arrays.
+
+    C lies in u(1,1): G and the slow amplitude A from `_coupling` at the Gauss
+    nodes, carrier 2 w1, and the trace from `_trace_phase` at the edges.
     """
     w1 = w_roots(mode.omega, mode.m)[0].real
     edges = ua * (ub / ua) ** (np.arange(n + 1)[:, None] / n)
     edges[-1] = ub
-    eta, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
-    G, A = _coupling(mid[..., None] + eta[..., None] * _NODES, mode, params)
-    trace = np.diff(_trace_phase(tortoise_inverse(edges, "exterior", params), mode, params), axis=0)
-    kappa = -2.0 * w1 * eta
-    mu = _moments(kappa)
-    W2 = np.exp(1j * kappa)[..., None, None] * np.einsum("...l,lqr->...qr", mu, _F3)
-    diag = eta * (G @ _WEIGHTS) + eta * eta * np.einsum("...qr,...q,...r->...", W2, A, np.conj(A)).imag
-    o01 = np.exp(-2j * w1 * mid) * (eta * np.einsum("...l,lq,...q->...", mu, _F1, A)
-                                    + 1j * eta * eta * np.einsum("...l,lqr,...q,...r->...", mu, _F2, G, A))
-    o00 = 1j * (0.5 * trace + diag)
-    o11 = 1j * (0.5 * trace - diag)
-    return _ordered_product(*_expm2(o00, o01, np.conj(o01), o11))
+    return _filon_magnus_products(
+        edges, 2.0 * w1, lambda u: _coupling(u, mode, params),
+        lambda u: _trace_phase(tortoise_inverse(u, "exterior", params), mode, params), 1.0)
 
 
 def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
@@ -626,15 +726,14 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
     is smooth and O(1/u^2); the off-diagonal is O(1/u^2) times
     e^{-+2 i w1 u}.  Each step's exponent is the Magnus series of int C to
     second order with the oscillation integrated exactly, Filon-style
-    (`_interval_products`), so the steps are set by the 1/u^2 drift and not
-    by the wavelength: tens of steps over u in [1e3, 1e6], where fixed
+    (`_filon_magnus_products`), so the steps are set by the 1/u^2 drift and
+    not by the wavelength: tens of steps over u in [1e3, 1e6], where fixed
     Magnus-4 steps on X itself take millions.
 
-    The steps are geometric in u.  Each sample interval starts as one step
-    and is halved throughout until its product moves by less than `_FAR_TOL`
-    of its largest entry; the finer product is kept, and `steps` counts its
-    steps.  At most `_FAR_STEP_BUDGET` steps are evaluated in all; past that
-    ArithmeticError names the mode, the interval and the step counts.
+    The steps are geometric in u, and each sample interval is halved until
+    its product moves by less than `_FAR_TOL` (`_settled_products`).  At most
+    `_FAR_STEP_BUDGET` steps are evaluated in all; past that IntegrationError
+    names the mode, the interval and the step counts.
 
     Every step conserves the current |X1|^2 - |X2|^2, and its determinant is
     exp(int tr C) from closed forms, so `prop_det` carries the Abel factor
@@ -653,35 +752,16 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
     r, _, _, (v00, v01, v10, v11), _ = _adiabatic_frame(us, mode, params)
     pp, pm = _log_r_phases(us, r, mode, params)
     ep, em = np.exp(1j * pp), np.exp(-1j * pm)
-    ua, ub = us[:-1], us[1:]
-    pending = np.arange(n_samples - 1)
-    coarse = np.array(_interval_products(ua, ub, 1, mode, params))
-    products = np.empty_like(coarse)
-    n, evaluated, steps = 1, n_samples - 1, 0
-    while pending.size:
-        if evaluated + 2 * n * pending.size > _FAR_STEP_BUDGET:
-            raise ArithmeticError(
-                f"far-field step budget of {_FAR_STEP_BUDGET} exhausted for omega={mode.omega!r}, "
-                f"k={mode.k!r}, m={mode.m!r}, xi={mode.xi!r} on u in [{float(ua[pending[0]])!r}, "
-                f"{float(ub[pending[0]])!r}]: {n} steps per interval on {pending.size} intervals, "
-                f"{evaluated} steps evaluated, {steps} accepted")
-        fine = np.array(_interval_products(ua[pending], ub[pending], 2 * n, mode, params))
-        evaluated += 2 * n * pending.size
-        done = np.abs(fine - coarse).max(axis=0) <= _FAR_TOL * np.abs(fine).max(axis=0)
-        products[:, pending[done]] = fine[:, done]
-        steps += 2 * n * int(done.sum())
-        pending, coarse, n = pending[~done], fine[:, ~done], 2 * n
+    products, steps = _settled_products(
+        lambda index, n: _far_field_products(us[index], us[index + 1], n, mode, params), us, _FAR_TOL,
+        _FAR_STEP_BUDGET, f"for the far-field mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
+                          f"xi={mode.xi!r} on u")
 
     # f = E^{-1} V^{-1} X at the samples, propagated by the interval products
     det_v = v00[0] * v11[0] - v01[0] * v10[0]
     X = np.asarray(X0, dtype=complex)
-    f = np.array([(v11[0] * X[0] - v01[0] * X[1]) / (det_v * ep[0]),
-                  (v00[0] * X[1] - v10[0] * X[0]) / (det_v * em[0])])
-    fs = [f]
-    for p00, p01, p10, p11 in products.T:
-        f = np.array([p00 * f[0] + p01 * f[1], p10 * f[0] + p11 * f[1]])
-        fs.append(f)
-    fs = np.array(fs)
+    fs = _propagated(products, np.array([(v11[0] * X[0] - v01[0] * X[1]) / (det_v * ep[0]),
+                                         (v00[0] * X[1] - v10[0] * X[0]) / (det_v * em[0])]))
     Xs = np.stack([v00 * ep * fs[:, 0] + v01 * em * fs[:, 1],
                    v10 * ep * fs[:, 0] + v11 * em * fs[:, 1]], axis=-1)
     # det of the X propagator: det P_f times the ratio of det E =
@@ -785,8 +865,8 @@ def cauchy_rate(params):
     return 0.5 * (params.r_plus - params.r_minus) / (params.r_minus**2 + params.a**2)
 
 
-def horizon_B(rstar, mode, params):
-    """Coefficient matrix of the stripped interior system dh/drstar = B h.
+def _horizon_coupling(rstar, mode, params):
+    """(G, A) of B at points rstar: B00 - B11 = 2 i G, B01 = A e^{-i nu rstar}.
 
     Substituting h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus),
     into dX/drstar = U X on the interior branch gives
@@ -794,22 +874,52 @@ def horizon_B(rstar, mode, params):
         B = [[U00 - i nu,             U01 e^{-i nu rstar}],
              [U10 e^{+i nu rstar},    U11               ]],
 
-    built from the components of U.  In U00 - i nu the constant parts cancel
-    exactly; what is left is written as
-    U11 - 2 i k Omega_minus (r^2 - r_minus^2) / (r^2 + a^2), with
-    r^2 - r_minus^2 = eps (2 r_minus + eps), eps = r - r_minus, so nothing is
-    lost to cancellation near the horizon.  Every entry vanishes as
-    r -> r_minus; ||B|| = O(e^{-alpha rstar}).
+    with U10 = -conj(U01), so A = U01.  In U00 - i nu - U11 the constant parts
+    cancel exactly; what is left is 2 i G with
+    G = -k Omega_minus (r^2 - r_minus^2) / (r^2 + a^2), and
+    r^2 - r_minus^2 = eps (2 r_minus + eps), eps = r - r_minus = e^s, so
+    nothing is lost to cancellation near the horizon.  Both vanish as
+    r -> r_minus: ||B|| = O(e^{-alpha rstar}).
     """
     rm = params.r_minus
-    om_minus = horizon_angular_velocity(params)
-    eps = interior_offset(rstar, params)
+    eps = np.exp(log_offset(rstar, "interior", params))
     abs_delta = eps * (params.r_plus - rm - eps)
-    _, u01, u10, u11 = _potential_entries(rm + eps, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params)
-    ph = np.exp(1j * _cauchy_nu(mode, params) * rstar)
+    _, u01, _, _ = _potential_entries(rm + eps, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params)
     q = eps * (2.0 * rm + eps)  # r^2 - r_minus^2
-    b00 = u11 - (2j * mode.k * om_minus) * q / (rm * rm + params.a**2 + q)
-    return _stacked(b00, u01 / ph, u10 * ph, u11)
+    return -mode.k * horizon_angular_velocity(params) * q / (rm * rm + params.a ** 2 + q), u01
+
+
+def _horizon_trace_phase(s, mode, params):
+    """Im of the antiderivative of tr B at s = log(r - r_minus), up to a
+    constant.
+
+    int tr B drstar = 2 i omega (rstar - r) + 2 i k phitilde(r) - i nu rstar,
+    since tr U = 2 i omega (1 - Delta/(r^2+a^2)) + 2 i k a/(r^2+a^2).  With
+    rstar - r = kp log(r_plus - r) - km s, phitilde = (a / (r_plus - r_minus))
+    (log(r_plus - r) - s) and k Omega_minus km = k a / (r_plus - r_minus), the
+    s terms cancel, leaving -nu e^s - 2 k Omega_minus (r_plus + r_minus)
+    log(r_plus - r) plus a constant; log(r_plus - r) is taken as
+    log1p(-e^s / (r_plus - r_minus)), so that neither term cancels as
+    r -> r_minus.
+    """
+    e = np.exp(s)
+    width = params.r_plus - params.r_minus
+    return -_cauchy_nu(mode, params) * e - 2.0 * mode.k * horizon_angular_velocity(params) * \
+        (params.r_plus + params.r_minus) * np.log1p(-e / width)
+
+
+def _interior_products(ta, tb, n, mode, params):
+    """Propagators of h = (X1 e^{-i nu rstar}, X2) over the intervals [ta, tb]
+    (arrays), each in n steps uniform in rstar, as four component arrays.
+
+    B lies in u(2): G and A from `_horizon_coupling` at the Gauss nodes,
+    carrier nu, and the trace from `_horizon_trace_phase` at the edges.
+    """
+    edges = ta + (tb - ta) * (np.arange(n + 1)[:, None] / n)
+    edges[-1] = tb
+    return _filon_magnus_products(
+        edges, _cauchy_nu(mode, params), lambda t: _horizon_coupling(t, mode, params),
+        lambda t: _horizon_trace_phase(log_offset(t, "interior", params), mode, params), -1.0)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from kndirac.cli import main
@@ -124,6 +126,23 @@ def test_radial_task_and_determinism(tmp_path):
     assert main(args + ["--out", out2]) == 0
     assert read(out1, "trajectory.csv") == read(out2, "trajectory.csv")
     assert read(out1, "radial.json") == read(out2, "radial.json")
+
+
+def test_radial_csv_places_deep_rows_by_log_offset(tmp_path):
+    # below rstar = -75 re-inverting rstar read the clamp r_plus (1 + 1e-15)
+    # on every row; the trajectory's own s = log(r - r_plus) places each one
+    out = str(tmp_path / "o")
+    assert main(["radial", "--branch", "exterior", "--rstar-min", "-300", "--rstar-max", "-200", "--out", out]) == 0
+    lines = read(out, "trajectory.csv").splitlines()
+    assert lines[0] == "rstar,r,ReX1,ImX1,ReX2,ImX2,s"
+    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    rstar, s = data[:, 0], data[:, 6]
+    # M = 1, a = 0.6, Q = 0.3: rstar(s) = r + kp s - km log(r - r_minus), r = r_plus + e^s
+    rp, rm, a = 1.0 + math.sqrt(0.55), 1.0 - math.sqrt(0.55), 0.6
+    kp, km = (rp * rp + a * a) / (rp - rm), (rm * rm + a * a) / (rp - rm)
+    closed = rp + np.exp(s) + kp * s - km * np.log(rp - rm + np.exp(s))
+    assert len(data) > 2 and np.exp(s).max() < 1e-30  # far below the rounding of r
+    assert np.abs(closed - rstar).max() <= 1e-10 * np.abs(rstar).min()
 
 
 def test_radial_task_default_span(tmp_path):

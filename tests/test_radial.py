@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
-from test_acceptance import INFTY_SEEDS
+from test_acceptance import HORIZON_SEEDS, INFTY_SEEDS
 from test_separation import potential_trace, radial_potential, radial_potential_from_r
 
 from kndirac.geometry import (
@@ -16,7 +16,7 @@ from kndirac.geometry import (
     log_offset,
     tortoise_inverse,
 )
-from kndirac.separation import ModeParams
+from kndirac.separation import ModeParams, _potential_entries, _stacked
 from kndirac.radial import (
     IntegrationError,
     RadialTrajectory,
@@ -28,7 +28,6 @@ from kndirac.radial import (
     far_field_trajectory,
     fit_horizon,
     fit_infinity,
-    horizon_B,
     horizon_angular_velocity,
     integrate,
     integrate_linear_system,
@@ -41,8 +40,10 @@ from kndirac.radial import (
     _LAGRANGE,
     _adiabatic_frame,
     _eigenbasis,
+    _cauchy_nu,
     _expm2,
     _exterior_entries,
+    _interior_products,
     _moments,
     _ordered_product,
 )
@@ -239,30 +240,32 @@ def test_integrate_matches_seven_evaluation_reference(branch, monkeypatch):
     import kndirac.radial
 
     if branch == "interior":
-        # the interior branch integrates the phase-stripped h through horizon_B
+        # the interior Dormand-Prince oracle integrates the phase-stripped h
+        # through horizon_B
         mode, span, tol = IMODE, (0.0, 32.0 / cauchy_rate(PAR)), 1e-11
         X0 = np.array([1.0 + 0.2j, -0.6 + 0.4j])
         nu = 2.0 * (mode.omega + mode.k * horizon_angular_velocity(PAR))
-        name, evaluate = "horizon_B", lambda t: horizon_B(t, mode, PAR)
-        t_span, rstar_of = span, lambda t: t
+        namespace, name, evaluate = globals(), "horizon_B", lambda t: horizon_B(t, mode, PAR)
+        run, t_span, rstar_of = interior_dormand_prince, span, lambda t: t
         phase = lambda t: np.array([np.exp(1j * nu * t), 1.0])
     else:
         # the exterior branch steps dX/ds = J U X in s = log(r - r_plus)
         mode, span, tol = MODE, (10.0, 60.0), 1e-10
         X0 = np.array([1.0 + 0.0j, 0.5 - 0.25j])
-        name, evaluate = "exterior_system", lambda s: exterior_system(s, mode, PAR)
-        t_span = log_offset(np.array(span), "exterior", PAR)
+        namespace, name = vars(kndirac.radial), "exterior_system"
+        evaluate = lambda s: exterior_system(s, mode, PAR)
+        run, t_span = integrate, log_offset(np.array(span), "exterior", PAR)
         rstar_of = lambda s: _exterior_tortoise(s, PAR)
         phase = lambda t: np.ones(2)
     calls = []
-    original = getattr(kndirac.radial, name)
+    original = namespace[name]
 
     def counted(t, *args, **kwargs):
         calls.append(np.shape(t))
         return original(t, *args, **kwargs)
 
-    monkeypatch.setattr(kndirac.radial, name, counted)
-    traj = integrate(mode, PAR, span, X0, tol=tol, branch=branch)
+    monkeypatch.setitem(namespace, name, counted)
+    traj = run(mode, PAR, span, X0, tol=tol)
     monkeypatch.undo()
     ts, ys, acc, rej = reference_dormand_prince(evaluate, t_span, X0 / phase(t_span[0]), tol=tol)
     end = phase(ts[-1]) * ys[-1]
@@ -303,9 +306,12 @@ def test_integrate_budget_error_names_the_mode(branch, span, monkeypatch):
     # the exterior integrator's t is log(r - r_plus): integrate reports rstar
     import kndirac.radial
 
-    original = kndirac.radial.integrate_linear_system
-    monkeypatch.setattr(kndirac.radial, "integrate_linear_system",
-                        lambda *args, **kwargs: original(*args, **kwargs, max_steps=10))
+    if branch == "interior":
+        monkeypatch.setattr(kndirac.radial, "_INTERIOR_STEP_BUDGET", 10)
+    else:
+        original = kndirac.radial.integrate_linear_system
+        monkeypatch.setattr(kndirac.radial, "integrate_linear_system",
+                            lambda *args, **kwargs: original(*args, **kwargs, max_steps=10))
     with pytest.raises(IntegrationError, match=rf"{branch} integration of the mode omega=1\.3, k=0\.5, "
                                                r"m=0\.55, xi=1\.7 stopped at rstar=.*budget of 10") as info:
         integrate(MODE, PAR, span, np.array([1.0, 0.5j]), branch=branch)
@@ -478,15 +484,16 @@ def reference_far_field(mode, params, X0, u_min, u_max, n_samples, beta=4e-3, ma
     return us, np.array(Xs), np.array(dets)
 
 
-def u11_stack(rng, g, absw):
-    """Stack of u(1,1) matrices [[i(mu+g), w], [conj(w), i(mu-g)]], |w| = absw,
-    random trace mu and phase of w; q2 = |w|^2 - g^2."""
+def algebra_stack(rng, g, absw, sign=1.0):
+    """Stack of matrices [[i(mu+g), w], [sign conj(w), i(mu-g)]], |w| = absw,
+    random trace mu and phase of w: u(1,1) for sign = +1, with
+    q2 = |w|^2 - g^2, and u(2) for sign = -1, with q2 = -|w|^2 - g^2."""
     n = len(g)
     mu = rng.normal(size=n)
     w = absw * np.exp(2j * np.pi * rng.uniform(size=n))
     Om = np.empty((n, 2, 2), dtype=complex)
     Om[:, 0, 0], Om[:, 0, 1] = 1j * (mu + g), w
-    Om[:, 1, 0], Om[:, 1, 1] = np.conj(w), 1j * (mu - g)
+    Om[:, 1, 0], Om[:, 1, 1] = sign * np.conj(w), 1j * (mu - g)
     return Om
 
 
@@ -495,10 +502,14 @@ def test_expm2_matches_scipy():
     sym = rng.uniform(-0.5, 0.5, 40)
     big = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.6, 2.0, 40)
     stacks = [
-        u11_stack(rng, sym, rng.uniform(0.6, 2.0, 40)),  # q2 > 0: cosh, sinh
-        u11_stack(rng, big, rng.uniform(0.0, 0.5, 40)),  # q2 < 0: cos, sin
-        u11_stack(rng, 1e-10 * sym, 1e-10 * rng.uniform(0.0, 1.0, 40)),  # |q| < 1e-8: series
+        algebra_stack(rng, sym, rng.uniform(0.6, 2.0, 40)),  # q2 > 0: cosh, sinh
+        algebra_stack(rng, big, rng.uniform(0.0, 0.5, 40)),  # q2 < 0: cos, sin
+        algebra_stack(rng, 1e-10 * sym, 1e-10 * rng.uniform(0.0, 1.0, 40)),  # |q| < 1e-8: series
         np.zeros((1, 2, 2), dtype=complex),
+        # u(2), the interior exponents: q2 <= 0 always, so cos, sin or the series
+        algebra_stack(rng, sym, rng.uniform(0.0, 2.0, 40), sign=-1.0),
+        algebra_stack(rng, 3.0 * big, rng.uniform(1.0, 4.0, 40), sign=-1.0),
+        algebra_stack(rng, 1e-10 * sym, 1e-10 * rng.uniform(0.0, 1.0, 40), sign=-1.0),
     ]
     for Om in stacks:
         E = _expm2(Om[:, 0, 0], Om[:, 0, 1], Om[:, 1, 0], Om[:, 1, 1])
@@ -536,6 +547,25 @@ def test_magnus_exponents_lie_in_u11(monkeypatch):
     for o00, o01, o10, o11 in seen:
         assert np.all(o00.real == 0.0) and np.all(o11.real == 0.0)
         assert np.all(o10 == np.conj(o01))
+
+
+def test_magnus_exponents_lie_in_u2(monkeypatch):
+    # on the interior branch B lies in u(2): every exponent must have
+    # imaginary diagonal entries and o10 = -conj(o01), so that q2 <= 0
+    import kndirac.radial
+
+    seen = []
+
+    def recording(o00, o01, o10, o11):
+        seen.append((o00, o01, o10, o11))
+        return _expm2(o00, o01, o10, o11)
+
+    monkeypatch.setattr(kndirac.radial, "_expm2", recording)
+    integrate(IMODE, PAR, (-2.0, 8.0), np.array([1.0, 0.5j]), tol=1e-10, branch="interior")
+    assert seen
+    for o00, o01, o10, o11 in seen:
+        assert np.all(o00.real == 0.0) and np.all(o11.real == 0.0)
+        assert np.all(o10 == -np.conj(o01))
 
 
 @pytest.mark.parametrize("par,mode", [
@@ -895,6 +925,44 @@ def test_subluminal_modes_grow_exponentially():
 IMODE = ModeParams(omega=0.9, k=1.5, m=0.6, xi=1.3)
 
 
+def horizon_B(rstar, mode, params):
+    """Coefficient matrix of the stripped interior system dh/drstar = B h.
+
+    Substituting h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus),
+    into dX/drstar = U X on the interior branch gives
+
+        B = [[U00 - i nu,             U01 e^{-i nu rstar}],
+             [U10 e^{+i nu rstar},    U11               ]],
+
+    built from the components of U.  In U00 - i nu the constant parts cancel
+    exactly; what is left is written as
+    U11 - 2 i k Omega_minus (r^2 - r_minus^2) / (r^2 + a^2), with
+    r^2 - r_minus^2 = eps (2 r_minus + eps), eps = r - r_minus, so nothing is
+    lost to cancellation near the horizon.  The oracle behind the interior
+    Dormand-Prince path and the Magnus-exponent checks.
+    """
+    rm = params.r_minus
+    om_minus = horizon_angular_velocity(params)
+    eps = interior_offset(rstar, params)
+    abs_delta = eps * (params.r_plus - rm - eps)
+    _, u01, u10, u11 = _potential_entries(rm + eps, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params)
+    ph = np.exp(1j * _cauchy_nu(mode, params) * rstar)
+    q = eps * (2.0 * rm + eps)  # r^2 - r_minus^2
+    b00 = u11 - (2j * mode.k * om_minus) * q / (rm * rm + params.a**2 + q)
+    return _stacked(b00, u01 / ph, u10 * ph, u11)
+
+
+def interior_dormand_prince(mode, params, span, X0, tol):
+    """The interior trajectory by adaptive Dormand-Prince on dh/drstar = B h,
+    re-phased to X: the oracle the Filon-Magnus interior must reproduce."""
+    nu = _cauchy_nu(mode, params)
+    h0 = np.array([X0[0] * np.exp(-1j * nu * span[0]), X0[1]], dtype=complex)
+    ts, ys, acc, rej = integrate_linear_system(lambda t: horizon_B(t, mode, params), span, h0, tol=tol)
+    ys[:, 0] *= np.exp(1j * nu * ts)
+    return RadialTrajectory(rstar=ts, X=ys, mode=mode, params=params, branch="interior",
+                            steps=acc, rejected=rej, tol=tol)
+
+
 def test_horizon_velocity_cancellation():
     # Omega_minus is the unique constant with Omega (r^2+a^2) - a = 0 at r_minus
     om = horizon_angular_velocity(PAR)
@@ -986,6 +1054,77 @@ def test_horizon_fit_near_extremal():
     par = SpacetimeParams(M=1.0, a=0.95, Q=0.3)
     fit = fit_horizon(interior_traj(params=par), IMODE, par)
     assert abs(fit.rate - fit.alpha) < 0.01 * fit.alpha
+
+
+NEAR_EXTREMAL = [SpacetimeParams(M=1.0, a=0.95, Q=0.3), SpacetimeParams(M=1.0, a=0.995, Q=0.09)]
+
+
+@pytest.mark.parametrize("par,mode", HORIZON_SEEDS + [(par, IMODE) for par in NEAR_EXTREMAL])
+def test_interior_matches_dormand_prince(par, mode):
+    # criterion 8's holes and the two near-extremal ones against the
+    # phase-stripped Dormand-Prince oracle at a tighter tolerance; every
+    # Filon-Magnus step is unitary, so the current |X1|^2 + |X2|^2 holds to rounding
+    traj = interior_traj(mode, par)
+    ref = interior_dormand_prince(mode, par, (traj.rstar[0], traj.rstar[-1]), traj.X[0], tol=1e-13)
+    assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-9 * np.abs(ref.X[-1]).max()
+    J = np.abs(traj.X[:, 0]) ** 2 + np.abs(traj.X[:, 1]) ** 2
+    assert np.abs(J - J[0]).max() < 1e-12 * J[0]
+
+
+def test_horizon_fit_alpha_0_0227():
+    # a = 0.995, Q = 0.09: Dormand-Prince at tol 1e-11 misses the rate by 3.2%
+    # here and takes 1.86x its steps on a = 0.95; the Filon-Magnus steps
+    # cluster at alpha rstar < 2, where ||B|| = O(1), and do not grow like 1/alpha
+    near, nearer = (interior_traj(params=par) for par in NEAR_EXTREMAL)
+    fit = fit_horizon(nearer, IMODE, nearer.params)
+    assert abs(fit.alpha - 0.0227) < 1e-4
+    assert abs(fit.rate - fit.alpha) < 0.01 * fit.alpha
+    assert nearer.steps <= 1.5 * near.steps
+
+
+def reference_magnus2(B, t0, t1, n=240):
+    """Second-order Magnus exponent of dh/dt = B(t) h over [t0, t1] by dense
+    Gauss-Legendre quadrature of int B and of the commutator double integral."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid, eta = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    B1 = B(mid + eta * x)
+    x1 = x[:, None]
+    x2 = 0.5 * (x1 - 1) + 0.5 * (x1 + 1) * x[None, :]  # x2 in [-1, x1]
+    w12 = w[:, None] * 0.5 * (x1 + 1) * w[None, :]
+    B2 = B(mid + eta * x2.ravel()).reshape(n, n, 2, 2)
+    comm = B1[:, None] @ B2 - B2 @ B1[:, None]
+    first = eta * np.einsum("q,qij->ij", w, B1)
+    second = 0.5 * eta * eta * np.einsum("qr,qrij->ij", w12, comm)
+    return first + second, second
+
+
+@pytest.mark.parametrize("kappa", [0.1, 1.0, 10.0, 100.0])
+def test_interior_step_exponent_matches_dense_magnus(kappa, monkeypatch):
+    # one Filon-Magnus step of h at alpha rstar = 1 on the a = 0.95 hole, with
+    # |kappa| = nu eta; omega = 40 keeps the step short against 1/alpha, so the
+    # four-node interpolation of the amplitude misses by 3e-7 relative at most
+    # (at kappa = 100).  The sigma3 term of the commutator,
+    # 2 i Im(A1 conj(A2) e^{i kappa (x1 - x2)}), flips sign between u(1,1) and
+    # u(2); a wrong sign misses it by twice its size
+    import kndirac.radial
+
+    par, mode = SpacetimeParams(M=1.0, a=0.95, Q=0.3), ModeParams(omega=40.0, k=1.5, m=0.6, xi=1.3)
+    eta = kappa / abs(_cauchy_nu(mode, par))
+    t0, t1 = 1.0 / cauchy_rate(par) - eta, 1.0 / cauchy_rate(par) + eta
+    seen = []
+
+    def recording(*omega):
+        seen.append(np.array(omega).reshape(2, 2))
+        return _expm2(*omega)
+
+    monkeypatch.setattr(kndirac.radial, "_expm2", recording)
+    _interior_products(np.array([t0]), np.array([t1]), 1, mode, par)
+    (Om,) = seen
+    ref, second = reference_magnus2(lambda t: horizon_B(t, mode, par), t0, t1)
+    sigma3_term = abs(second[0, 0] - second[1, 1]) / 2
+    assert sigma3_term > 1e-9 * np.abs(ref).max()
+    assert abs(Om[0, 0] - ref[0, 0]) < 1e-3 * sigma3_term and abs(Om[1, 1] - ref[1, 1]) < 1e-3 * sigma3_term
+    assert np.abs(Om - ref).max() < 1e-8 * np.abs(ref).max()
 
 
 def test_horizon_fit_requires_interior():
