@@ -239,8 +239,9 @@ DEFAULTS = {
     "rstar_min": 1e3, "rstar_max": 1e6, "n_samples": 36,
     "branch": "exterior",
 }
-# per-task defaults layered over DEFAULTS: the far-field span above is far
-# beyond what the adaptive integrator behind `radial` can cover
+# per-task defaults layered over DEFAULTS: `radial` writes one CSV row per
+# step, and a span near the hole, where U is not yet close to its far-field
+# limit, exercises more of it than the far-field span above
 TASK_DEFAULTS = {
     "radial": {"rstar_min": 10.0, "rstar_max": 200.0},
 }

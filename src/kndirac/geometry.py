@@ -131,12 +131,21 @@ def azimuthal_shift(r, params):
     )
 
 
-def _exterior_tortoise(s, params):
-    """rstar = r_plus + e^s + kp s - km log(r_plus - r_minus + e^s) at the log
-    offset s = log(r - r_plus): free of the cancellation in r - r_plus."""
+def _exterior_log_terms(s, params):
+    """(rstar - r, phitilde) at the exterior log offset s = log(r - r_plus):
+    kp s - km log(r - r_minus) and `azimuthal_shift`,
+    (a / (r_plus - r_minus)) (s - log(r - r_minus)), with
+    r - r_minus = r_plus - r_minus + e^s, so no rounding of r cancels."""
     kp, km = _kappas(params)
-    e = np.exp(s)
-    return params.r_plus + e + kp * s - km * np.log(params.r_plus - params.r_minus + e)
+    width = params.r_plus - params.r_minus
+    log_gap = np.log(width + np.exp(s))
+    return kp * s - km * log_gap, params.a / width * (s - log_gap)
+
+
+def _exterior_tortoise(s, params):
+    """rstar = r_plus + e^s + (rstar - r) at the log offset s = log(r - r_plus)
+    (`_exterior_log_terms`): free of the cancellation in r - r_plus."""
+    return params.r_plus + np.exp(s) + _exterior_log_terms(s, params)[0]
 
 
 def _far_seed(rs, params):
@@ -238,26 +247,40 @@ def interior_offset(rstar, params):
     return eps if np.ndim(rstar) else float(eps)
 
 
+def _exterior_radius(rstar, s, params):
+    """(r, r - r_plus) at exterior points rstar whose log offsets s come from
+    `log_offset`.
+
+    Far out, r_plus + e^s carries the rounding of s times |s|, so one Newton
+    step in r follows, on the residual rstar(r, s) - rstar with log(r - r_plus)
+    taken as s; the offset moves by the same step.  So r is within rounding of
+    the root far out, and the offset keeps the relative accuracy of e^s at any
+    depth, where r itself rounds to r_plus.
+    """
+    kp, km = _kappas(params)
+    width = params.r_plus - params.r_minus
+    e = np.exp(s)
+    r = params.r_plus + e
+    # r - rstar first: it is exact wherever r is within a factor 2 of rstar
+    f = (r - rstar) + kp * s - km * np.log(width + e)
+    step = f * e * (width + e) / (r * r + params.a * params.a)
+    return r - step, e - step
+
+
 def tortoise_inverse(rstar, region, params):
     """r(rstar) = r_0 + e^s on the exterior (r > r_plus) or interior branch,
     s from `log_offset`; a scalar rstar returns a float.
 
-    Far out, r_plus + e^s carries the rounding of s times |s|, so on the
-    exterior one Newton step in r follows, and r is held at r_plus (1 + 1e-15),
-    which it meets below about rstar = -75 on M = 1, a = 0.6, Q = 0.3.
+    On the exterior one Newton step in r follows (`_exterior_radius`), and r
+    is held at r_plus (1 + 1e-15), which it meets below about rstar = -75 on
+    M = 1, a = 0.6, Q = 0.3.
     """
     rs = np.array(rstar, dtype=float, ndmin=1, copy=None)
-    e = np.exp(log_offset(rs, region, params))
+    s = log_offset(rs, region, params)
     if region == "interior":
-        r = params.r_minus + e
+        r = params.r_minus + np.exp(s)
     else:
-        rp, rm = params.r_plus, params.r_minus
-        kp, km = _kappas(params)
-        floor = rp * (1.0 + 1e-15)
-        r = np.maximum(rp + e, floor)
-        # r - rstar first: it is exact wherever r is within a factor 2 of rstar
-        f = (r - rs) + kp * np.log(r - rp) - km * np.log(r - rm)
-        r = np.maximum(r - f * (r - rp) * (r - rm) / (r * r + params.a * params.a), floor)
+        r = np.maximum(_exterior_radius(rs, s, params)[0], params.r_plus * (1.0 + 1e-15))
     return r if np.ndim(rstar) else float(r[0])
 
 

@@ -1,22 +1,26 @@
 """Radial ODE integration and the asymptotics at infinity and at the Cauchy
 horizon.
 
-Every integrator here but one takes Filon-Magnus steps: second-order Magnus
-exponents of a 2x2 coupling whose off-diagonal is a smooth amplitude times an
-exact phase e^{i kappa x} across the step, with that oscillation integrated
-exactly (Filon quadrature) and the trace taken from closed forms.  Their
-steps follow the coupling, not the wavelength.  One kernel
-(`_filon_magnus_products`) and one halving loop (`_settled_products`)
+Wherever the frame below exists, the integrators here take Filon-Magnus
+steps: second-order Magnus exponents of a 2x2 coupling whose off-diagonal is
+a smooth amplitude times an exact phase e^{i kappa x} across the step, with
+that oscillation integrated exactly (Filon quadrature) and the trace taken
+from closed forms.  Their steps follow the coupling, not the wavelength.  One
+kernel (`_filon_magnus_steps`) and one halving loop (`_settled_products`)
 serve two frames:
 
-- The far-field experiments need phase-coherent trajectories over
-  rstar in [1e3, 1e6]; `far_field_trajectory` integrates there in the
-  adiabatic frame X = V E f, with V the closed-form eigenbasis of U and E the
-  phases below, where f varies only through an O(1/u^2) coupling whose
-  off-diagonal oscillates like e^{-+2 i w1 u}: tens of steps where a Magnus
-  propagator of X itself needs millions.  The coupling and every step
-  exponent lie in u(1,1), so the current |X1|^2 - |X2|^2 and the
-  Abel/Wronskian identity hold to rounding by construction.
+- On the exterior branch, wherever U has two distinct imaginary eigenvalues,
+  the adiabatic frame X = V E f, with V the closed-form eigenbasis of U and E
+  the phases below, where f varies only through a coupling whose
+  off-diagonal oscillates like e^{-+2 i w1 u} and which is O(1/u^2) far out.
+  `far_field_trajectory` integrates there over rstar in [1e3, 1e6] in tens
+  of steps, where a Magnus propagator of X itself needs millions, and the
+  exterior `integrate` over any such span: 216 steps on [10, 200] at
+  tol 1e-10.  The coupling and every step exponent lie in u(1,1), so the
+  current |X1|^2 - |X2|^2 and the Abel/Wronskian identity hold to rounding by
+  construction.  The frame's points are placed by their log offsets
+  s = log(r - r_plus) (`geometry.log_offset`), which keep r - r_plus and
+  Delta free of cancellation at any depth.
 - On the interior branch `integrate` follows the phase-stripped h below,
   whose coupling B lies in u(2) and carries the phase e^{-+i nu rstar} off
   the diagonal; every step conserves |X1|^2 + |X2|^2.
@@ -25,14 +29,13 @@ The 2x2 algebra (the exponential and the tree-reduced ordered product) is
 written out on four component arrays, in real arithmetic for the
 exponential, and halving the steps bounds the error.
 
-The one exception is the exterior `integrate`, an adaptive embedded
-Dormand-Prince 4(5) pair whose steps follow the local wavelength, so its cost
-grows with the span.  r(rstar) has no closed form, so it steps in the log
-offset s = log(r - r_plus), where r = r_plus + e^s and
-rstar = r + kp s - km log(r - r_minus) are explicit and
-Delta = e^s (r - r_minus) carries no cancellation at any depth.  The tortoise
-inversion, Newton on rstar(s) itself, runs once, on the two span endpoints,
-and places them on the span to rounding.
+Below the mass threshold |omega| <= m and across a turning point of U the
+frame does not exist, and near a turning point its steps would crowd;
+there the exterior `integrate` takes an adaptive
+embedded Dormand-Prince 4(5) pair, whose steps follow the local scale of U.
+It steps in s, where r = r_plus + e^s and rstar = r + kp s - km log(r - r_minus)
+are explicit and Delta = e^s (r - r_minus) carries no cancellation at any
+depth, and inverts rstar only at the two span endpoints.
 
 Asymptotics at infinity: with w1 the root of omega^2 - m^2 in the closed
 convex hull of the positive real and positive imaginary axes, w2 = -w1, the
@@ -74,7 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _exterior_tortoise, _kappas, azimuthal_shift, delta_sigma, log_offset, tortoise_inverse
+from .geometry import _exterior_log_terms, _exterior_radius, _exterior_tortoise, delta_sigma, log_offset
 from .separation import _potential_entries, _potential_slopes, _stacked
 
 __all__ = [
@@ -290,29 +293,41 @@ def integrate_linear_system(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
 def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     """Integrate dX/drstar = U(rstar) X over a span within one branch.
 
-    On the exterior branch the adaptive Dormand-Prince pair
-    (`integrate_linear_system`) steps dX/ds = J U X in the log offset
-    s = log(r - r_plus) (`exterior_system`), where r and rstar are explicit:
+    On the exterior branch the span alone picks the path.  Where U has two
+    distinct imaginary eigenvalues over the whole span and no turning point
+    lies within a sample interval of it (`_frame_holds`), f = E^{-1} V^{-1} X
+    is carried in the far field's adiabatic frame by Filon-Magnus steps
+    (`_frame_trajectory`).  The samples lie 0.25 apart in the log offset
+    s = log(r - r_plus), with the spacing doubling on each interval
+    below r - r_plus = e^{-8} (r_plus - r_minus), where U tends to a constant;
+    each sample interval is cut into steps uniform in rstar, halved until its
+    product moves by less than `tol` (`_settled_products`), and the
+    trajectory holds X at every step edge.  Every step conserves the current
+    |X1|^2 - |X2|^2.  `steps` counts the Magnus steps, and `rejected` is 0.
+    Elsewhere, below the mass threshold or on or near a turning point, the
+    adaptive Dormand-Prince pair (`integrate_linear_system`) steps
+    dX/ds = J U X in s (`exterior_system`), where r and rstar are explicit:
     each sample's rstar comes from the closed form
-    r + kp s - km log(r - r_minus), and only the two span endpoints are solved
-    for s (`log_offset`), so that rstar[0] and rstar[-1] lie on the span to
-    rounding at any depth.  `steps` and `rejected` count its steps.
+    r + kp s - km log(r - r_minus).  `steps` and `rejected` count its steps.
+    On both paths the span endpoints are solved for s (`log_offset`) and
+    rstar[0] and rstar[-1] lie on the span to rounding at any depth.
 
     On the interior branch the samples lie on a uniform grid in rstar spaced
-    about 0.25/alpha, and the phase-stripped h = (X1 e^{-i nu rstar}, X2),
+    about 0.25/alpha up to 32/alpha, past which the spacing doubles on each
+    interval, and the phase-stripped h = (X1 e^{-i nu rstar}, X2),
     nu = 2 (omega + k Omega_minus), is carried across each sample interval by
     Filon-Magnus steps on dh/drstar = B h (`_interior_products`), halved until
-    the interval's product moves by less than `tol` (`_settled_products`);
-    the samples are re-phased to X.  B lies in u(2), so every step conserves
+    the interval's product moves by less than `tol`; the samples are
+    re-phased to X.  B lies in u(2), so every step conserves
     |X1|^2 + |X2|^2, and its off-diagonal phase e^{-+i nu rstar} is integrated
     exactly, so the steps follow the O(1) coupling and not the periods of X1.
     `steps` counts the Magnus steps, and `rejected` is 0.
 
     The trajectory carries the log offset s = log(r - r_0) of every sample,
     r_0 = r_plus or r_minus.  A non-finite error estimate, step-size
-    underflow or an exhausted step budget (`_INTERIOR_STEP_BUDGET` evaluated
-    Magnus steps on the interior) raises IntegrationError naming the branch,
-    the mode and the rstar reached.
+    underflow or an exhausted step budget (`_FRAME_STEP_BUDGET` and
+    `_INTERIOR_STEP_BUDGET` evaluated Magnus steps) raises IntegrationError
+    naming the branch, the mode and the rstar reached.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -321,25 +336,17 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     # also rejects a non-finite span, and an interior without a Cauchy horizon
     s_span = log_offset(np.array(span, dtype=float), branch, params)
     y0 = np.array(X0, dtype=complex)
+    t0, t1 = float(span[0]), float(span[1])
+    if t0 == t1:
+        raise ValueError(f"span needs two distinct ends, got [{t0!r}, {t1!r}]")
+    rejected = 0
     try:
-        if branch == "exterior":
-            variable = "s = log(r - r_plus)"
-            s, X, steps, rejected = integrate_linear_system(
-                lambda s: exterior_system(s, mode, params), s_span, y0, tol=tol)
-            rstar = _exterior_tortoise(s, params)
-        else:
-            variable, rejected = "rstar", 0
-            t0, t1 = float(span[0]), float(span[1])
-            # 45 samples in the fit window alpha rstar in [8, 19] of `fit_horizon`
-            width = 0.25 / cauchy_rate(params)
-            intervals = abs(t1 - t0) / width
-            if intervals > _INTERIOR_STEP_BUDGET:
-                # as `_settled_products` would, before the grid is allocated
-                end = t0 + math.copysign(width, t1 - t0)
-                raise IntegrationError(
-                    f"step budget of {_INTERIOR_STEP_BUDGET} exhausted on rstar in [{t0!r}, {end!r}]: one step "
-                    f"on each of the {intervals:.4g} sample intervals exceeds it", end)
-            rstar = np.linspace(t0, t1, max(1, math.ceil(intervals - 1e-9)) + 1)
+        if branch == "interior":
+            variable = "rstar"
+            # 45 samples in the fit window alpha rstar in [8, 19] of `fit_horizon`;
+            # past 32/alpha, where B is below e^{-32}, the spacing doubles
+            alpha = cauchy_rate(params)
+            rstar = _sample_grid(t0, t1, 0.25 / alpha, 32.0 / alpha, 1.0, _INTERIOR_STEP_BUDGET)
             products, steps = _settled_products(
                 lambda index, n: _interior_products(rstar[index], rstar[index + 1], n, mode, params),
                 rstar, tol, _INTERIOR_STEP_BUDGET, "on rstar")
@@ -347,8 +354,16 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
             X = _propagated(products, np.array([y0[0] * np.exp(-1j * nu * t0), y0[1]]))
             X[:, 0] *= np.exp(1j * nu * rstar)
             s = log_offset(rstar, "interior", params)
+        elif _frame_holds(mode, params, s_span):
+            variable = "rstar"
+            rstar, s, X, steps = _frame_trajectory(mode, params, (t0, t1), s_span, y0, tol)
+        else:
+            variable = "s = log(r - r_plus)"
+            s, X, steps, rejected = integrate_linear_system(
+                lambda s: exterior_system(s, mode, params), s_span, y0, tol=tol)
+            rstar = _exterior_tortoise(s, params)
     except IntegrationError as exc:
-        stop = float(exc.t if branch == "interior" else _exterior_tortoise(exc.t, params))
+        stop = float(exc.t if variable == "rstar" else _exterior_tortoise(exc.t, params))
         raise IntegrationError(
             f"{branch} integration of the mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
             f"xi={mode.xi!r} stopped at rstar={stop!r}; in {variable}: {exc}", stop) from exc
@@ -356,9 +371,80 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
                             steps=steps, rejected=rejected, tol=tol, s=s)
 
 
+# the exterior frame's sample spacing in s = log(r - r_plus) above
+# `_frame_sample_ref`
+_FRAME_SPACING = 0.25
+
+
+def _frame_sample_ref(params):
+    """Log offset of r - r_plus = e^{-8} (r_plus - r_minus), below which U
+    tends to a constant and the exterior frame's sample spacing doubles on
+    each interval."""
+    return math.log(params.r_plus - params.r_minus) - 8.0
+
+
+def _frame_trajectory(mode, params, span, s_span, X0, tol):
+    """(rstar, s, X, steps) of exterior `integrate` in the adiabatic frame, on
+    a span with log offsets s_span.
+
+    The samples lie `_FRAME_SPACING` apart in s; below `_frame_sample_ref`
+    the spacing doubles on each interval, so that s < 710 makes a few
+    thousand intervals at most.  Each interval's steps are uniform in rstar
+    and its latest, finally its settled, step exponentials are kept, to carry
+    f to every step edge.
+    """
+    s_samples = _sample_grid(*s_span, _FRAME_SPACING, _frame_sample_ref(params), -1.0, math.inf)
+    samples = _exterior_tortoise(s_samples, params)
+    samples[0], samples[-1] = span
+    kept = {}
+
+    def products_of(index, n):
+        factors = np.array(_frame_steps(_uniform_edges(samples[index], samples[index + 1], n), mode, params))
+        kept.update(zip(index.tolist(), factors.transpose(2, 0, 1)))
+        return _ordered_product(*factors)
+
+    _, steps = _settled_products(products_of, samples, tol, _FRAME_STEP_BUDGET, "on rstar")
+    factors = [kept[i] for i in range(len(samples) - 1)]
+    rstar = np.concatenate([samples[:1]] + [_uniform_edges(ta, tb, f.shape[1])[1:, 0]
+                                            for ta, tb, f in zip(samples[:-1], samples[1:], factors)])
+    s = log_offset(rstar, "exterior", params)
+    _, X = _through_frame(rstar, s, np.concatenate(factors, axis=1), X0, mode, params)
+    return rstar, s, X, steps
+
+
+def _frame_holds(mode, params, s_span):
+    """Whether U has two distinct imaginary eigenvalues on the whole exterior
+    span with log offsets s_span, with no turning point near enough to
+    crowd the frame's steps.
+
+    Times (r^2 + a^2)^2 the discriminant of `_adiabatic_frame` is the quartic
+    P(r) = (omega (r^2 + a^2) + k a)^2 - Delta (m^2 r^2 + xi^2), whose leading
+    coefficient is omega^2 - m^2.  The frame needs |omega| > m, P > 0 on the
+    span, and every root of P, real or complex, farther from the span in the
+    complex s = log(r - r_plus) plane than the sample interval at the root's
+    depth (`_frame_trajectory`): the frame's coupling grows like the inverse
+    distance to a root, and at a closer root the steps uniform within each
+    interval would exhaust the budget.
+    """
+    om, k, m, xi, a = mode.omega, mode.k, mode.m, mode.xi, params.a
+    if abs(om) <= m:
+        return False
+    b, c = om * a * a + k * a, a * a + params.Q ** 2
+    quartic = [om * om - m * m, 2.0 * params.M * m * m, 2.0 * om * b - c * m * m - xi * xi,
+               2.0 * params.M * xi * xi, b * b - c * xi * xi]
+    s_a, s_b = np.sort(s_span)
+    # a root on the event horizon lies at s = -inf, where its margin is inf too
+    with np.errstate(divide="ignore"):
+        s_root = np.log(np.roots(quartic) - params.r_plus + 0j)
+    margin = _FRAME_SPACING + np.maximum(_frame_sample_ref(params) - s_root.real, 0.0)
+    gap = np.abs(s_root - np.clip(s_root.real, s_a, s_b))
+    return bool(np.all(gap > margin) and np.polyval(quartic, params.r_plus + np.exp(s_b)) > 0)
+
+
 def exterior_system(s, mode, params):
     """Coefficient matrix J U of the exterior system dX/ds = J U X in the log
-    offset s = log(r - r_plus).
+    offset s = log(r - r_plus): what exterior `integrate` steps by
+    Dormand-Prince below the mass threshold and on or near turning points.
 
     r = r_plus + e^s, Delta = e^s (r - r_minus), which no rounding of r
     cancels, and J = drstar/ds = (r^2 + a^2) / (r - r_minus), which tends to
@@ -439,7 +525,7 @@ _FAR_TOL = 1e-10
 # settles in 70-72 steps per seed on criterion 7.  Over [0, 32/alpha] the
 # interior evaluates 18,436 on a = 0.995, Q = 0.09 at tol 1e-11, and 57,488
 # at the tightest tol, 1e-13
-_FAR_STEP_BUDGET = 20_000
+_FRAME_STEP_BUDGET = 20_000
 _INTERIOR_STEP_BUDGET = 200_000
 
 
@@ -489,12 +575,21 @@ def _ordered_product(m00, m01, m10, m11):
     return m00[0], m01[0], m10[0], m11[0]
 
 
-def _exterior_entries(u, mode, params):
-    """Radius r(u) and the components (U00, U01, U10, U11) of U on the exterior
-    branch, where Delta > 0."""
-    r = tortoise_inverse(u, "exterior", params)
-    delta, _ = delta_sigma(r, 0.0, params)
-    return r, _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)
+def _exterior_entries(u, s, mode, params):
+    """Radius r, Delta and the components (U00, U01, U10, U11) of U at exterior
+    points u whose log offsets s = log(r - r_plus) come from `log_offset`.
+
+    r and the offset r - r_plus are the Newton-polished pair of
+    `geometry._exterior_radius`.  Within r_plus of the event horizon Delta is
+    (r - r_plus)(r - r_minus) from the offset, which no rounding of r cancels
+    at any depth.  Beyond, where r - r_plus is as accurate, it is
+    r^2 - 2 M r + a^2 + Q^2 from r (`delta_sigma`), the form the far-field
+    results were computed with: over u up to 1e6 a rounding-level change of
+    U moves the far-field trajectories by about 1e-11.
+    """
+    r, e = _exterior_radius(u, s, params)
+    delta = np.where(e < params.r_plus, e * (e + params.r_plus - params.r_minus), delta_sigma(r, 0.0, params)[0])
+    return r, delta, _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)
 
 
 def _unit_gauge(x, y):
@@ -552,9 +647,9 @@ def _moments(kappa):
     return np.where(small[..., None], series, np.stack(mus, axis=-1))
 
 
-def _adiabatic_frame(u, mode, params):
-    """The frame X = V E f at points u: (r, lambda1, lambda2, V, K), with V and
-    K = V^{-1} dV/du as four component arrays each.
+def _adiabatic_frame(u, s, mode, params):
+    """The frame X = V E f at points u with log offsets s: (r, Delta, lambda1,
+    lambda2, V, K), with V and K = V^{-1} dV/du as four component arrays each.
 
     V is the closed-form eigenbasis of `_eigenbasis` with each column scaled
     so that V^dagger sigma3 V = s1 sigma3, s1 = sign Im(U00 - U11): a column of
@@ -568,7 +663,7 @@ def _adiabatic_frame(u, mode, params):
 
     Raises ValueError where D <= 0, at a turning point of U.
     """
-    r, (a, b, c, d) = _exterior_entries(u, mode, params)
+    r, delta, (a, b, c, d) = _exterior_entries(u, s, mode, params)
     disc = -(0.25 * (a - d) ** 2 + b * c).real
     if not np.all(disc > 0):
         raise ValueError(
@@ -580,7 +675,6 @@ def _adiabatic_frame(u, mode, params):
     scale = np.sqrt(np.abs(half_gap) / np.sqrt(disc))
     v00, v01 = V[..., 0, 0] * scale, V[..., 0, 1] * scale
     v10, v11 = V[..., 1, 0] * scale, V[..., 1, 1] * scale
-    delta, _ = delta_sigma(r, 0.0, params)
     p, q, _, t = _potential_slopes(r, delta, np.sqrt(delta), mode, params)
     # s1 (conj v00 (U'V)01 - conj v10 (U'V)11), with U'10 = conj U'01
     k01 = s1 * (np.conj(v00) * (p * v01 + q * v11) - np.conj(v10) * (np.conj(q) * v01 + t * v11)) \
@@ -589,50 +683,55 @@ def _adiabatic_frame(u, mode, params):
     top = s1 > 0  # column 0 has its larger entry first, column 1 second
     k00 = -1j * np.where(top, (k10 * v01).imag, (k10 * v11).imag) / np.where(top, v00.real, v10.real)
     k11 = -1j * np.where(top, (k01 * v10).imag, (k01 * v00).imag) / np.where(top, v11.real, v01.real)
-    return r, lam1, lam2, (v00, v01, v10, v11), (k00, k01, k10, k11)
+    return r, delta, lam1, lam2, (v00, v01, v10, v11), (k00, k01, k10, k11)
 
 
-def _coupling(u, mode, params):
-    """(G, A) at points u: C00 - C11 = 2 i G, and C01 = A e^{-2 i w1 u}.
+def _coupling(u, s, mode, params):
+    """(G, A) at points u with log offsets s: C00 - C11 = 2 i G, and
+    C01 = A e^{-2 i w1 u}.
 
     C00 - C11 = lambda1 - lambda2 - i (Phi_plus' + Phi_minus') - (K00 - K11),
     and C01 = -K01 e^{-i (Phi_plus + Phi_minus)}; Phi_plus + Phi_minus =
     2 w1 u + (2 M m^2 / w1) log r, so A varies on the scale of u.
     """
-    r, lam1, lam2, _, (k00, k01, _, k11) = _adiabatic_frame(u, mode, params)
+    r, delta, lam1, lam2, _, (k00, k01, _, k11) = _adiabatic_frame(u, s, mode, params)
     w1 = w_roots(mode.omega, mode.m)[0].real
     c = params.M * mode.m ** 2 / w1
-    delta, _ = delta_sigma(r, 0.0, params)
     dlogr = delta / ((r * r + params.a ** 2) * r)  # d log r / du
     G = 0.5 * (lam1 - lam2).imag - w1 - c * dlogr - 0.5 * (k00 - k11).imag
     return G, -k01 * np.exp(-2j * c * np.log(r))
 
 
-def _trace_phase(r, mode, params):
-    """Im of T - i (Phi_plus - Phi_minus), where T = 2 i omega (u - r) + 2 i k
-    phitilde(r) is the antiderivative of tr U = 2 i omega (1 - Delta/(r^2+a^2))
-    + 2 i k a/(r^2+a^2), with phitilde = `geometry.azimuthal_shift`: the
-    antiderivative of Im tr C, since tr K = (log det V)' vanishes (det V = s1
-    in the gauge of `_adiabatic_frame`).  u - r is taken as
-    kp log(r - r_plus) - km log(r - r_minus), which the rounding of r(u) does
-    not cancel."""
-    kp, km = _kappas(params)
-    M, om = params.M, mode.omega
-    u_minus_r = kp * np.log(r - params.r_plus) - km * np.log(r - params.r_minus)
-    return 2.0 * om * (u_minus_r - 2.0 * M * np.log(r)) + 2.0 * mode.k * azimuthal_shift(r, params)
+def _trace_phase(s, mode, params):
+    """Im of T - i (Phi_plus - Phi_minus) at points with log offsets s, where
+    T = 2 i omega (u - r) + 2 i k phitilde(r) is the antiderivative of
+    tr U = 2 i omega (1 - Delta/(r^2+a^2)) + 2 i k a/(r^2+a^2), with phitilde
+    = `geometry.azimuthal_shift`: the antiderivative of Im tr C, since
+    tr K = (log det V)' vanishes (det V = s1 in the gauge of
+    `_adiabatic_frame`).  u - r and phitilde come from s itself
+    (`_exterior_log_terms`), which no rounding of r cancels."""
+    u_minus_r, phitilde = _exterior_log_terms(s, params)
+    log_r = np.log(params.r_plus + np.exp(s))
+    return 2.0 * mode.omega * (u_minus_r - 2.0 * params.M * log_r) + 2.0 * mode.k * phitilde
 
 
-def _filon_magnus_products(edges, carrier, coupling, trace_phase, sign):
-    """Products over the steps between consecutive `edges` (axis 0; the other
-    axes run over intervals) of the step exponentials, as four component
-    arrays.
+def _uniform_edges(ta, tb, n):
+    """Edges (n + 1, ...) of n equal steps from ta to tb, which may be arrays."""
+    edges = ta + (tb - ta) * (np.arange(n + 1)[:, None] / n)
+    edges[-1] = tb
+    return edges
+
+
+def _filon_magnus_steps(edges, carrier, frame, sign):
+    """Exponentials of the steps between consecutive `edges` (axis 0; the other
+    axes run over intervals), as four component arrays.
 
     On a step t = m + eta x, x in [-1, 1], the coupling is
     C = i tau/2 + i G sigma3 + [[0, A e^{i kappa x}], [sign conj(.), 0]] e^{-i carrier m},
     kappa = -carrier eta, with G (real) and the slow amplitude A interpolated
-    at the Gauss nodes, where `coupling(t)` returns them.  sign = +1 puts C
-    in u(1,1) and -1 in u(2).  The step exponent is the Magnus series to
-    second order,
+    at the Gauss nodes.  `frame(nodes, edges)` returns G and A at the nodes
+    and an antiderivative of tau at the edges.  sign = +1 puts C in u(1,1)
+    and -1 in u(2).  The step exponent is the Magnus series to second order,
 
         Omega = eta int C dx + (eta^2 / 2) int dx1 int^{x1} dx2 [C(x1), C(x2)],
 
@@ -640,12 +739,12 @@ def _filon_magnus_products(edges, carrier, coupling, trace_phase, sign):
     commutator carries 2 i (G1 A2 e^{i kappa x2} - G2 A1 e^{i kappa x1}) off
     the diagonal and 2 i sign Im(A1 conj(A2) e^{i kappa (x1 - x2)}) sigma3 on
     it.  Omega10 = sign conj(Omega01), and the trace int tau over each step
-    comes in closed form from the antiderivative `trace_phase(t)` at the
-    edges, so Omega lies in the algebra of C.
+    comes in closed form from the antiderivative at the edges, so Omega lies
+    in the algebra of C.
     """
     eta, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
-    G, A = coupling(mid[..., None] + eta[..., None] * _NODES)
-    trace = np.diff(trace_phase(edges), axis=0)
+    G, A, trace_phase = frame(mid[..., None] + eta[..., None] * _NODES, edges)
+    trace = np.diff(trace_phase, axis=0)
     kappa = -carrier * eta
     mu = _moments(kappa)
     W2 = np.exp(1j * kappa)[..., None, None] * np.einsum("...l,lqr->...qr", mu, _F3)
@@ -654,7 +753,7 @@ def _filon_magnus_products(edges, carrier, coupling, trace_phase, sign):
                                          + 1j * eta * eta * np.einsum("...l,lqr,...q,...r->...", mu, _F2, G, A))
     o00 = 1j * (0.5 * trace + diag)
     o11 = 1j * (0.5 * trace - diag)
-    return _ordered_product(*_expm2(o00, o01, sign * np.conj(o01), o11))
+    return _expm2(o00, o01, sign * np.conj(o01), o11)
 
 
 def _settled_products(products_of, samples, tol, budget, where):
@@ -688,6 +787,34 @@ def _settled_products(products_of, samples, tol, budget, where):
     return products, steps
 
 
+def _sample_grid(t0, t1, width, ref, side, budget):
+    """Samples from t0 to t1 spaced `width`, except past `ref` on its `side`
+    (+1: t > ref, -1: t < ref), where the spacing doubles on each interval.
+
+    The samples are uniform in x = ref + side width log2(1 + side (t - ref) / width)
+    past ref and in x = t short of it, so a span short of ref gets the uniform
+    grid exactly.  A span of more than `budget` intervals raises
+    IntegrationError before the grid is allocated, naming the end of its
+    first interval.
+    """
+    def warp(t, inverse=False):
+        d = side * (np.asarray(t, dtype=float) - ref)
+        past = np.where(d > 0, d / width, 0.0)
+        moved = np.exp2(past) - 1.0 if inverse else np.log2(1.0 + past)
+        return np.where(d > 0, ref + side * width * moved, t)
+
+    x0, x1 = warp(t0), warp(t1)
+    intervals = abs(x1 - x0) / width
+    if intervals > budget:
+        end = float(warp(x0 + math.copysign(width, x1 - x0), inverse=True))
+        raise IntegrationError(
+            f"step budget of {budget} exhausted in [{t0!r}, {end!r}]: one step on each of the "
+            f"{intervals:.4g} sample intervals exceeds it", end)
+    samples = warp(np.linspace(x0, x1, max(1, math.ceil(intervals - 1e-9)) + 1), inverse=True)
+    samples[0], samples[-1] = t0, t1
+    return samples
+
+
 def _propagated(products, f):
     """Samples (len + 1, 2) of f carried across the interval products."""
     fs = [f]
@@ -697,19 +824,47 @@ def _propagated(products, f):
     return np.array(fs)
 
 
-def _far_field_products(ua, ub, n, mode, params):
-    """Propagators of f over the intervals [ua, ub] (arrays), each in n steps
-    geometric in u, as four component arrays.
+def _frame_steps(edges, mode, params):
+    """Exponentials of the steps of f = E^{-1} V^{-1} X between consecutive
+    `edges` in rstar, as four component arrays.
 
     C lies in u(1,1): G and the slow amplitude A from `_coupling` at the Gauss
-    nodes, carrier 2 w1, and the trace from `_trace_phase` at the edges.
+    nodes, carrier 2 w1, and the trace from `_trace_phase` at the edges.  The
+    nodes and the edges are inverted for their log offsets in one
+    `log_offset` call.
     """
-    w1 = w_roots(mode.omega, mode.m)[0].real
+    def frame(nodes, edges):
+        u = np.concatenate([nodes.ravel(), edges.ravel()])
+        s = log_offset(u, "exterior", params)
+        cut = nodes.size
+        G, A = _coupling(u[:cut], s[:cut], mode, params)
+        return G.reshape(nodes.shape), A.reshape(nodes.shape), \
+            _trace_phase(s[cut:], mode, params).reshape(edges.shape)
+
+    return _filon_magnus_steps(edges, 2.0 * w_roots(mode.omega, mode.m)[0].real, frame, 1.0)
+
+
+def _through_frame(u, s, products, X0, mode, params):
+    """(r, X) at the points u with log offsets s: X = V E f, where
+    f = E^{-1} V^{-1} X0 at u[0] is carried across `products`, the
+    propagators of f between consecutive points."""
+    r, _, _, _, (v00, v01, v10, v11), _ = _adiabatic_frame(u, s, mode, params)
+    pp, pm = _log_r_phases(u, r, mode, params)
+    ep, em = np.exp(1j * pp), np.exp(-1j * pm)
+    det_v = v00[0] * v11[0] - v01[0] * v10[0]
+    X = np.asarray(X0, dtype=complex)
+    fs = _propagated(products, np.array([(v11[0] * X[0] - v01[0] * X[1]) / (det_v * ep[0]),
+                                         (v00[0] * X[1] - v10[0] * X[0]) / (det_v * em[0])]))
+    return r, np.stack([v00 * ep * fs[:, 0] + v01 * em * fs[:, 1],
+                        v10 * ep * fs[:, 0] + v11 * em * fs[:, 1]], axis=-1)
+
+
+def _far_field_products(ua, ub, n, mode, params):
+    """Propagators of f over the intervals [ua, ub] (arrays), each in n steps
+    of `_frame_steps` geometric in u, as four component arrays."""
     edges = ua * (ub / ua) ** (np.arange(n + 1)[:, None] / n)
     edges[-1] = ub
-    return _filon_magnus_products(
-        edges, 2.0 * w1, lambda u: _coupling(u, mode, params),
-        lambda u: _trace_phase(tortoise_inverse(u, "exterior", params), mode, params), 1.0)
+    return _ordered_product(*_frame_steps(edges, mode, params))
 
 
 def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
@@ -726,13 +881,13 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
     is smooth and O(1/u^2); the off-diagonal is O(1/u^2) times
     e^{-+2 i w1 u}.  Each step's exponent is the Magnus series of int C to
     second order with the oscillation integrated exactly, Filon-style
-    (`_filon_magnus_products`), so the steps are set by the 1/u^2 drift and
+    (`_filon_magnus_steps`), so the steps are set by the 1/u^2 drift and
     not by the wavelength: tens of steps over u in [1e3, 1e6], where fixed
     Magnus-4 steps on X itself take millions.
 
     The steps are geometric in u, and each sample interval is halved until
     its product moves by less than `_FAR_TOL` (`_settled_products`).  At most
-    `_FAR_STEP_BUDGET` steps are evaluated in all; past that IntegrationError
+    `_FRAME_STEP_BUDGET` steps are evaluated in all; past that IntegrationError
     names the mode, the interval and the step counts.
 
     Every step conserves the current |X1|^2 - |X2|^2, and its determinant is
@@ -749,21 +904,11 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
     if n_samples < 2:
         raise ValueError(f"far-field propagation needs n_samples >= 2, got {n_samples!r}")
     us = np.geomspace(u_min, u_max, n_samples)
-    r, _, _, (v00, v01, v10, v11), _ = _adiabatic_frame(us, mode, params)
-    pp, pm = _log_r_phases(us, r, mode, params)
-    ep, em = np.exp(1j * pp), np.exp(-1j * pm)
     products, steps = _settled_products(
         lambda index, n: _far_field_products(us[index], us[index + 1], n, mode, params), us, _FAR_TOL,
-        _FAR_STEP_BUDGET, f"for the far-field mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
-                          f"xi={mode.xi!r} on u")
-
-    # f = E^{-1} V^{-1} X at the samples, propagated by the interval products
-    det_v = v00[0] * v11[0] - v01[0] * v10[0]
-    X = np.asarray(X0, dtype=complex)
-    fs = _propagated(products, np.array([(v11[0] * X[0] - v01[0] * X[1]) / (det_v * ep[0]),
-                                         (v00[0] * X[1] - v10[0] * X[0]) / (det_v * em[0])]))
-    Xs = np.stack([v00 * ep * fs[:, 0] + v01 * em * fs[:, 1],
-                   v10 * ep * fs[:, 0] + v11 * em * fs[:, 1]], axis=-1)
+        _FRAME_STEP_BUDGET, f"for the far-field mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
+                            f"xi={mode.xi!r} on u")
+    r, Xs = _through_frame(us, log_offset(us, "exterior", params), products, X0, mode, params)
     # det of the X propagator: det P_f times the ratio of det E =
     # e^{i (Phi_plus - Phi_minus)} = e^{4 i M omega log r}; det V = s1 is constant
     det_p = np.cumprod(np.concatenate([[1.0], products[0] * products[3] - products[1] * products[2]]))
@@ -794,7 +939,8 @@ def fit_infinity(traj, mode, params, ablate_log_phase=False):
     """Recover f(u) = W^{-1} V^{-1} X, its limit, and the residual decay slope.
 
     V(u) is the closed-form eigenbasis of U(u) and W = (e^{i Phi_plus},
-    e^{-i Phi_minus}) carries the phases in log r(u), r = tortoise_inverse(u):
+    e^{-i Phi_minus}) carries the phases in log r(u), r the polished root of
+    `geometry._exterior_radius`:
     Phi(u) = w1 u + c log r(u), whose derivative matches the eigenvalues to
     O(1/u^2).  The asymptotic model rebuilt from the fitted f_inf is compared
     with the trajectory; the log-log slope of ||X - X_asym|| over the fit
@@ -812,7 +958,7 @@ def fit_infinity(traj, mode, params, ablate_log_phase=False):
         raise ValueError("trivial solution: no amplitude left at the anchor point")
     w1, w2 = w_roots(mode.omega, mode.m)
 
-    r, entries = _exterior_entries(us, mode, params)
+    r, _, entries = _exterior_entries(us, log_offset(us, "exterior", params), mode, params)
     _, _, V = _eigenbasis(*entries)
     if ablate_log_phase:
         pp = pm = w1 * us + 0j
@@ -915,11 +1061,10 @@ def _interior_products(ta, tb, n, mode, params):
     B lies in u(2): G and A from `_horizon_coupling` at the Gauss nodes,
     carrier nu, and the trace from `_horizon_trace_phase` at the edges.
     """
-    edges = ta + (tb - ta) * (np.arange(n + 1)[:, None] / n)
-    edges[-1] = tb
-    return _filon_magnus_products(
-        edges, _cauchy_nu(mode, params), lambda t: _horizon_coupling(t, mode, params),
-        lambda t: _horizon_trace_phase(log_offset(t, "interior", params), mode, params), -1.0)
+    return _ordered_product(*_filon_magnus_steps(
+        _uniform_edges(ta, tb, n), _cauchy_nu(mode, params),
+        lambda nodes, edges: (*_horizon_coupling(nodes, mode, params),
+                              _horizon_trace_phase(log_offset(edges, "interior", params), mode, params)), -1.0))
 
 
 @dataclass(frozen=True)

@@ -133,10 +133,11 @@ def _potential_entries(r, delta, sD, eps_sign, mode, params):
     """Components (U00, U01, U10, U11) of U at radius r, given Delta, sqrt|Delta|
     and the sign of Delta.
 
-    The one evaluator of U: the exterior Dormand-Prince system
-    `radial.exterior_system` is built from it, the interior Filon-Magnus
-    steps take the coupling amplitude U01 of `radial._horizon_coupling` from
-    it, and the far-field frame works on the components.
+    The one evaluator of U: the exterior adiabatic frame of the far field
+    and of exterior `radial.integrate` works on the components, the
+    Dormand-Prince system `radial.exterior_system` for spans without that
+    frame is built from it, and the interior Filon-Magnus steps take the
+    coupling amplitude U01 of `radial._horizon_coupling` from it.
     """
     om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
     a = params.a

@@ -152,6 +152,9 @@ def test_radial_task_default_span(tmp_path):
     rec = json.loads(read(out, "radial.json"))
     assert (rec["config"]["rstar_min"], rec["config"]["rstar_max"]) == (10.0, 200.0)
     assert rec["steps"] < 20_000
+    # one row at every step edge, also in the adiabatic frame, whose sample
+    # intervals each hold several steps
+    assert len(read(out, "trajectory.csv").splitlines()) == 1 + rec["steps"] + 1
 
 
 def test_interior_asymptotics_task(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from kndirac.radial import (
     _cauchy_nu,
     _expm2,
     _exterior_entries,
+    _frame_holds,
     _interior_products,
     _moments,
     _ordered_product,
@@ -50,6 +52,11 @@ from kndirac.radial import (
 
 PAR = SpacetimeParams(M=1.0, a=0.6, Q=0.3)
 MODE = ModeParams(omega=1.3, k=0.5, m=0.55, xi=1.7)
+# below the mass threshold: U has no two imaginary eigenvalues far out, so
+# exterior `integrate` takes Dormand-Prince
+SUBLUMINAL = ModeParams(omega=0.3, k=0.5, m=0.8, xi=0.9)
+# xi = 10: the discriminant of U changes sign at rstar = -2.07 and 10.10
+TURNING = ModeParams(omega=1.3, k=0.5, m=0.55, xi=10.0)
 
 
 def test_w_roots_massless():
@@ -249,8 +256,9 @@ def test_integrate_matches_seven_evaluation_reference(branch, monkeypatch):
         run, t_span, rstar_of = interior_dormand_prince, span, lambda t: t
         phase = lambda t: np.array([np.exp(1j * nu * t), 1.0])
     else:
-        # the exterior branch steps dX/ds = J U X in s = log(r - r_plus)
-        mode, span, tol = MODE, (10.0, 60.0), 1e-10
+        # below the mass threshold the exterior branch steps dX/ds = J U X
+        # in s = log(r - r_plus)
+        mode, span, tol = SUBLUMINAL, (10.0, 60.0), 1e-10
         X0 = np.array([1.0 + 0.0j, 0.5 - 0.25j])
         namespace, name = vars(kndirac.radial), "exterior_system"
         evaluate = lambda s: exterior_system(s, mode, PAR)
@@ -301,27 +309,34 @@ def test_non_finite_error_estimate_stops_at_once():
     assert len(calls) < 100
 
 
-@pytest.mark.parametrize("branch,span", [("exterior", (10.0, 60.0)), ("interior", (0.0, 100.0))])
-def test_integrate_budget_error_names_the_mode(branch, span, monkeypatch):
-    # the exterior integrator's t is log(r - r_plus): integrate reports rstar
+@pytest.mark.parametrize("branch,mode,span,budget", [
+    pytest.param("exterior", MODE, (10.0, 60.0), "_FRAME_STEP_BUDGET", id="exterior-span0"),
+    pytest.param("exterior", SUBLUMINAL, (10.0, 60.0), None, id="exterior-subluminal"),
+    pytest.param("interior", MODE, (0.0, 100.0), "_INTERIOR_STEP_BUDGET", id="interior-span1"),
+])
+def test_integrate_budget_error_names_the_mode(branch, mode, span, budget, monkeypatch):
+    # the Dormand-Prince integrator's t is log(r - r_plus): integrate reports rstar
     import kndirac.radial
 
-    if branch == "interior":
-        monkeypatch.setattr(kndirac.radial, "_INTERIOR_STEP_BUDGET", 10)
+    if budget:
+        monkeypatch.setattr(kndirac.radial, budget, 10)
     else:
         original = kndirac.radial.integrate_linear_system
         monkeypatch.setattr(kndirac.radial, "integrate_linear_system",
                             lambda *args, **kwargs: original(*args, **kwargs, max_steps=10))
-    with pytest.raises(IntegrationError, match=rf"{branch} integration of the mode omega=1\.3, k=0\.5, "
-                                               r"m=0\.55, xi=1\.7 stopped at rstar=.*budget of 10") as info:
-        integrate(MODE, PAR, span, np.array([1.0, 0.5j]), branch=branch)
+    with pytest.raises(IntegrationError, match=rf"{branch} integration of the mode "
+                                               rf"omega={re.escape(repr(mode.omega))}, k=0\.5, "
+                                               rf"m={re.escape(repr(mode.m))}, xi={re.escape(repr(mode.xi))} "
+                                               r"stopped at rstar=.*budget of 10") as info:
+        integrate(mode, PAR, span, np.array([1.0, 0.5j]), branch=branch)
     assert span[0] < info.value.t < span[1]
     assert f"rstar={info.value.t!r}" in str(info.value)
 
 
 def test_exterior_integrate_inverts_only_the_endpoints(monkeypatch):
-    # r is explicit in s = log(r - r_plus): two inversions per trajectory,
-    # where stepping in rstar inverted the six nodes of every step
+    # below the mass threshold r is explicit in s = log(r - r_plus): two
+    # inversions per trajectory, where stepping in rstar inverted the six
+    # nodes of every step
     import kndirac.geometry
     import kndirac.radial
 
@@ -334,23 +349,82 @@ def test_exterior_integrate_inverts_only_the_endpoints(monkeypatch):
 
     for module in (kndirac.geometry, kndirac.radial):
         monkeypatch.setattr(module, "log_offset", counted)
-    traj = integrate(MODE, PAR, (10.0, 60.0), np.array([1.0 + 0.0j, 0.5 - 0.25j]))
+    traj = integrate(SUBLUMINAL, PAR, (10.0, 70.0), np.array([1.0 + 0.0j, 0.5 - 0.25j]))
     assert traj.steps > 1000
     assert sum(calls) <= 2 and len(calls) <= 2
 
 
-SUBLUMINAL = ModeParams(omega=0.3, k=0.5, m=0.8, xi=0.9)
+def test_frame_integrate_inverts_once_per_halving_level(monkeypatch):
+    # in the adiabatic frame each halving level inverts the Gauss nodes and
+    # edges of all its steps in one vectorized call; besides those, the span's
+    # endpoints and the trajectory's samples take one call each
+    import kndirac.radial
+
+    calls, levels = [], []
+    log_offset_of, steps_of = kndirac.radial.log_offset, kndirac.radial._frame_steps
+
+    def counted(rstar, region, params):
+        calls.append(np.size(rstar))
+        return log_offset_of(rstar, region, params)
+
+    def level(edges, mode, params):
+        levels.append(edges.shape)
+        return steps_of(edges, mode, params)
+
+    monkeypatch.setattr(kndirac.radial, "log_offset", counted)
+    monkeypatch.setattr(kndirac.radial, "_frame_steps", level)
+    traj = integrate(MODE, PAR, (10.0, 60.0), np.array([1.0 + 0.0j, 0.5 - 0.25j]))
+    assert len(levels) >= 2
+    # n steps on each of k intervals: 4 n Gauss nodes and n + 1 edges per interval
+    assert calls == [2] + [(5 * (n - 1) + 1) * k for n, k in levels] + [traj.steps + 1]
 
 
 @pytest.mark.parametrize("mode,span", [(MODE, (10.0, 60.0)), (MODE, (-40.0, 0.0)),
-                                       (SUBLUMINAL, (260.0, 200.0))])
+                                       (SUBLUMINAL, (260.0, 200.0)), (MODE, (200.0, 10.0)),
+                                       (MODE, (1.0, 2e3)), (MODE, (-300.0, -200.0)),
+                                       (TURNING, (10.11, 200.0)), (TURNING, (200.0, 12.2))])
 def test_exterior_matches_rstar_stepping_oracle(mode, span):
-    # oracle: Dormand-Prince on dX/drstar = U X, inverting rstar at every node
+    # oracle: Dormand-Prince on dX/drstar = U X, inverting rstar at every node.
+    # MODE takes the adiabatic frame and SUBLUMINAL Dormand-Prince in s;
+    # TURNING starts just past its turning point at rstar = 10.10, where the
+    # frame's steps would crowd, so it takes Dormand-Prince, and takes the
+    # frame from 12.2 on.  The frame conserves the current |X1|^2 - |X2|^2 to
+    # rounding
     X0 = np.array([1.0 + 0.2j, 0.5 - 0.1j])
     traj = integrate(mode, PAR, span, X0, tol=1e-10)
     _, ys, _, _ = integrate_linear_system(
         lambda t: radial_potential(t, mode, PAR, branch="exterior"), span, X0, tol=1e-12)
     assert np.abs(traj.X[-1] - ys[-1]).max() < 1e-8 * np.abs(ys[-1]).max()
+    if _frame_holds(mode, PAR, log_offset(np.array(span), "exterior", PAR)):
+        J = np.abs(traj.X[:, 0]) ** 2 - np.abs(traj.X[:, 1]) ** 2
+        assert np.abs(J - J[0]).max() <= 1e-12 * abs(J[0])
+
+
+@pytest.mark.parametrize("mode,span,holds,positive", [
+    (MODE, (10.0, 200.0), True, True), (MODE, (-300.0, 2e3), True, True),
+    (SUBLUMINAL, (200.0, 260.0), False, False), (SUBLUMINAL, (1.0, 2e3), False, False),
+    (TURNING, (1.0, 2e3), False, False), (TURNING, (0.0, 5.0), False, False),
+    (TURNING, (20.0, 200.0), True, True), (TURNING, (-40.0, -5.0), True, True),
+    (TURNING, (10.11, 200.0), False, True), (TURNING, (-40.0, -2.1), False, True),
+    (TURNING, (12.2, 200.0), True, True), (TURNING, (-40.0, -2.71), True, True),
+    (ModeParams(omega=1.3, k=0.5, m=0.55, xi=6.45), (-20.0, 30.0), False, True),
+])
+def test_frame_choice_matches_dense_discriminant(mode, span, holds, positive):
+    # the quartic's roots against the discriminant of `_adiabatic_frame` on
+    # 4001 points: (0, 5) lies between the turning points, with no root
+    # inside and the discriminant negative throughout.  Spans within 0.25 in
+    # s = log(r - r_plus) of a turning point, (10.11, 200) and (-40, -2.1),
+    # keep Dormand-Prince although the discriminant is positive on them, and
+    # so does xi = 6.45, whose complex pair of roots lies 0.20 off the real
+    # axis in s, at rstar = 2.92
+    assert _frame_holds(mode, PAR, log_offset(np.array(span), "exterior", PAR)) is holds
+    u = np.linspace(*span, 4001)
+    try:
+        _adiabatic_frame(u, log_offset(u, "exterior", PAR), mode, PAR)
+    except ValueError:
+        assert not positive
+    else:
+        assert positive
 
 
 def test_exterior_deep_span_matches_event_horizon_limit():
@@ -414,6 +488,9 @@ def test_trajectory_invariants():
                          mode=MODE, params=PAR, branch="exterior", steps=2, rejected=0, tol=1e-9)
     with pytest.raises(ValueError):
         integrate(MODE, PAR, (0.0, 1.0), np.array([1.0, 0.0]), tol=1e-3)
+    for branch in ("exterior", "interior"):
+        with pytest.raises(ValueError, match="two distinct ends"):
+            integrate(MODE, PAR, (5.0, 5.0), np.array([1.0, 0.0]), branch=branch)
 
 
 # Magnus-4 chunks on stacked (n, 2, 2) matrices: `@` commutator, complex
@@ -588,8 +665,9 @@ def test_far_field_magnus_matches_adaptive():
     # cross-validate against Dormand-Prince over a short far-field stretch
     X0 = np.array([0.7 - 0.2j, 0.1 + 0.9j])
     traj = far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1.1e3, n_samples=2)
-    ref = integrate(MODE, PAR, (1e3, 1.1e3), X0, tol=1e-12)
-    assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-7
+    _, ys, _, _ = integrate_linear_system(lambda s: exterior_system(s, MODE, PAR),
+                                          log_offset(np.array([1e3, 1.1e3]), "exterior", PAR), X0, tol=1e-12)
+    assert np.abs(traj.X[-1] - ys[-1]).max() < 1e-7
 
 
 def test_far_field_sample_counts():
@@ -608,8 +686,9 @@ def test_far_field_matches_adaptive_near_horizon():
     # steps) to 2e3; Dormand-Prince takes 157k steps here
     X0 = np.array([0.8 + 0.3j, -0.45 + 0.9j])
     traj = far_field_trajectory(MODE, PAR, X0, u_min=1.0, u_max=2e3, n_samples=4)
-    ref = integrate(MODE, PAR, (1.0, 2e3), X0, tol=1e-12)
-    assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-8 * np.abs(ref.X[-1]).max()
+    _, ys, _, _ = integrate_linear_system(lambda s: exterior_system(s, MODE, PAR),
+                                          log_offset(np.array([1.0, 2e3]), "exterior", PAR), X0, tol=1e-12)
+    assert np.abs(traj.X[-1] - ys[-1]).max() < 1e-8 * np.abs(ys[-1]).max()
 
 
 def test_far_field_beta_convergence():
@@ -694,7 +773,7 @@ def test_filon_magnus_weights_match_quadrature(kappa):
 
 
 def _frame_matrices(u, mode, params):
-    _, _, _, V, K = _adiabatic_frame(u, mode, params)
+    _, _, _, _, V, K = _adiabatic_frame(u, log_offset(u, "exterior", params), mode, params)
     return np.stack([np.stack(V[:2], -1), np.stack(V[2:], -1)], -2), \
         np.stack([np.stack(K[:2], -1), np.stack(K[2:], -1)], -2)
 
@@ -746,7 +825,7 @@ def test_far_field_turning_point_raises():
 def test_far_field_step_budget(monkeypatch):
     import kndirac.radial
 
-    monkeypatch.setattr(kndirac.radial, "_FAR_STEP_BUDGET", 200)
+    monkeypatch.setattr(kndirac.radial, "_FRAME_STEP_BUDGET", 200)
     with pytest.raises(ArithmeticError, match=r"budget of 200 .*omega=1\.3.*u in \[1\.0, .*steps per "
                                               r"interval .* \d+ steps evaluated, \d+ accepted"):
         far_field_trajectory(MODE, PAR, np.array([1.0, 0.5j]), u_min=1.0, u_max=2e3, n_samples=4)
@@ -789,7 +868,7 @@ def log_r_phases(u, mode, params):
 
 def test_manufactured_single_branch():
     us = np.geomspace(1e4, 1e6, 20)
-    _, _, V = _eigenbasis(*_exterior_entries(us, MODE, PAR)[1])
+    _, _, V = _eigenbasis(*_exterior_entries(us, log_offset(us, "exterior", PAR), MODE, PAR)[2])
     pp, _ = log_r_phases(us, MODE, PAR)
     Xs = V[:, :, 0] * np.exp(1j * pp)[:, None]
     traj = RadialTrajectory(rstar=us, X=Xs, mode=MODE, params=PAR,
@@ -826,7 +905,7 @@ def reference_diagonalizer(u, mode, params, prev=None):
 @pytest.mark.parametrize("par,mode", INFTY_SEEDS)
 def test_closed_form_eigenbasis_matches_eig(par, mode):
     us = np.geomspace(1e3, 1e6, 36)
-    lam1, lam2, V = _eigenbasis(*_exterior_entries(us, mode, par)[1])
+    lam1, lam2, V = _eigenbasis(*_exterior_entries(us, log_offset(us, "exterior", par), mode, par)[2])
     prev = None
     for i in reversed(range(len(us))):
         lam, Vref = reference_diagonalizer(us[i], mode, par, prev)
@@ -857,7 +936,7 @@ def test_phase_remainder_in_log_r():
     # u^2 |dPhi_plus/du + i lambda_1|: bounded with log r(u) in the phase,
     # growing like log u with the printed log u form
     us = np.array([1e3, 1e4, 1e5, 1e6])
-    r, entries = _exterior_entries(us, MODE, PAR)
+    r, _, entries = _exterior_entries(us, log_offset(us, "exterior", PAR), MODE, PAR)
     lam1, _, _ = _eigenbasis(*entries)
     w1, _ = w_roots(MODE.omega, MODE.m)
     c = eigen_expansion(MODE, PAR)["lambda1"][1] / 1j
@@ -1069,6 +1148,17 @@ def test_interior_matches_dormand_prince(par, mode):
     assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-9 * np.abs(ref.X[-1]).max()
     J = np.abs(traj.X[:, 0]) ** 2 + np.abs(traj.X[:, 1]) ** 2
     assert np.abs(J - J[0]).max() < 1e-12 * J[0]
+
+
+def test_interior_long_span_matches_dormand_prince():
+    # past 32/alpha, where B is below e^{-32}, the sample spacing doubles on
+    # each interval: (0, 1e4) on alpha = 1.74 takes 146 samples; a uniform
+    # grid would hold 69,512 intervals, past the 200,000-step budget
+    span, X0 = (0.0, 1e4), np.array([1.0 + 0.2j, -0.6 + 0.4j])
+    traj = integrate(IMODE, PAR, span, X0, tol=1e-11, branch="interior")
+    ref = interior_dormand_prince(IMODE, PAR, span, X0, tol=1e-13)
+    assert len(traj.rstar) < 200 and traj.rstar[-1] == span[1]
+    assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-9 * np.abs(ref.X[-1]).max()
 
 
 def test_horizon_fit_alpha_0_0227():

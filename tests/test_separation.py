@@ -6,7 +6,7 @@ from conftest import random_mode, random_slow_params
 from scipy.integrate import solve_ivp
 
 from kndirac.dirac import dirac_stencil, transform_stencil
-from kndirac.geometry import BLPoint, SpacetimeParams, delta_sigma, interior_offset, tortoise_inverse
+from kndirac.geometry import BLPoint, SpacetimeParams, delta_sigma, interior_offset, log_offset, tortoise_inverse
 from kndirac.separation import (
     ModeParams,
     _potential_entries,
@@ -50,13 +50,15 @@ def radial_potential_from_r(r, mode, params):
 def radial_potential(rstar, mode, params, branch="exterior"):
     """Tortoise-coordinate radial potential U(rstar), finite at the horizons.
 
-    On the interior branch the horizon offset eps = r - r_minus is carried in
-    log form so that Delta = -eps (r_plus - r_minus - eps) stays accurate all
-    the way into the exponential tail.
+    On both branches the horizon offset eps = r - r_0 is carried in log form,
+    so that Delta = +-eps (r - r_1), r_1 the other horizon, stays accurate all
+    the way into the exponential tail, where r itself rounds to r_0.
     """
     if branch == "exterior":
-        r = tortoise_inverse(rstar, "exterior", params)
-        return radial_potential_from_r(r, mode, params)
+        eps = np.exp(log_offset(rstar, "exterior", params))
+        r = params.r_plus + eps
+        delta = eps * (r - params.r_minus)
+        return _stacked(*_potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params))
     if branch == "interior":
         eps = interior_offset(rstar, params)
         r = params.r_minus + eps
