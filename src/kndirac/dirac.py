@@ -89,17 +89,17 @@ def spin_inner(psi, phi):
 def general_dirac_matrices(tet):
     """Pointwise Dirac matrices G^mu = u^mu_(a) gamma^(a) from an orthonormal frame.
 
-    Returns an array of shape (4, 4, 4); G[mu] satisfies
-    {G^mu, G^nu} = 2 g^{mu nu}.
+    Returns an array of shape (..., 4, 4, 4) for legs u of shape (..., 4, 4);
+    G[..., mu, :, :] satisfies {G^mu, G^nu} = 2 g^{mu nu}.
     """
     if tet.variance != "vectors":
         raise ValueError("G^mu needs the vector (contravariant) frame")
-    return np.einsum("am,aij->mij", tet.u, _GAMMA.gamma)
+    return np.einsum("...am,aij->...mij", tet.u, _GAMMA.gamma)
 
 
 def _sqrt_abs_g(r, theta, params):
     _, sigma = delta_sigma(r, theta, params)
-    return sigma * math.sin(theta)
+    return sigma * np.sin(theta)
 
 
 def b_term_closed(point, params):
@@ -151,30 +151,23 @@ def b_term_numeric(point, params, h=1e-5):
 
     r, th = point.r, point.theta
     g, g5 = _GAMMA.gamma, _GAMMA.gamma5
-    sg = _sqrt_abs_g(r, th, params)
-
-    def uvec(rr, tt):
-        return orthonormal_u_ef(BLPoint(rr, tt), params)[0].u
-
-    def uform(rr, tt):
-        return orthonormal_u_ef(BLPoint(rr, tt), params)[1].u
+    # the frame at the point and at its neighbours r +- h, theta +- h, in one call
+    rs = r + h * np.array([0.0, 1.0, -1.0, 0.0, 0.0])
+    ths = th + h * np.array([0.0, 0.0, 0.0, 1.0, -1.0])
+    vectors, forms = orthonormal_u_ef(BLPoint(rs, ths), params)
+    uvec, uform = vectors.u, forms.u
+    sg = _sqrt_abs_g(rs, ths, params)
 
     B1 = np.zeros((4, 4), dtype=complex)
     for aidx in range(4):
-        d_r = (
-            _sqrt_abs_g(r + h, th, params) * uvec(r + h, th)[aidx][1]
-            - _sqrt_abs_g(r - h, th, params) * uvec(r - h, th)[aidx][1]
-        ) / (2 * h)
-        d_th = (
-            _sqrt_abs_g(r, th + h, params) * uvec(r, th + h)[aidx][2]
-            - _sqrt_abs_g(r, th - h, params) * uvec(r, th - h)[aidx][2]
-        ) / (2 * h)
-        B1 += 1j / (2 * sg) * (d_r + d_th) * g[aidx]
+        d_r = (sg[1] * uvec[1, aidx, 1] - sg[2] * uvec[2, aidx, 1]) / (2 * h)
+        d_th = (sg[3] * uvec[3, aidx, 2] - sg[4] * uvec[4, aidx, 2]) / (2 * h)
+        B1 += 1j / (2 * sg[0]) * (d_r + d_th) * g[aidx]
 
-    uf = uform(r, th)
+    uf = uform[0]
     duf = np.zeros((4, 4, 4), dtype=complex)
-    duf[1] = (uform(r + h, th) - uform(r - h, th)) / (2 * h)
-    duf[2] = (uform(r, th + h) - uform(r, th - h)) / (2 * h)
+    duf[1] = (uform[1] - uform[2]) / (2 * h)
+    duf[2] = (uform[3] - uform[4]) / (2 * h)
     gam5 = np.array([g[c] @ g5 for c in range(4)])
     B2 = np.zeros((4, 4), dtype=complex)
     for mu in (1, 2):
@@ -187,7 +180,7 @@ def b_term_numeric(point, params, h=1e-5):
                     coef = 0.0 + 0j
                     for b in range(4):
                         coef += ETA[b, b] * uf[b, al] * duf[mu, b, be]
-                    B2 += (-0.25 * lv / sg) * coef * np.einsum("c,cij->ij", uf[:, de], gam5)
+                    B2 += (-0.25 * lv / sg[0]) * coef * np.einsum("c,cij->ij", uf[:, de], gam5)
     return B1 + B2
 
 

@@ -83,14 +83,23 @@ class HorizonData:
 
 @dataclass(frozen=True)
 class BLPoint:
-    """A point (r, theta) in the poloidal plane, theta strictly inside (0, pi)."""
+    """A point (r, theta) in the poloidal plane, or a batch of them: r and
+    theta are floats or arrays of one shape, every r finite and every theta
+    strictly inside (0, pi)."""
 
-    r: float
-    theta: float
+    r: float | np.ndarray
+    theta: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.theta < math.pi:
-            raise ValueError(f"theta must lie in (0, pi), got {self.theta}")
+        r, theta = np.asarray(self.r), np.asarray(self.theta)
+        if r.shape != theta.shape:
+            raise ValueError(f"r and theta must have one shape, got {r.shape} and {theta.shape}")
+        ok = np.isfinite(r)
+        if not ok.all():
+            raise ValueError(f"r must be finite, got {r[~ok][0]}")
+        ok = (0.0 < theta) & (theta < math.pi)
+        if not ok.all():
+            raise ValueError(f"theta must lie in (0, pi), got {theta[~ok][0]}")
 
 
 def horizons(params):
@@ -333,7 +342,7 @@ def metric(point, chart, params):
 
 
 def inverse_metric(point, chart, params):
-    """Contravariant metric components at a BLPoint."""
+    """Contravariant metric components at a BLPoint: (..., 4, 4) for a batch."""
     return np.linalg.inv(metric(point, chart, params))
 
 

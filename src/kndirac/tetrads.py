@@ -10,6 +10,13 @@ whose dyad metric is diag(1,-1,-1,-1).
 
 Tetrads carry explicit chart ('BL' or 'EF') and variance ('vectors' or
 'forms') tags; operations reject mismatched inputs instead of coercing.
+
+Every constructor takes a `BLPoint` holding one point or a batch of them and
+evaluates all of them in one pass.  The component axis is last: a null leg
+has shape (..., 4) and the orthonormal legs u have shape (..., 4, 4), leg
+index before component index, where ... is the shape of the point's r; a
+single point gives (4,) and (4, 4).  Metric pairings and residuals return
+one value per point, of shape (...).
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ class NullTetrad:
 
 @dataclass(frozen=True)
 class OrthonormalTetrad:
-    """Rows u[a] are the four legs u_(0)..u_(3)."""
+    """u[..., a, :] is the leg u_(a), a = 0..3."""
 
     u: np.ndarray
     variance: str = "vectors"
@@ -73,35 +80,37 @@ def _require(tet, variance=None, chart=None):
 
 
 def metric_pairing(g, x, y):
-    """Bilinear pairing g_{mu nu} x^mu y^nu (no complex conjugation)."""
-    return x @ g @ y
+    """Bilinear pairing g_{mu nu} x^mu y^nu (no complex conjugation), per point."""
+    return (x[..., None, :] @ g @ y[..., :, None])[..., 0, 0]
+
+
+def _gram(g, legs):
+    """metric_pairing of every two legs e_a, e_b stacked on axis -2: shape
+    (..., 4, 4), summed in the order of x @ g @ y."""
+    return legs @ g @ np.swapaxes(legs, -1, -2)
+
+
+# g(e_a, e_b) of a double null frame e = (l, n, m, mbar); its upper triangle
+# holds the ten conditions
+_NP_GRAM = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -1.0, 0.0]])
+_UPPER = np.triu_indices(4)
 
 
 def np_condition_residual(tet, g):
-    """Largest violation of the eight double-null-frame conditions."""
-    l, n, m, mbar = tet.vectors()
-    vals = [
-        metric_pairing(g, l, n) - 1.0,
-        metric_pairing(g, m, mbar) + 1.0,
-        metric_pairing(g, l, l),
-        metric_pairing(g, n, n),
-        metric_pairing(g, m, m),
-        metric_pairing(g, mbar, mbar),
-        metric_pairing(g, l, m),
-        metric_pairing(g, l, mbar),
-        metric_pairing(g, n, m),
-        metric_pairing(g, n, mbar),
-    ]
-    return max(abs(v) for v in vals)
+    """Largest violation of the ten double-null-frame conditions, per point.
+
+    A NaN in any condition makes the point's residual NaN."""
+    gram = _gram(g, np.stack(tet.vectors(), axis=-2))
+    return np.max(np.abs(gram - _NP_GRAM)[..., _UPPER[0], _UPPER[1]], axis=-1)
 
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 def dyad_metric_residual(tet, g):
-    """Largest violation of g(u_a, u_b) = eta_ab."""
-    G = np.array([[metric_pairing(g, x, y) for y in tet.u] for x in tet.u])
-    return np.abs(G - ETA).max()
+    """Largest violation of g(u_a, u_b) = eta_ab, per point."""
+    return np.max(np.abs(_gram(g, tet.u) - ETA), axis=(-2, -1))
 
 
 def gram_schmidt_tetrad(frame, g):
@@ -131,7 +140,7 @@ def gram_schmidt_tetrad(frame, g):
 
 def null_from_orthonormal(tet):
     """NP frame from an orthonormal tetrad: l,n from (u0 +- u3), m from u1 + i u2."""
-    u0, u1, u2, u3 = tet.u
+    u0, u1, u2, u3 = np.moveaxis(tet.u, -2, 0)
     l = (u0 + u3) / SQRT2
     n = (u0 - u3) / SQRT2
     m = (u1 + 1j * u2) / SQRT2
@@ -141,12 +150,12 @@ def null_from_orthonormal(tet):
 def orthonormal_from_null(nt):
     """Inverse of null_from_orthonormal."""
     l, n, m, mbar = nt.vectors()
-    u = np.array([
+    u = np.stack([
         (l + n) / SQRT2,
         (m + mbar) / SQRT2,
         (m - mbar) / (SQRT2 * 1j),
         (l - n) / SQRT2,
-    ])
+    ], axis=-2)
     return OrthonormalTetrad(u=u, variance=nt.variance, chart=nt.chart)
 
 
@@ -166,6 +175,16 @@ def class3_rotation(nt, C):
     )
 
 
+def _legs(scale, *values):
+    """scale times the vector of the four `values`, at every point: a complex
+    array with the component axis last; `scale` has the points' shape and
+    each value broadcasts to it."""
+    out = np.empty(np.shape(scale) + (4,), dtype=complex)
+    for i, v in enumerate(values):
+        out[..., i] = scale * v
+    return out
+
+
 def symmetric_bl_tetrad(point, params):
     """The symmetric Boyer-Lindquist NP frame (vectors), off the horizons.
 
@@ -173,14 +192,15 @@ def symmetric_bl_tetrad(point, params):
     """
     r, th = point.r, point.theta
     delta, sigma = delta_sigma(r, th, params)
-    if abs(delta) < 1e-12 * params.M**2:
+    if np.any(np.abs(delta) < 1e-12 * params.M**2):
         raise ValueError("symmetric BL tetrad is undefined on a horizon")
-    eps = 1.0 if delta > 0 else -1.0
+    eps = np.where(delta > 0, 1.0, -1.0)
     a = params.a
-    f = 1.0 / math.sqrt(2.0 * sigma * abs(delta))
-    l = f * np.array([r * r + a * a, delta, 0.0, a], dtype=complex)
-    n = eps * f * np.array([r * r + a * a, -delta, 0.0, a], dtype=complex)
-    m = np.array([1j * a * math.sin(th), 0.0, 1.0, 1j / math.sin(th)], dtype=complex) / math.sqrt(2.0 * sigma)
+    st = np.sin(th)
+    f = 1.0 / np.sqrt(2.0 * sigma * np.abs(delta))
+    l = _legs(f, r * r + a * a, delta, 0.0, a)
+    n = _legs(eps * f, r * r + a * a, -delta, 0.0, a)
+    m = _legs(1.0 / np.sqrt(2.0 * sigma), 1j * a * st, 0.0, 1.0, 1j / st)
     return NullTetrad(l=l, n=n, m=m, mbar=np.conj(m), variance="vectors", chart="BL")
 
 
@@ -230,18 +250,17 @@ def ef_null_tetrad(point, params):
     r, th = point.r, point.theta
     delta, sigma = delta_sigma(r, th, params)
     a, rp = params.a, params.r_plus
-    st = math.sin(th)
-    f = 1.0 / (math.sqrt(2.0 * sigma) * rp)
-    l = f * np.array([2 * r * r + 2 * a * a - delta, delta, 0.0, 2 * a], dtype=complex)
-    n = (rp / math.sqrt(2.0 * sigma)) * np.array([1.0, -1.0, 0.0, 0.0], dtype=complex)
-    m = np.array([1j * a * st, 0.0, 1.0, 1j / st], dtype=complex) / math.sqrt(2.0 * sigma)
+    st = np.sin(th)
+    rS2 = np.sqrt(2.0 * sigma)
+    f = 1.0 / (rS2 * rp)
+    l = _legs(f, 2 * r * r + 2 * a * a - delta, delta, 0.0, 2 * a)
+    n = _legs(rp / rS2, 1.0, -1.0, 0.0, 0.0)
+    m = _legs(1.0 / rS2, 1j * a * st, 0.0, 1.0, 1j / st)
     vectors = NullTetrad(l=l, n=n, m=m, mbar=np.conj(m), variance="vectors", chart="EF")
 
-    lf = f * np.array([delta, delta - 2 * sigma, 0.0, -a * delta * st * st], dtype=complex)
-    nf = (rp / math.sqrt(2.0 * sigma)) * np.array([1.0, 1.0, 0.0, -a * st * st], dtype=complex)
-    mf = np.array(
-        [1j * a * st, 1j * a * st, -sigma, -1j * (r * r + a * a) * st], dtype=complex
-    ) / math.sqrt(2.0 * sigma)
+    lf = _legs(f, delta, delta - 2 * sigma, 0.0, -a * delta * st * st)
+    nf = _legs(rp / rS2, 1.0, 1.0, 0.0, -a * st * st)
+    mf = _legs(1.0 / rS2, 1j * a * st, 1j * a * st, -sigma, -1j * (r * r + a * a) * st)
     forms = NullTetrad(l=lf, n=nf, m=mf, mbar=np.conj(mf), variance="forms", chart="EF")
     return vectors, forms
 
@@ -251,21 +270,21 @@ def orthonormal_u_ef(point, params):
     r, th = point.r, point.theta
     delta, sigma = delta_sigma(r, th, params)
     a, rp = params.a, params.r_plus
-    st = math.sin(th)
-    rS = math.sqrt(sigma)
+    st = np.sin(th)
+    rS = np.sqrt(sigma)
     f = 1.0 / (2.0 * rS * rp)
-    uvec = np.array([
-        f * np.array([2 * r * r + 2 * a * a - delta + rp * rp, delta - rp * rp, 0.0, 2 * a]),
-        np.array([0.0, 0.0, 1.0, 0.0]) / rS,
-        np.array([a * st, 0.0, 0.0, 1.0 / st]) / rS,
-        f * np.array([2 * r * r + 2 * a * a - delta - rp * rp, delta + rp * rp, 0.0, 2 * a]),
-    ], dtype=complex)
-    uform = np.array([
-        f * np.array([delta + rp**2, delta - 2 * sigma + rp**2, 0.0, -a * st * st * (delta + rp**2)]),
-        np.array([0.0, 0.0, -rS, 0.0]),
-        np.array([a * st, a * st, 0.0, -(r * r + a * a) * st]) / rS,
-        f * np.array([delta - rp**2, delta - 2 * sigma - rp**2, 0.0, -a * st * st * (delta - rp**2)]),
-    ], dtype=complex)
+    uvec = np.stack([
+        _legs(f, 2 * r * r + 2 * a * a - delta + rp * rp, delta - rp * rp, 0.0, 2 * a),
+        _legs(1.0 / rS, 0.0, 0.0, 1.0, 0.0),
+        _legs(1.0 / rS, a * st, 0.0, 0.0, 1.0 / st),
+        _legs(f, 2 * r * r + 2 * a * a - delta - rp * rp, delta + rp * rp, 0.0, 2 * a),
+    ], axis=-2)
+    uform = np.stack([
+        _legs(f, delta + rp**2, delta - 2 * sigma + rp**2, 0.0, -a * st * st * (delta + rp**2)),
+        _legs(rS, 0.0, 0.0, -1.0, 0.0),
+        _legs(1.0 / rS, a * st, a * st, 0.0, -(r * r + a * a) * st),
+        _legs(f, delta - rp**2, delta - 2 * sigma - rp**2, 0.0, -a * st * st * (delta - rp**2)),
+    ], axis=-2)
     return (
         OrthonormalTetrad(u=uvec, variance="vectors", chart="EF"),
         OrthonormalTetrad(u=uform, variance="forms", chart="EF"),

@@ -37,3 +37,26 @@ def random_mode(rng, require_massive=False):
     m = rng.uniform(0.2, 0.6 * abs(omega)) if require_massive else rng.uniform(0.0, 0.8)
     xi = rng.uniform(0.8, 2.5) * rng.choice([-1.0, 1.0])
     return ModeParams(omega=float(omega), k=float(k), m=float(m), xi=float(xi))
+
+
+def random_batch(rng, params, n_exterior=30, n_between=10):
+    """Exterior points and points between the horizons, where Delta < 0,
+    as one batch (r, theta)."""
+    r = np.concatenate([
+        params.r_plus + params.M * 10.0 ** rng.uniform(-2.0, 2.0, n_exterior),
+        rng.uniform(params.r_minus, params.r_plus, n_between),
+    ])
+    theta = rng.uniform(0.1, math.pi - 0.1, r.size)
+    return r, theta
+
+
+def assert_batch_matches_pointwise(evaluate, r, theta, rtol=1e-14):
+    """evaluate(BLPoint) on the whole batch against its per-point values
+    stacked, componentwise, relative to each component's largest size."""
+    from kndirac.geometry import BLPoint
+
+    batch = evaluate(BLPoint(r, theta))
+    stacked = np.array([evaluate(BLPoint(ri, ti)) for ri, ti in zip(r, theta)])
+    assert batch.shape == stacked.shape
+    scale = np.abs(stacked).max(axis=0)
+    assert np.all(np.abs(batch - stacked) <= rtol * scale)

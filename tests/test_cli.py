@@ -109,6 +109,72 @@ def test_dirac_verify_passes(tmp_path):
     assert rec["max_anticommutator_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("task", ["tetrad-check", "dirac-verify"])
+@pytest.mark.parametrize("n_points", ["0", "-3"])
+def test_n_points_must_be_positive(tmp_path, capsys, task, n_points):
+    # --n-points 0 used to pass with every residual at 0.0, and a negative
+    # count failed only inside numpy
+    out = tmp_path / "o"
+    assert main([task, "--n-points", n_points, "--out", str(out)]) == 2
+    assert f"(--n-points) must be at least 1, got {n_points}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task,name,record,residual", [
+    ("tetrad-check", "ef_metric", "tetrad_check.json", lambda rec: rec["max_residuals"]["ef"]),
+    ("dirac-verify", "inverse_metric", "dirac_verify.json", lambda rec: rec["max_anticommutator_residual"]),
+])
+def test_nan_residual_fails_the_check(monkeypatch, tmp_path, task, name, record, residual):
+    # a NaN in one point's metric makes its residual NaN; Python's
+    # max(0.0, nan) is 0.0, which once let such a check pass
+    import kndirac.cli
+
+    params = kndirac.cli._params(kndirac.cli.DEFAULTS)
+    rng = np.random.default_rng(kndirac.cli.DEFAULT_SEED)
+    r_bad = kndirac.cli._random_points(rng, params, 5)[0][2]
+    original = getattr(kndirac.cli, name)
+
+    def poisoned(*args):
+        g = np.array(original(*args))
+        r = args[0].r if name == "inverse_metric" else args[0]
+        g[np.asarray(r) == r_bad] = np.nan
+        return g
+
+    monkeypatch.setattr(kndirac.cli, name, poisoned)
+    out = str(tmp_path / "o")
+    assert main([task, "--n-points", "5", "--out", out]) == 1
+    rec = json.loads(read(out, record))
+    assert rec["pass"] is False
+    assert math.isnan(residual(rec))
+
+
+def test_checks_evaluate_all_points_at_once(monkeypatch, tmp_path):
+    # the frames and Dirac matrices of all points are built in one call per
+    # chart, so the calls do not grow with --n-points
+    import kndirac.cli
+
+    names = ("symmetric_bl_tetrad", "ef_null_tetrad", "orthonormal_u_ef", "orthonormal_bl",
+             "general_dirac_matrices")
+    calls = {}
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(kndirac.cli, name, counter(name, getattr(kndirac.cli, name)))
+    counts = []
+    for n_points in ("5", "50"):
+        calls.clear()
+        for task in ("tetrad-check", "dirac-verify"):
+            assert main([task, "--n-points", n_points, "--out", str(tmp_path / f"{task}-{n_points}")]) == 0
+        counts.append(dict(calls))
+    assert set(counts[0]) == set(names)
+    assert counts[0] == counts[1]
+
+
 def test_angular_task(tmp_path):
     out = str(tmp_path / "o")
     rc = main(["angular", "--out", out, "--N", "32", "--count", "4"])

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from conftest import random_regular_point, random_slow_params
+from conftest import assert_batch_matches_pointwise, random_batch, random_regular_point, random_slow_params
 
 from kndirac.dirac import (
     SPIN_MATRIX,
@@ -157,6 +157,14 @@ def test_dirac_matrices_both_charts_random():
                     res = 0.5 * anticommutator(G[mu], G[nu]) - ginv[mu, nu] * np.eye(4)
                     worst = max(worst, np.abs(res).max())
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("chart", ["EF", "BL"])
+def test_dirac_matrices_and_inverse_metric_batched(chart):
+    frame = {"EF": lambda p: orthonormal_u_ef(p, PAR)[0], "BL": lambda p: orthonormal_bl(p, PAR)}[chart]
+    r, th = random_batch(np.random.default_rng(47), PAR)
+    assert_batch_matches_pointwise(lambda p: general_dirac_matrices(frame(p)), r, th)
+    assert_batch_matches_pointwise(lambda p: inverse_metric(p, chart, PAR), r, th)
 
 
 def _gamma5_coefficients(B):

@@ -527,6 +527,22 @@ def test_blpoint_validates_theta():
         BLPoint(3.0, 0.0)
     with pytest.raises(ValueError):
         BLPoint(3.0, math.pi)
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"r must be finite, got {r}"):
+            BLPoint(r, 1.0)
+    with pytest.raises(ValueError, match="theta must lie in .*, got nan"):
+        BLPoint(3.0, math.nan)
+    # batches: every element is checked, and the error names the first bad one
+    r, th = np.array([2.0, 3.0, 4.0]), np.array([0.5, 1.0, 1.5])
+    assert BLPoint(r, th).r is r
+    with pytest.raises(ValueError, match="r must be finite, got inf"):
+        BLPoint(np.array([2.0, np.inf, 4.0]), th)
+    with pytest.raises(ValueError, match="theta must lie in .*, got -0.25"):
+        BLPoint(r, np.array([0.5, 1.0, -0.25]))
+    with pytest.raises(ValueError, match=r"one shape, got \(3,\) and \(2,\)"):
+        BLPoint(r, th[:2])
+    with pytest.raises(ValueError, match="one shape"):
+        BLPoint(r, 1.0)
 
 
 def test_bl_metric_raises_on_horizon():

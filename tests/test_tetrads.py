@@ -14,6 +14,7 @@ from kndirac.tetrads import (
     metric_pairing,
     np_condition_residual,
     null_from_orthonormal,
+    orthonormal_bl,
     orthonormal_from_null,
     orthonormal_u_ef,
     symmetric_bl_tetrad,
@@ -24,7 +25,7 @@ PAR = SpacetimeParams(M=1.0, a=0.6, Q=0.3)
 MINK = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-from conftest import random_slow_params
+from conftest import assert_batch_matches_pointwise, random_batch, random_slow_params
 
 
 def test_gram_schmidt_identity_on_minkowski():
@@ -249,3 +250,26 @@ def test_chart_mixing_rejected():
     ef = NullTetrad(l=nt.l, n=nt.n, m=nt.m, mbar=nt.mbar, variance="vectors", chart="EF")
     with pytest.raises(ValueError):
         transform_null_tetrad(ef, 3.0, PAR)
+
+
+BATCHED = {
+    "symmetric_bl": lambda p: np.stack(symmetric_bl_tetrad(p, PAR).vectors(), axis=-2),
+    "ef_vectors": lambda p: np.stack(ef_null_tetrad(p, PAR)[0].vectors(), axis=-2),
+    "ef_forms": lambda p: np.stack(ef_null_tetrad(p, PAR)[1].vectors(), axis=-2),
+    "u_ef_vectors": lambda p: orthonormal_u_ef(p, PAR)[0].u,
+    "u_ef_forms": lambda p: orthonormal_u_ef(p, PAR)[1].u,
+    "u_bl": lambda p: orthonormal_bl(p, PAR).u,
+    "np_residual_bl": lambda p: np_condition_residual(symmetric_bl_tetrad(p, PAR),
+                                                      bl_metric(p.r, p.theta, PAR)),
+    "np_residual_ef": lambda p: np_condition_residual(ef_null_tetrad(p, PAR)[0],
+                                                      ef_metric(p.r, p.theta, PAR)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_batch_matches_pointwise(name):
+    # a scalar point is the 0-d case of the batched code; ten of the forty
+    # points lie between the horizons, where the symmetric BL frame has eps = -1
+    r, th = random_batch(np.random.default_rng(43), PAR)
+    assert np.count_nonzero(delta_sigma(r, th, PAR)[0] < 0) == 10
+    assert_batch_matches_pointwise(BATCHED[name], r, th)
