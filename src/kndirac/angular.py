@@ -55,16 +55,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscretizationSpec:
-    """Basis size N per component; scheme is fixed."""
+    """Basis size N per component of the Jacobi-Galerkin scheme."""
 
     N: int = 64
-    scheme: str = "jacobi-galerkin"
 
     def __post_init__(self):
         if self.N < 8:
             raise ValueError("N must be at least 8")
-        if self.scheme != "jacobi-galerkin":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -50,13 +51,13 @@ def _jsonable(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        # strict JSON has no NaN or infinity: they become the strings
+        # "NaN", "Infinity" and "-Infinity"
+        return float(obj) if math.isfinite(obj) else json.dumps(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     return obj
@@ -76,7 +77,7 @@ def _write_atomic(path, text):
 
 
 def _write_record(outdir, name, record):
-    text = json.dumps(_jsonable(record), sort_keys=True, indent=1, separators=(",", ": "))
+    text = json.dumps(_jsonable(record), sort_keys=True, indent=1, separators=(",", ": "), allow_nan=False)
     _write_atomic(os.path.join(outdir, name + ".json"), text + "\n")
 
 
@@ -92,7 +93,8 @@ def _params(cfg):
 
 
 def _mode(cfg):
-    return ModeParams(omega=cfg["omega"], k=cfg["k"], m=cfg["mass"], xi=cfg["xi"])
+    # a task that reads only some of the mode keys holds valid stand-ins for the rest
+    return ModeParams(omega=cfg.get("omega", 0.0), k=cfg.get("k", 0.5), m=cfg["mass"], xi=cfg.get("xi", 0.0))
 
 
 def _random_points(rng, params, n):
@@ -224,68 +226,57 @@ def task_asymptotics(cfg, outdir):
     return 0 if ok else 1
 
 
+# task: (function, {key: default}) for exactly the keys the task reads.  Each
+# key is the flag --key, with `_` as `-`, and a config-file key; both take the
+# type of its default, and a key a task does not read is a configuration error
+_HOLE = {"M": 1.0, "a": 0.6, "Q": 0.3}
+_CHECKS = {**_HOLE, "seed": DEFAULT_SEED, "n_points": 10}
+_MODE = {**_HOLE, "omega": 1.3, "k": 0.5, "mass": 0.55}
+_SPAN = {**_MODE, "xi": 1.7, "tol": 1e-10, "rstar_min": 1e3, "rstar_max": 1e6, "branch": "exterior"}
 TASKS = {
-    "horizons": task_horizons,
-    "tetrad-check": task_tetrad_check,
-    "dirac-verify": task_dirac_verify,
-    "angular": task_angular,
-    "radial": task_radial,
-    "asymptotics": task_asymptotics,
-}
-
-DEFAULTS = {
-    "M": 1.0, "a": 0.6, "Q": 0.3,
-    "omega": 1.3, "k": 0.5, "mass": 0.55, "xi": 1.7,
-    "seed": DEFAULT_SEED, "tol": 1e-10, "n_points": 10,
-    "N": 64, "count": 8,
-    "rstar_min": 1e3, "rstar_max": 1e6, "n_samples": 36,
-    "branch": "exterior",
-}
-# per-task defaults layered over DEFAULTS: `radial` writes one CSV row per
-# step, and a span near the hole, where U is not yet close to its far-field
-# limit, exercises more of it than the far-field span above
-TASK_DEFAULTS = {
-    "radial": {"rstar_min": 10.0, "rstar_max": 200.0},
+    "horizons": (task_horizons, _HOLE),
+    "tetrad-check": (task_tetrad_check, {**_CHECKS, "tol": 1e-10}),
+    "dirac-verify": (task_dirac_verify, {**_CHECKS, "mass": _MODE["mass"]}),
+    "angular": (task_angular, {**_MODE, "N": 64, "count": 8}),
+    # `radial` writes one CSV row per step, and a span near the hole, where U
+    # is not yet close to its far-field limit, exercises more of it than the
+    # far-field span of `asymptotics`
+    "radial": (task_radial, {**_SPAN, "rstar_min": 10.0, "rstar_max": 200.0}),
+    "asymptotics": (task_asymptotics, {**_SPAN, "n_samples": 36}),
 }
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="kndirac", description=__doc__)
     sub = ap.add_subparsers(dest="task", required=True)
-    for name in TASKS:
+    for name, (_, defaults) in TASKS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        for key in ("omega", "k", "mass", "xi", "M", "a", "Q", "rstar-min", "rstar-max"):
-            p.add_argument(f"--{key}", type=float, default=None, dest=key.replace("-", "_"))
-        p.add_argument("--branch", choices=("exterior", "interior"), default=None)
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--count", type=int, default=None)
-        p.add_argument("--n-points", type=int, default=None, dest="n_points")
-        p.add_argument("--n-samples", type=int, default=None, dest="n_samples")
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), type=type(default), default=None, dest=key)
     return ap
 
 
 def load_config(args):
-    cfg = {**DEFAULTS, **TASK_DEFAULTS.get(args.task, {})}
+    defaults = TASKS[args.task][1]
+    cfg = dict(defaults)
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("a config file must hold one JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(file_cfg) - set(defaults)
         if unknown:
-            raise KeyError(f"unknown config keys: {sorted(unknown)}")
+            raise KeyError(f"config keys that {args.task} does not read: {sorted(unknown)}")
         for key, val in file_cfg.items():
             # each value takes the type of its default; an int may stand for a float
-            want = type(DEFAULTS[key])
+            want = type(defaults[key])
             if isinstance(val, bool) or not (isinstance(val, want) or (want is float and isinstance(val, int))):
                 raise ValueError(f"config key {key!r} must be {want.__name__}, got {val!r}")
         cfg.update(file_cfg)
     for key in cfg:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -295,15 +286,16 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        SpacetimeParams(M=cfg["M"], a=cfg["a"], Q=cfg["Q"])  # finite and slow
-        ModeParams(omega=cfg["omega"], k=cfg["k"], m=cfg["mass"], xi=cfg["xi"])
-        if cfg["branch"] not in ("exterior", "interior"):
+        _params(cfg)  # finite and slow
+        if "mass" in cfg:  # every task that reads a mode key reads the mass
+            _mode(cfg)
+        if cfg.get("branch", "exterior") not in ("exterior", "interior"):
             raise ValueError(f"invalid branch {cfg['branch']!r}")
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        return TASKS[args.task](cfg, args.out)
+        return TASKS[args.task][0](cfg, args.out)
     except ValueError as exc:
         print(f"configuration error in task {args.task}: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ serve two frames:
   off-diagonal oscillates like e^{-+2 i w1 u} and which is O(1/u^2) far out.
   `far_field_trajectory` integrates there over rstar in [1e3, 1e6] in tens
   of steps, where a Magnus propagator of X itself needs millions, and the
-  exterior `integrate` over any such span: 216 steps on [10, 200] at
+  exterior `integrate` over any such span: 208 steps on [10, 200] at
   tol 1e-10.  The coupling and every step exponent lie in u(1,1), so the
   current |X1|^2 - |X2|^2 and the Abel/Wronskian identity hold to rounding by
   construction.  The frame's points are placed by their log offsets
@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _exterior_log_terms, _exterior_radius, _exterior_tortoise, delta_sigma, log_offset
+from .geometry import _exterior_log_terms, _exterior_radius, _exterior_tortoise, log_offset
 from .separation import _potential_entries, _potential_slopes, _stacked
 
 __all__ = [
@@ -300,7 +300,7 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     (`_frame_trajectory`).  The samples lie 0.25 apart in the log offset
     s = log(r - r_plus), with the spacing doubling on each interval
     below r - r_plus = e^{-8} (r_plus - r_minus), where U tends to a constant;
-    each sample interval is cut into steps uniform in rstar, halved until its
+    each sample interval is cut into steps uniform in s, halved until its
     product moves by less than `tol` (`_settled_products`), and the
     trajectory holds X at every step edge.  Every step conserves the current
     |X1|^2 - |X2|^2.  `steps` counts the Magnus steps, and `rejected` is 0.
@@ -389,26 +389,16 @@ def _frame_trajectory(mode, params, span, s_span, X0, tol):
 
     The samples lie `_FRAME_SPACING` apart in s; below `_frame_sample_ref`
     the spacing doubles on each interval, so that s < 710 makes a few
-    thousand intervals at most.  Each interval's steps are uniform in rstar
-    and its latest, finally its settled, step exponentials are kept, to carry
+    thousand intervals at most.  The settled steps of `_frame_settled` carry
     f to every step edge.
     """
     s_samples = _sample_grid(*s_span, _FRAME_SPACING, _frame_sample_ref(params), -1.0, math.inf)
     samples = _exterior_tortoise(s_samples, params)
     samples[0], samples[-1] = span
-    kept = {}
-
-    def products_of(index, n):
-        factors = np.array(_frame_steps(_uniform_edges(samples[index], samples[index + 1], n), mode, params))
-        kept.update(zip(index.tolist(), factors.transpose(2, 0, 1)))
-        return _ordered_product(*factors)
-
-    _, steps = _settled_products(products_of, samples, tol, _FRAME_STEP_BUDGET, "on rstar")
-    factors = [kept[i] for i in range(len(samples) - 1)]
-    rstar = np.concatenate([samples[:1]] + [_uniform_edges(ta, tb, f.shape[1])[1:, 0]
-                                            for ta, tb, f in zip(samples[:-1], samples[1:], factors)])
+    settled, _, steps = _frame_settled(samples, s_samples, tol, "on rstar", mode, params)
+    rstar = np.concatenate([samples[:1]] + [edges[1:] for edges, _ in settled])
     s = log_offset(rstar, "exterior", params)
-    _, X = _through_frame(rstar, s, np.concatenate(factors, axis=1), X0, mode, params)
+    _, X = _through_frame(rstar, s, np.concatenate([f for _, f in settled], axis=1), X0, mode, params)
     return rstar, s, X, steps
 
 
@@ -580,15 +570,11 @@ def _exterior_entries(u, s, mode, params):
     points u whose log offsets s = log(r - r_plus) come from `log_offset`.
 
     r and the offset r - r_plus are the Newton-polished pair of
-    `geometry._exterior_radius`.  Within r_plus of the event horizon Delta is
-    (r - r_plus)(r - r_minus) from the offset, which no rounding of r cancels
-    at any depth.  Beyond, where r - r_plus is as accurate, it is
-    r^2 - 2 M r + a^2 + Q^2 from r (`delta_sigma`), the form the far-field
-    results were computed with: over u up to 1e6 a rounding-level change of
-    U moves the far-field trajectories by about 1e-11.
+    `geometry._exterior_radius`.  Delta is (r - r_plus)(r - r_minus) from the
+    offset, which no rounding of r cancels at any depth.
     """
     r, e = _exterior_radius(u, s, params)
-    delta = np.where(e < params.r_plus, e * (e + params.r_plus - params.r_minus), delta_sigma(r, 0.0, params)[0])
+    delta = e * (e + params.r_plus - params.r_minus)
     return r, delta, _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)
 
 
@@ -859,12 +845,29 @@ def _through_frame(u, s, products, X0, mode, params):
                         v10 * ep * fs[:, 0] + v11 * em * fs[:, 1]], axis=-1)
 
 
-def _far_field_products(ua, ub, n, mode, params):
-    """Propagators of f over the intervals [ua, ub] (arrays), each in n steps
-    of `_frame_steps` geometric in u, as four component arrays."""
-    edges = ua * (ub / ua) ** (np.arange(n + 1)[:, None] / n)
-    edges[-1] = ub
-    return _ordered_product(*_frame_steps(edges, mode, params))
+def _frame_settled(samples, s_samples, tol, where, mode, params):
+    """Settled steps of f over the intervals between consecutive exterior
+    `samples` in rstar, with log offsets `s_samples`: (settled, products,
+    steps).
+
+    Each interval's steps are uniform in s, their edges at rstar(s)
+    (`_exterior_tortoise`) with the samples themselves pinned, and halved
+    until its product settles (`_settled_products`, within
+    `_FRAME_STEP_BUDGET`).  settled[i] holds interval i's step edges in
+    rstar, shape (steps + 1,), and step exponentials, shape (4, steps), and
+    products their ordered products.
+    """
+    kept = {}
+
+    def products_of(index, n):
+        edges = _exterior_tortoise(_uniform_edges(s_samples[index], s_samples[index + 1], n), params)
+        edges[0], edges[-1] = samples[index], samples[index + 1]
+        factors = np.array(_frame_steps(edges, mode, params))
+        kept.update(zip(index.tolist(), zip(edges.T, factors.transpose(2, 0, 1))))
+        return _ordered_product(*factors)
+
+    products, steps = _settled_products(products_of, samples, tol, _FRAME_STEP_BUDGET, where)
+    return [kept[i] for i in range(len(samples) - 1)], products, steps
 
 
 def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
@@ -885,10 +888,11 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
     not by the wavelength: tens of steps over u in [1e3, 1e6], where fixed
     Magnus-4 steps on X itself take millions.
 
-    The steps are geometric in u, and each sample interval is halved until
-    its product moves by less than `_FAR_TOL` (`_settled_products`).  At most
-    `_FRAME_STEP_BUDGET` steps are evaluated in all; past that IntegrationError
-    names the mode, the interval and the step counts.
+    The steps are uniform in s = log(r - r_plus), as in exterior `integrate`,
+    and each sample interval is halved until its product moves by less than
+    `_FAR_TOL` (`_frame_settled`).  At most `_FRAME_STEP_BUDGET` steps are
+    evaluated in all; past that IntegrationError names the mode, the interval
+    and the step counts.
 
     Every step conserves the current |X1|^2 - |X2|^2, and its determinant is
     exp(int tr C) from closed forms, so `prop_det` carries the Abel factor
@@ -904,11 +908,11 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
     if n_samples < 2:
         raise ValueError(f"far-field propagation needs n_samples >= 2, got {n_samples!r}")
     us = np.geomspace(u_min, u_max, n_samples)
-    products, steps = _settled_products(
-        lambda index, n: _far_field_products(us[index], us[index + 1], n, mode, params), us, _FAR_TOL,
-        _FRAME_STEP_BUDGET, f"for the far-field mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
-                            f"xi={mode.xi!r} on u")
-    r, Xs = _through_frame(us, log_offset(us, "exterior", params), products, X0, mode, params)
+    s = log_offset(us, "exterior", params)
+    _, products, steps = _frame_settled(
+        us, s, _FAR_TOL, f"for the far-field mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
+                         f"xi={mode.xi!r} on u", mode, params)
+    r, Xs = _through_frame(us, s, products, X0, mode, params)
     # det of the X propagator: det P_f times the ratio of det E =
     # e^{i (Phi_plus - Phi_minus)} = e^{4 i M omega log r}; det V = s1 is constant
     det_p = np.cumprod(np.concatenate([[1.0], products[0] * products[3] - products[1] * products[2]]))

@@ -312,8 +312,6 @@ def test_continuation_smooth_and_reversible():
 def test_spec_validation():
     with pytest.raises(ValueError):
         DiscretizationSpec(N=4)
-    with pytest.raises(ValueError):
-        DiscretizationSpec(N=32, scheme="collocation")
     mode = ModeParams(omega=0.5, k=0.5, m=0.1, xi=0.0)
     with pytest.raises(ValueError):
         angular_eigenpairs(mode, DiscretizationSpec(N=8), PAR, count=64)

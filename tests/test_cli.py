@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from kndirac.cli import main
+from kndirac.cli import build_parser, main
 
 
 def read(outdir, name):
@@ -62,7 +63,7 @@ def test_configuration_errors(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["radial", "--rstar-max", "inf"], ["radial", "--rstar-min", "nan"],
     ["asymptotics", "--branch", "interior", "--omega", "nan"], ["horizons", "--M", "inf"],
-    ["angular", "--xi", "inf"],
+    ["angular", "--omega", "inf"], ["radial", "--xi", "inf"],
 ])
 def test_non_finite_inputs_are_configuration_errors(tmp_path, capsys, argv):
     # --rstar-max inf used to exit 3 (numerical failure), and an interior
@@ -129,7 +130,7 @@ def test_nan_residual_fails_the_check(monkeypatch, tmp_path, task, name, record,
     # max(0.0, nan) is 0.0, which once let such a check pass
     import kndirac.cli
 
-    params = kndirac.cli._params(kndirac.cli.DEFAULTS)
+    params = kndirac.cli._params(kndirac.cli.TASKS[task][1])
     rng = np.random.default_rng(kndirac.cli.DEFAULT_SEED)
     r_bad = kndirac.cli._random_points(rng, params, 5)[0][2]
     original = getattr(kndirac.cli, name)
@@ -143,9 +144,10 @@ def test_nan_residual_fails_the_check(monkeypatch, tmp_path, task, name, record,
     monkeypatch.setattr(kndirac.cli, name, poisoned)
     out = str(tmp_path / "o")
     assert main([task, "--n-points", "5", "--out", out]) == 1
-    rec = json.loads(read(out, record))
+    # strict JSON: the NaN is written as the string "NaN", not as a bare token
+    rec = json.loads(read(out, record), parse_constant=pytest.fail)
     assert rec["pass"] is False
-    assert math.isnan(residual(rec))
+    assert math.isnan(float(residual(rec)))
 
 
 def test_checks_evaluate_all_points_at_once(monkeypatch, tmp_path):
@@ -251,3 +253,39 @@ def test_determinism_across_tasks(tmp_path):
         assert main([task, *extra, "--out", out2]) in (0, 1)
         for fn in os.listdir(out1):
             assert read(out1, fn) == read(out2, fn)
+
+
+# the keys each task reads, and so takes as flags and config-file keys and records
+TASK_KEYS = {
+    "horizons": "M a Q",
+    "tetrad-check": "M a Q seed tol n_points",
+    "dirac-verify": "M a Q seed mass n_points",
+    "angular": "M a Q omega k mass N count",
+    "radial": "M a Q omega k mass xi tol rstar_min rstar_max branch",
+    "asymptotics": "M a Q omega k mass xi tol rstar_min rstar_max n_samples branch",
+}
+
+
+@pytest.mark.parametrize("task,keys", TASK_KEYS.items())
+def test_each_task_takes_and_records_only_its_keys(tmp_path, task, keys):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {o for a in sub.choices[task]._actions for o in a.option_strings} - {"-h", "--help"}
+    assert flags == {"--config", "--out"} | {"--" + key.replace("_", "-") for key in keys.split()}
+    out = str(tmp_path / "o")
+    assert main([task, "--out", out]) == 0
+    rec = json.loads(read(out, task.replace("-", "_") + ".json"))
+    assert set(rec["config"]) == set(keys.split())
+
+
+def test_keys_a_task_does_not_read_are_rejected(tmp_path, capsys):
+    # horizons once exited 2 on --k 1 and recorded --omega 7
+    out = tmp_path / "o"
+    for flag in (["--k", "1"], ["--omega", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["horizons", *flag, "--out", str(out)])
+        assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omega": 7.0}))
+    assert main(["horizons", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "does not read: ['omega']" in capsys.readouterr().err
+    assert not out.exists()
