@@ -21,10 +21,7 @@ from .geometry import (
 from .tetrads import (
     NullTetrad,
     OrthonormalTetrad,
-    class3_rotation,
     ef_null_tetrad,
-    gram_schmidt_tetrad,
-    null_from_orthonormal,
     orthonormal_from_null,
     orthonormal_u_ef,
     symmetric_bl_tetrad,
@@ -51,7 +48,6 @@ from .radial import (
     InfinityAsymptotics,
     RadialTrajectory,
     asymptotic_phases,
-    eigen_expansion,
     far_field_trajectory,
     fit_horizon,
     fit_infinity,

@@ -34,6 +34,16 @@ A12 = sigma [diag(L_n + 2 a omega L_n d_n) + a omega (e above, -e below)].
 The matrix is real and exactly symmetric with an identity mass matrix, so the
 eigenvalues are real and the eigenvectors orthonormal in the sin(theta)
 measure.  The same d_n and e_n sample the basis by the three-term recurrence.
+
+The reflection (Y1, Y2)(theta) -> (Y2, Y1)(pi - theta) takes the n-th basis
+function of each component onto (-1)^n times the n-th of the other, since
+p_n^(a,b)(-x) = (-1)^n p_n^(b,a)(x), and T commutes with it.  In the matrix,
+with D = diag((-1)^n) and P = diag(I, D): D J' D = -J, and Y = A12 D is
+symmetric, since D flips the sign of A12's +-a omega e off-diagonals.  So
+P T P = [[X, Y], [Y, X]] with X = -a m J, and T is orthogonally similar to
+(X + Y) + (X - Y) (direct sum): an eigenpair (w, v) of X + Y gives the
+coefficients [v; D v] / sqrt 2 and one of X - Y gives [v; -D v] / sqrt 2.
+`angular_eigenpairs` diagonalizes these two N x N blocks in place of T.
 """
 
 from __future__ import annotations
@@ -149,13 +159,21 @@ def _branch_indices(xi_sorted):
 def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     """The `count` eigenvalues of smallest modulus with sampled eigenfunctions.
 
-    Eigenfunctions are normalized in L^2((0,pi), sin(theta) dtheta) and
-    returned on an interior theta grid.  A spectral gap below 1e-10 between
-    consecutive returned eigenvalues is reported as a degeneracy error.
+    The eigenpairs come from the two N x N parity blocks of the Galerkin
+    matrix (module docstring).  Eigenfunctions are normalized in
+    L^2((0,pi), sin(theta) dtheta) and returned on an interior theta grid.
+    A spectral gap below 1e-10 between consecutive returned eigenvalues is
+    reported as a degeneracy error.
     """
     if not 0 <= count <= spec.N:
         raise ValueError(f"count must be between 0 and the basis size N = {spec.N}, got {count}")
-    vals, vecs = np.linalg.eigh(discretize_angular(mode, spec, params))
+    N = spec.N
+    T = discretize_angular(mode, spec, params)
+    # the parity blocks X +- Y of T (module docstring)
+    D = np.where(np.arange(N) % 2, -1.0, 1.0)
+    X, Y = T[:N, :N], T[:N, N:] * D
+    (even, u), (odd, v) = np.linalg.eigh(X + Y), np.linalg.eigh(X - Y)
+    vals, vecs = np.concatenate([even, odd]), np.concatenate([u, v], axis=1)
     sel = np.argsort(np.abs(vals))[:count]
     sel = sel[np.argsort(vals[sel])]
     xi = vals[sel]
@@ -163,7 +181,8 @@ def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     if len(gaps) and np.min(np.abs(gaps)) < 1e-10:
         raise ArithmeticError(f"degenerate angular eigenvalues detected: min gap {np.min(np.abs(gaps)):.2e}")
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    C = vecs[:, sel]
+    V = vecs[:, sel]
+    C = np.concatenate([V, np.where(sel < N, 1.0, -1.0) * D[:, None] * V]) / math.sqrt(2.0)
     Y = _sample(C, mode.k, theta)  # (n_theta, count, 2)
     # deterministic sign: largest-|Y1| sample positive.  The largest |Y| over
     # both components is often attained twice, at mirrored angles with

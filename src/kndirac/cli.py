@@ -98,9 +98,14 @@ def _mode(cfg):
 
 
 def _random_points(rng, params, n):
+    """n points (r, theta) off the poles.  Every fourth lies between the
+    horizons, where Delta < 0, in the middle 80% of (r_minus, r_plus); the
+    others lie at r - r_plus in [0.1, 100]."""
     if n < 1:
         raise ValueError(f"n_points (--n-points) must be at least 1, got {n}")
-    r = params.r_plus + 10.0 ** rng.uniform(-1, 2, n)
+    width = params.r_plus - params.r_minus
+    r = np.where(np.arange(n) % 4 == 3, params.r_minus + width * rng.uniform(0.1, 0.9, n),
+                 params.r_plus + 10.0 ** rng.uniform(-1, 2, n))
     th = rng.uniform(0.15, np.pi - 0.15, n)
     return r, th
 

@@ -85,7 +85,6 @@ __all__ = [
     "theta_boost",
     "boost_matrix",
     "asymptotic_phases",
-    "eigen_expansion",
     "RadialTrajectory",
     "IntegrationError",
     "integrate",
@@ -147,22 +146,6 @@ def asymptotic_phases(u, mode, params):
     phi_p = w1 * u + M * (2 * mode.omega + mode.m**2 / w1) * lg
     phi_m = w1 * u - M * (2 * mode.omega - mode.m**2 / w1) * lg
     return phi_p, phi_m
-
-
-def eigen_expansion(mode, params):
-    """Leading and 1/rstar coefficients of the eigenvalues of U(rstar).
-
-    lambda_j = i w_j + (i M / rstar)(2 omega + m^2 / w_j) + O(1/rstar^2),
-    j = 1, 2 with w_2 = -w_1.
-    """
-    w1, w2 = w_roots(mode.omega, mode.m)
-    if w1 == 0:
-        raise ValueError("expansion undefined at the threshold |omega| = m")
-    M = params.M
-    return {
-        "lambda1": (1j * w1, 1j * M * (2 * mode.omega + mode.m**2 / w1)),
-        "lambda2": (1j * w2, 1j * M * (2 * mode.omega + mode.m**2 / w2)),
-    }
 
 
 @dataclass(frozen=True)
@@ -396,9 +379,9 @@ def _frame_trajectory(mode, params, span, s_span, X0, tol):
     samples = _exterior_tortoise(s_samples, params)
     samples[0], samples[-1] = span
     settled, _, steps = _frame_settled(samples, s_samples, tol, "on rstar", mode, params)
-    rstar = np.concatenate([samples[:1]] + [edges[1:] for edges, _ in settled])
-    s = log_offset(rstar, "exterior", params)
-    _, X = _through_frame(rstar, s, np.concatenate([f for _, f in settled], axis=1), X0, mode, params)
+    rstar = np.concatenate([samples[:1]] + [edges[1:] for edges, _, _ in settled])
+    s = np.concatenate([s_samples[:1]] + [s_edges[1:] for _, s_edges, _ in settled])
+    _, X = _through_frame(rstar, s, np.concatenate([f for _, _, f in settled], axis=1), X0, mode, params)
     return rstar, s, X, steps
 
 
@@ -810,22 +793,17 @@ def _propagated(products, f):
     return np.array(fs)
 
 
-def _frame_steps(edges, mode, params):
+def _frame_steps(edges, s_edges, mode, params):
     """Exponentials of the steps of f = E^{-1} V^{-1} X between consecutive
-    `edges` in rstar, as four component arrays.
+    `edges` in rstar, with log offsets `s_edges`, as four component arrays.
 
     C lies in u(1,1): G and the slow amplitude A from `_coupling` at the Gauss
-    nodes, carrier 2 w1, and the trace from `_trace_phase` at the edges.  The
-    nodes and the edges are inverted for their log offsets in one
-    `log_offset` call.
+    nodes, which are inverted for their log offsets in one `log_offset` call,
+    carrier 2 w1, and the trace from `_trace_phase` at s_edges.
     """
-    def frame(nodes, edges):
-        u = np.concatenate([nodes.ravel(), edges.ravel()])
-        s = log_offset(u, "exterior", params)
-        cut = nodes.size
-        G, A = _coupling(u[:cut], s[:cut], mode, params)
-        return G.reshape(nodes.shape), A.reshape(nodes.shape), \
-            _trace_phase(s[cut:], mode, params).reshape(edges.shape)
+    def frame(nodes, _):
+        G, A = _coupling(nodes, log_offset(nodes, "exterior", params), mode, params)
+        return G, A, _trace_phase(s_edges, mode, params)
 
     return _filon_magnus_steps(edges, 2.0 * w_roots(mode.omega, mode.m)[0].real, frame, 1.0)
 
@@ -854,16 +832,17 @@ def _frame_settled(samples, s_samples, tol, where, mode, params):
     (`_exterior_tortoise`) with the samples themselves pinned, and halved
     until its product settles (`_settled_products`, within
     `_FRAME_STEP_BUDGET`).  settled[i] holds interval i's step edges in
-    rstar, shape (steps + 1,), and step exponentials, shape (4, steps), and
-    products their ordered products.
+    rstar and in s, shape (steps + 1,) each, and step exponentials, shape
+    (4, steps), and products their ordered products.
     """
     kept = {}
 
     def products_of(index, n):
-        edges = _exterior_tortoise(_uniform_edges(s_samples[index], s_samples[index + 1], n), params)
+        s_edges = _uniform_edges(s_samples[index], s_samples[index + 1], n)
+        edges = _exterior_tortoise(s_edges, params)
         edges[0], edges[-1] = samples[index], samples[index + 1]
-        factors = np.array(_frame_steps(edges, mode, params))
-        kept.update(zip(index.tolist(), zip(edges.T, factors.transpose(2, 0, 1))))
+        factors = np.array(_frame_steps(edges, s_edges, mode, params))
+        kept.update(zip(index.tolist(), zip(edges.T, s_edges.T, factors.transpose(2, 0, 1))))
         return _ordered_product(*factors)
 
     products, steps = _settled_products(products_of, samples, tol, _FRAME_STEP_BUDGET, where)

@@ -9,7 +9,7 @@ derived from it is
 whose dyad metric is diag(1,-1,-1,-1).
 
 Tetrads carry explicit chart ('BL' or 'EF') and variance ('vectors' or
-'forms') tags; operations reject mismatched inputs instead of coercing.
+'forms') tags.
 
 Every constructor takes a `BLPoint` holding one point or a batch of them and
 evaluates all of them in one pass.  The component axis is last: a null leg
@@ -31,17 +31,9 @@ from .geometry import delta_sigma
 __all__ = [
     "NullTetrad",
     "OrthonormalTetrad",
-    "metric_pairing",
     "np_condition_residual",
-    "dyad_metric_residual",
-    "gram_schmidt_tetrad",
-    "null_from_orthonormal",
     "orthonormal_from_null",
-    "class3_rotation",
     "symmetric_bl_tetrad",
-    "bl_to_ef_vector",
-    "bl_to_ef_form",
-    "transform_null_tetrad",
     "ef_null_tetrad",
     "orthonormal_u_ef",
     "orthonormal_bl",
@@ -72,21 +64,9 @@ class OrthonormalTetrad:
     chart: str = "BL"
 
 
-def _require(tet, variance=None, chart=None):
-    if variance is not None and tet.variance != variance:
-        raise ValueError(f"expected {variance} tetrad, got {tet.variance}")
-    if chart is not None and tet.chart != chart:
-        raise ValueError(f"expected chart {chart}, got {tet.chart}")
-
-
-def metric_pairing(g, x, y):
-    """Bilinear pairing g_{mu nu} x^mu y^nu (no complex conjugation), per point."""
-    return (x[..., None, :] @ g @ y[..., :, None])[..., 0, 0]
-
-
 def _gram(g, legs):
-    """metric_pairing of every two legs e_a, e_b stacked on axis -2: shape
-    (..., 4, 4), summed in the order of x @ g @ y."""
+    """Bilinear pairings g_{mu nu} e_a^mu e_b^nu (no complex conjugation) of
+    every two legs stacked on axis -2: shape (..., 4, 4)."""
     return legs @ g @ np.swapaxes(legs, -1, -2)
 
 
@@ -105,50 +85,9 @@ def np_condition_residual(tet, g):
     return np.max(np.abs(gram - _NP_GRAM)[..., _UPPER[0], _UPPER[1]], axis=-1)
 
 
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
-def dyad_metric_residual(tet, g):
-    """Largest violation of g(u_a, u_b) = eta_ab, per point."""
-    return np.max(np.abs(_gram(g, tet.u) - ETA), axis=(-2, -1))
-
-
-def gram_schmidt_tetrad(frame, g):
-    """Pseudo-orthonormalize four independent vectors against the metric g.
-
-    The first vector must be timelike; it is normalized to g(u,u) = +1, the
-    remaining three to -1.  Orthonormal input is returned unchanged up to
-    rounding (idempotence).
-    """
-    frame = [np.asarray(v, dtype=complex) for v in frame]
-    if metric_pairing(g, frame[0], frame[0]).real <= 0:
-        raise ValueError("first frame vector must be timelike")
-    out = []
-    signs = [1.0, -1.0, -1.0, -1.0]
-    for i, v in enumerate(frame):
-        w = v.copy()
-        for j, u in enumerate(out):
-            w = w - signs[j] * metric_pairing(g, u, w) * u
-        norm2 = metric_pairing(g, w, w)
-        if abs(norm2) < 1e-14:
-            raise ValueError("frame is degenerate (or null after projection)")
-        if (norm2.real > 0) != (signs[i] > 0):
-            raise ValueError(f"vector {i} has the wrong causal character")
-        out.append(w / np.sqrt(abs(norm2)))
-    return OrthonormalTetrad(u=np.array(out), variance="vectors", chart="BL")
-
-
-def null_from_orthonormal(tet):
-    """NP frame from an orthonormal tetrad: l,n from (u0 +- u3), m from u1 + i u2."""
-    u0, u1, u2, u3 = np.moveaxis(tet.u, -2, 0)
-    l = (u0 + u3) / SQRT2
-    n = (u0 - u3) / SQRT2
-    m = (u1 + 1j * u2) / SQRT2
-    return NullTetrad(l=l, n=n, m=m, mbar=np.conj(m), variance=tet.variance, chart=tet.chart)
-
-
 def orthonormal_from_null(nt):
-    """Inverse of null_from_orthonormal."""
+    """Orthonormal frame of an NP frame: u0, u3 from (l +- n), u1, u2 from m
+    and mbar."""
     l, n, m, mbar = nt.vectors()
     u = np.stack([
         (l + n) / SQRT2,
@@ -157,22 +96,6 @@ def orthonormal_from_null(nt):
         (l - n) / SQRT2,
     ], axis=-2)
     return OrthonormalTetrad(u=u, variance=nt.variance, chart=nt.chart)
-
-
-def class3_rotation(nt, C):
-    """NP gauge rotation (l, n, m, mbar) -> (C l, n/C, (C/|C|) m, conj(C)/|C| mbar)."""
-    C = complex(C)
-    if C == 0:
-        raise ValueError("class-3 rotation parameter must be nonzero")
-    phase = C / abs(C)
-    return NullTetrad(
-        l=C * nt.l,
-        n=nt.n / C,
-        m=phase * nt.m,
-        mbar=np.conj(phase) * nt.mbar,
-        variance=nt.variance,
-        chart=nt.chart,
-    )
 
 
 def _legs(scale, *values):
@@ -202,41 +125,6 @@ def symmetric_bl_tetrad(point, params):
     n = _legs(eps * f, r * r + a * a, -delta, 0.0, a)
     m = _legs(1.0 / np.sqrt(2.0 * sigma), 1j * a * st, 0.0, 1.0, 1j / st)
     return NullTetrad(l=l, n=n, m=m, mbar=np.conj(m), variance="vectors", chart="BL")
-
-
-def bl_to_ef_vector(v, r, params):
-    """Push a BL coordinate-basis vector into the horizon-penetrating chart."""
-    delta, _ = delta_sigma(r, 0.0, params)
-    out = np.array(v, dtype=complex)
-    out[..., 0] = v[..., 0] + ((r * r + params.a**2) / delta - 1.0) * v[..., 1]
-    out[..., 3] = v[..., 3] + (params.a / delta) * v[..., 1]
-    return out
-
-
-def bl_to_ef_form(w, r, params):
-    """Pull a BL covector into the horizon-penetrating chart."""
-    delta, _ = delta_sigma(r, 0.0, params)
-    out = np.array(w, dtype=complex)
-    out[..., 1] = (
-        w[..., 1]
-        - ((r * r + params.a**2) / delta - 1.0) * w[..., 0]
-        - (params.a / delta) * w[..., 3]
-    )
-    return out
-
-
-def transform_null_tetrad(nt, r, params):
-    """Chart change BL -> EF of a whole NP frame (vectors or forms)."""
-    _require(nt, chart="BL")
-    mover = bl_to_ef_vector if nt.variance == "vectors" else bl_to_ef_form
-    return NullTetrad(
-        l=mover(nt.l, r, params),
-        n=mover(nt.n, r, params),
-        m=mover(nt.m, r, params),
-        mbar=mover(nt.mbar, r, params),
-        variance=nt.variance,
-        chart="EF",
-    )
 
 
 def ef_null_tetrad(point, params):

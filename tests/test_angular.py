@@ -196,6 +196,62 @@ def test_closed_form_matches_quadrature_oracle(N, k):
     assert np.abs(A - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
+def _random_case(N, k):
+    rng = np.random.default_rng([N, int(2 * k) + 100, 7])
+    par = random_slow_params(rng)
+    mode = ModeParams(omega=float(rng.uniform(-2, 2)), k=k, m=float(rng.uniform(0, 1)), xi=0.0)
+    return mode, DiscretizationSpec(N=N), par
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+@pytest.mark.parametrize("k", [0.5, -0.5, 1.5, 7.5, -40.5])
+def test_parity_blocks_of_the_galerkin_matrix(N, k):
+    # P T P = [[X, Y], [Y, X]] with P = diag(I, D), D = diag((-1)^n) and Y
+    # symmetric, bitwise: the sign flips of D are exact
+    mode, spec, par = _random_case(N, k)
+    T = discretize_angular(mode, spec, par)
+    D = (-1.0) ** np.arange(N)
+    X, Y = T[:N, :N], T[:N, N:] * D
+    assert np.array_equal(D[:, None] * T[N:, N:] * D, X)
+    assert np.array_equal(Y, Y.T)
+    assert np.array_equal(D[:, None] * T[N:, :N], Y.T)
+
+
+@pytest.mark.parametrize("N", [16, 64, 256])
+@pytest.mark.parametrize("k", [0.5, -0.5, 1.5, 7.5, -40.5])
+def test_eigenpairs_match_the_dense_solve(N, k):
+    # oracle: eigh of the whole 2N x 2N matrix.  An eigenvector moves by
+    # about the rounding of T (eps max|xi|) over its gap to the rest of the
+    # spectrum; the largest miss measured is 0.8 of that
+    mode, spec, par = _random_case(N, k)
+    T = discretize_angular(mode, spec, par)
+    vals, vecs = np.linalg.eigh(T)
+    pairs = angular_eigenpairs(mode, spec, par, count=8)
+    sel = np.argsort(np.abs(vals))[:8]
+    sel = sel[np.argsort(vals[sel])]
+    xi = np.array([p.xi for p in pairs])
+    assert np.all(np.abs(xi - vals[sel]) <= 1e-13 * np.maximum(1.0, np.abs(xi)))
+    scale = np.abs(vals).max()
+    for p, j in zip(pairs, sel):
+        gap = np.abs(np.delete(vals, j) - vals[j]).min()
+        ref = vecs[:, j]
+        miss = min(np.abs(p.coeffs - ref).max(), np.abs(p.coeffs + ref).max())
+        assert miss <= 16 * np.finfo(float).eps * scale / gap
+
+
+def test_eigh_takes_only_the_n_by_n_blocks(monkeypatch):
+    shapes, eigh = [], np.linalg.eigh
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    mode, spec, par = _random_case(64, 1.5)
+    angular_eigenpairs(mode, spec, par, count=8)
+    assert shapes and all(s[0] <= 64 and s[1] <= 64 for s in shapes)
+
+
 @pytest.mark.parametrize("k", [0.5, -1.5, 7.5, -40.5])
 def test_recurrence_matches_eval_jacobi(k):
     N = 256

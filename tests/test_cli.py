@@ -110,6 +110,20 @@ def test_dirac_verify_passes(tmp_path):
     assert rec["max_anticommutator_residual"] < 1e-9
 
 
+def test_check_points_reach_between_the_horizons(tmp_path):
+    # every fourth point lies between the horizons, where the symmetric frame
+    # takes its eps = -1 branch; the default run of each check reaches two
+    import kndirac.cli
+
+    params = kndirac.cli._params(kndirac.cli.TASKS["tetrad-check"][1])
+    r, _ = kndirac.cli._random_points(np.random.default_rng(kndirac.cli.DEFAULT_SEED), params, 10)
+    inside = (r > params.r_minus) & (r < params.r_plus)
+    assert np.flatnonzero(inside).tolist() == [3, 7]
+    assert np.all(r[~inside] >= params.r_plus + 0.1)
+    for task in ("tetrad-check", "dirac-verify"):
+        assert main([task, "--out", str(tmp_path / task)]) == 0
+
+
 @pytest.mark.parametrize("task", ["tetrad-check", "dirac-verify"])
 @pytest.mark.parametrize("n_points", ["0", "-3"])
 def test_n_points_must_be_positive(tmp_path, capsys, task, n_points):

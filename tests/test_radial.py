@@ -24,7 +24,6 @@ from kndirac.radial import (
     asymptotic_phases,
     boost_matrix,
     cauchy_rate,
-    eigen_expansion,
     exterior_system,
     far_field_trajectory,
     fit_horizon,
@@ -128,6 +127,22 @@ def test_phase_derivative_matches_eigenvalue():
     lam = np.linalg.eigvals(radial_potential(u, MODE, PAR, branch="exterior"))
     lam1 = lam[np.argmax(lam.imag)]
     assert abs(dphi - (-1j * lam1)) < 1e-6
+
+
+def eigen_expansion(mode, params):
+    """Leading and 1/rstar coefficients of the eigenvalues of U(rstar).
+
+    lambda_j = i w_j + (i M / rstar)(2 omega + m^2 / w_j) + O(1/rstar^2),
+    j = 1, 2 with w_2 = -w_1.
+    """
+    w1, w2 = w_roots(mode.omega, mode.m)
+    if w1 == 0:
+        raise ValueError("expansion undefined at the threshold |omega| = m")
+    M = params.M
+    return {
+        "lambda1": (1j * w1, 1j * M * (2 * mode.omega + mode.m**2 / w1)),
+        "lambda2": (1j * w2, 1j * M * (2 * mode.omega + mode.m**2 / w2)),
+    }
 
 
 def test_eigen_expansion_against_direct_eigenvalues():
@@ -355,9 +370,10 @@ def test_exterior_integrate_inverts_only_the_endpoints(monkeypatch):
 
 
 def test_frame_integrate_inverts_once_per_halving_level(monkeypatch):
-    # in the adiabatic frame each halving level inverts the Gauss nodes and
-    # edges of all its steps in one vectorized call; besides those, the span's
-    # endpoints and the trajectory's samples take one call each
+    # in the adiabatic frame each halving level inverts the Gauss nodes of all
+    # its steps in one vectorized call; the step edges keep the log offsets
+    # they were placed at, and besides the nodes only the span's endpoints
+    # take one call
     import kndirac.radial
 
     calls, levels = [], []
@@ -367,16 +383,16 @@ def test_frame_integrate_inverts_once_per_halving_level(monkeypatch):
         calls.append(np.size(rstar))
         return log_offset_of(rstar, region, params)
 
-    def level(edges, mode, params):
+    def level(edges, s_edges, mode, params):
         levels.append(edges.shape)
-        return steps_of(edges, mode, params)
+        return steps_of(edges, s_edges, mode, params)
 
     monkeypatch.setattr(kndirac.radial, "log_offset", counted)
     monkeypatch.setattr(kndirac.radial, "_frame_steps", level)
-    traj = integrate(MODE, PAR, (10.0, 60.0), np.array([1.0 + 0.0j, 0.5 - 0.25j]))
+    integrate(MODE, PAR, (10.0, 60.0), np.array([1.0 + 0.0j, 0.5 - 0.25j]))
     assert len(levels) >= 2
-    # n steps on each of k intervals: 4 n Gauss nodes and n + 1 edges per interval
-    assert calls == [2] + [(5 * (n - 1) + 1) * k for n, k in levels] + [traj.steps + 1]
+    # edges - 1 steps on each of k intervals: 4 Gauss nodes per step
+    assert calls == [2] + [4 * (edges - 1) * k for edges, k in levels]
 
 
 @pytest.mark.parametrize("mode,span", [(MODE, (10.0, 60.0)), (MODE, (-40.0, 0.0)),

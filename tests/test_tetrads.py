@@ -2,30 +2,127 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_batch_matches_pointwise, random_batch, random_slow_params
 
 from kndirac.geometry import BLPoint, SpacetimeParams, bl_metric, delta_sigma, ef_metric
 from kndirac.tetrads import (
     NullTetrad,
     OrthonormalTetrad,
-    class3_rotation,
-    dyad_metric_residual,
+    _gram,
     ef_null_tetrad,
-    gram_schmidt_tetrad,
-    metric_pairing,
     np_condition_residual,
-    null_from_orthonormal,
     orthonormal_bl,
     orthonormal_from_null,
     orthonormal_u_ef,
     symmetric_bl_tetrad,
-    transform_null_tetrad,
 )
 
 PAR = SpacetimeParams(M=1.0, a=0.6, Q=0.3)
 MINK = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-from conftest import assert_batch_matches_pointwise, random_batch, random_slow_params
+# ---------------------------------------------------------------------------
+# Test-only frame operations: independent routes to the closed-form frames of
+# kndirac.tetrads (Gram-Schmidt, the BL -> EF chart change and the class-3
+# rotation that regularizes the frame at the horizon).
+
+def metric_pairing(g, x, y):
+    """Bilinear pairing g_{mu nu} x^mu y^nu (no complex conjugation), per point."""
+    return (x[..., None, :] @ g @ y[..., :, None])[..., 0, 0]
+
+
+def dyad_metric_residual(tet, g):
+    """Largest violation of g(u_a, u_b) = eta_ab, per point."""
+    return np.max(np.abs(_gram(g, tet.u) - MINK), axis=(-2, -1))
+
+
+def gram_schmidt_tetrad(frame, g):
+    """Pseudo-orthonormalize four independent vectors against the metric g.
+
+    The first vector must be timelike; it is normalized to g(u,u) = +1, the
+    remaining three to -1.  Orthonormal input is returned unchanged up to
+    rounding (idempotence).
+    """
+    frame = [np.asarray(v, dtype=complex) for v in frame]
+    if metric_pairing(g, frame[0], frame[0]).real <= 0:
+        raise ValueError("first frame vector must be timelike")
+    out = []
+    signs = [1.0, -1.0, -1.0, -1.0]
+    for i, v in enumerate(frame):
+        w = v.copy()
+        for j, u in enumerate(out):
+            w = w - signs[j] * metric_pairing(g, u, w) * u
+        norm2 = metric_pairing(g, w, w)
+        if abs(norm2) < 1e-14:
+            raise ValueError("frame is degenerate (or null after projection)")
+        if (norm2.real > 0) != (signs[i] > 0):
+            raise ValueError(f"vector {i} has the wrong causal character")
+        out.append(w / np.sqrt(abs(norm2)))
+    return OrthonormalTetrad(u=np.array(out), variance="vectors", chart="BL")
+
+
+def null_from_orthonormal(tet):
+    """NP frame from an orthonormal tetrad: l,n from (u0 +- u3), m from u1 + i u2."""
+    u0, u1, u2, u3 = np.moveaxis(tet.u, -2, 0)
+    l = (u0 + u3) / math.sqrt(2.0)
+    n = (u0 - u3) / math.sqrt(2.0)
+    m = (u1 + 1j * u2) / math.sqrt(2.0)
+    return NullTetrad(l=l, n=n, m=m, mbar=np.conj(m), variance=tet.variance, chart=tet.chart)
+
+
+def class3_rotation(nt, C):
+    """NP gauge rotation (l, n, m, mbar) -> (C l, n/C, (C/|C|) m, conj(C)/|C| mbar)."""
+    C = complex(C)
+    if C == 0:
+        raise ValueError("class-3 rotation parameter must be nonzero")
+    phase = C / abs(C)
+    return NullTetrad(
+        l=C * nt.l,
+        n=nt.n / C,
+        m=phase * nt.m,
+        mbar=np.conj(phase) * nt.mbar,
+        variance=nt.variance,
+        chart=nt.chart,
+    )
+
+
+def bl_to_ef_vector(v, r, params):
+    """Push a BL coordinate-basis vector into the horizon-penetrating chart."""
+    delta, _ = delta_sigma(r, 0.0, params)
+    out = np.array(v, dtype=complex)
+    out[..., 0] = v[..., 0] + ((r * r + params.a**2) / delta - 1.0) * v[..., 1]
+    out[..., 3] = v[..., 3] + (params.a / delta) * v[..., 1]
+    return out
+
+
+def bl_to_ef_form(w, r, params):
+    """Pull a BL covector into the horizon-penetrating chart."""
+    delta, _ = delta_sigma(r, 0.0, params)
+    out = np.array(w, dtype=complex)
+    out[..., 1] = (
+        w[..., 1]
+        - ((r * r + params.a**2) / delta - 1.0) * w[..., 0]
+        - (params.a / delta) * w[..., 3]
+    )
+    return out
+
+
+def transform_null_tetrad(nt, r, params):
+    """Chart change BL -> EF of a whole NP frame (vectors or forms)."""
+    if nt.chart != "BL":
+        raise ValueError(f"expected chart BL, got {nt.chart}")
+    mover = bl_to_ef_vector if nt.variance == "vectors" else bl_to_ef_form
+    return NullTetrad(
+        l=mover(nt.l, r, params),
+        n=mover(nt.n, r, params),
+        m=mover(nt.m, r, params),
+        mbar=mover(nt.mbar, r, params),
+        variance=nt.variance,
+        chart="EF",
+    )
+
+
+# ---------------------------------------------------------------------------
 
 
 def test_gram_schmidt_identity_on_minkowski():
