@@ -199,8 +199,7 @@ def task_radial(cfg, outdir):
     X1, X2 = traj.X[:, 0], traj.X[:, 1]
     rows = zip(traj.rstar, r, X1.real, X1.imag, X2.real, X2.imag, traj.s)
     _write_table(outdir, "trajectory", ("rstar", "r", "ReX1", "ImX1", "ReX2", "ImX2", "s"), rows)
-    _write_record(outdir, "radial", {"task": "radial", "config": cfg,
-                                     "steps": traj.steps, "rejected": traj.rejected})
+    _write_record(outdir, "radial", {"task": "radial", "config": cfg, "steps": traj.steps})
     return 0
 
 

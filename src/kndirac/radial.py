@@ -1,13 +1,12 @@
 """Radial ODE integration and the asymptotics at infinity and at the Cauchy
 horizon.
 
-Wherever the frame below exists, the integrators here take Filon-Magnus
-steps: second-order Magnus exponents of a 2x2 coupling whose off-diagonal is
-a smooth amplitude times an exact phase e^{i kappa x} across the step, with
-that oscillation integrated exactly (Filon quadrature) and the trace taken
-from closed forms.  Their steps follow the coupling, not the wavelength.  One
-kernel (`_filon_magnus_steps`) and one halving loop (`_settled_products`)
-serve two frames:
+One integrator serves every span: Filon-Magnus steps, second-order Magnus
+exponents of a 2x2 coupling whose off-diagonal is a smooth amplitude times an
+exact phase e^{i kappa x} across the step, with that oscillation integrated
+exactly (Filon quadrature) and the trace taken from closed forms.  One kernel
+(`_filon_magnus_steps`) and one halving loop (`_settled_products`) serve three
+frames:
 
 - On the exterior branch, wherever U has two distinct imaginary eigenvalues,
   the adiabatic frame X = V E f, with V the closed-form eigenbasis of U and E
@@ -16,26 +15,28 @@ serve two frames:
   `far_field_trajectory` integrates there over rstar in [1e3, 1e6] in tens
   of steps, where a Magnus propagator of X itself needs millions, and the
   exterior `integrate` over any such span: 208 steps on [10, 200] at
-  tol 1e-10.  The coupling and every step exponent lie in u(1,1), so the
-  current |X1|^2 - |X2|^2 and the Abel/Wronskian identity hold to rounding by
-  construction.  The frame's points are placed by their log offsets
-  s = log(r - r_plus) (`geometry.log_offset`), which keep r - r_plus and
-  Delta free of cancellation at any depth.
+  tol 1e-10.  Its steps follow the coupling, not the wavelength.
+- Below the mass threshold |omega| <= m and on or near a turning point of U
+  that frame does not exist or would crowd its steps.  There exterior
+  `integrate` carries X itself, through dX/ds = J U X with carrier 0, in the
+  log offset s = log(r - r_plus), where r = r_plus + e^s and
+  rstar = r + kp s - km log(r - r_minus) are explicit and
+  Delta = e^s (r - r_minus) carries no cancellation at any depth.  For a
+  frozen U the Magnus exponential is exact, so these steps follow the
+  variation of U.
 - On the interior branch `integrate` follows the phase-stripped h below,
   whose coupling B lies in u(2) and carries the phase e^{-+i nu rstar} off
   the diagonal; every step conserves |X1|^2 + |X2|^2.
 
+On the exterior branch the coupling and every step exponent lie in u(1,1),
+so the current |X1|^2 - |X2|^2 and the Abel/Wronskian identity hold to
+rounding by construction.  The exterior points are placed by their log
+offsets s = log(r - r_plus) (`geometry.log_offset`), which keep r - r_plus
+and Delta free of cancellation at any depth.
+
 The 2x2 algebra (the exponential and the tree-reduced ordered product) is
 written out on four component arrays, in real arithmetic for the
 exponential, and halving the steps bounds the error.
-
-Below the mass threshold |omega| <= m and across a turning point of U the
-frame does not exist, and near a turning point its steps would crowd;
-there the exterior `integrate` takes an adaptive
-embedded Dormand-Prince 4(5) pair, whose steps follow the local scale of U.
-It steps in s, where r = r_plus + e^s and rstar = r + kp s - km log(r - r_minus)
-are explicit and Delta = e^s (r - r_minus) carries no cancellation at any
-depth, and inverts rstar only at the two span endpoints.
 
 Asymptotics at infinity: with w1 the root of omega^2 - m^2 in the closed
 convex hull of the positive real and positive imaginary axes, w2 = -w1, the
@@ -88,8 +89,6 @@ __all__ = [
     "RadialTrajectory",
     "IntegrationError",
     "integrate",
-    "integrate_linear_system",
-    "exterior_system",
     "far_field_trajectory",
     "InfinityAsymptotics",
     "fit_infinity",
@@ -157,7 +156,9 @@ class RadialTrajectory:
     identity det = exp(int tr U) can then be audited without re-propagation.
     s carries the log offset s = log(r - r_0) of each sample when it came from
     `integrate`: r = r_0 + e^s holds at any depth, where re-inverting rstar
-    meets the rounding floor of r.
+    meets the rounding floor of r.  steps counts the Magnus steps; rejected
+    is always 0, since no step is ever rejected, and is kept for readers of
+    the field.
     """
 
     rstar: np.ndarray
@@ -179,138 +180,54 @@ class RadialTrajectory:
             raise ValueError("trajectory contains non-finite samples")
 
 
-# Dormand-Prince 4(5) tableau, rows of A as arrays.  Row 6 of A holds the
-# fifth-order weights B5 (whose last entry is 0), so the last stage of an
-# accepted step is the first stage of the next ("first same as last").
-_DP_A = [np.array(row) for row in (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)]
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4  # B5 - B4: the embedded error weights
-_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # nodes of stages 1..6
-
-
 class IntegrationError(ArithmeticError):
-    """A non-finite error estimate, step-size underflow or an exhausted step
-    budget; `t` is the value of the independent variable where the
-    integration stopped (rstar for `integrate`), or for the Filon-Magnus
-    halving the end of the first sample interval that did not settle."""
+    """An exhausted step budget or a solution that overflows the floats; `t`
+    is where the integration stopped: rstar for `integrate` (u for the far
+    field), the end of the first sample interval that did not settle within
+    the budget, or the last sample before the overflow."""
 
     def __init__(self, message, t):
         super().__init__(message)
         self.t = t
 
 
-def integrate_linear_system(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
-    """Adaptive Dormand-Prince integration of dX/dt = matrix(t) X.
-
-    `matrix` takes a 1-d array of times and returns the stacked matrices,
-    shape (len(t), n, n).  The system is linear, so every stage node of a
-    step is known before any stage is computed: `matrix` is called once per
-    attempted step, on the six nodes t + c_i h, plus once at the start.  The
-    first stage reuses the last stage of the previous accepted step (FSAL),
-    or the step's own first stage after a rejection.
-
-    Returns (t samples, X samples, accepted, rejected).  Raises
-    IntegrationError on a non-finite error estimate, on step-size underflow
-    or when more than `max_steps` steps are attempted, naming t, h and the
-    step counts.
-    """
-    t0, t1 = float(span[0]), float(span[1])
-    direction = 1.0 if t1 > t0 else -1.0
-    t = t0
-    y = np.asarray(X0, dtype=complex)
-    atol = tol * 1e-2
-    h = direction * max(1e-6, abs(t1 - t0) * 1e-4)
-    # sample buffers, grown geometrically: a list of one small array per step
-    # costs several times the memory of the samples themselves
-    ts = np.empty(1024)
-    ys = np.empty((1024,) + y.shape, dtype=complex)
-    ts[0], ys[0] = t, y
-    K = np.empty((7,) + y.shape, dtype=complex)
-    K[0] = matrix(np.array([t]))[0] @ y
-    accepted = rejected = 0
-    while (t1 - t) * direction > 0:
-        if abs(h) > abs(t1 - t):
-            h = t1 - t
-        U = matrix(t + _DP_C * h)
-        for i in range(1, 7):
-            yi = y + h * _DP_A[i].dot(K[:i])
-            K[i] = U[i - 1].dot(yi)
-        y5 = yi  # row 6 of A is B5
-        sc = atol + tol * max(np.abs(y).max(), np.abs(y5).max())
-        err = math.sqrt(float((np.abs(h * (_DP_E @ K)) ** 2).sum()) / y.size) / sc
-        if not math.isfinite(err):
-            raise IntegrationError(
-                f"non-finite error estimate in radial integration at t={t!r}, h={h!r} "
-                f"after {accepted} accepted and {rejected} rejected steps", t)
-        if err <= 1.0:
-            t += h
-            y = y5
-            K[0] = K[6]
-            accepted += 1
-            if accepted == len(ts):
-                ts = np.concatenate([ts, np.empty_like(ts)])
-                ys = np.concatenate([ys, np.empty_like(ys)])
-            ts[accepted], ys[accepted] = t, y
-        else:
-            rejected += 1
-        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
-        if abs(h) < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError(
-                f"step size underflow in radial integration at t={t!r}, h={h!r} "
-                f"after {accepted} accepted and {rejected} rejected steps", t)
-        if accepted + rejected > max_steps:
-            raise IntegrationError(
-                f"step budget of {max_steps} exhausted in radial integration at t={t!r}, "
-                f"h={h!r} after {accepted} accepted and {rejected} rejected steps", t)
-    return ts[:accepted + 1].copy(), ys[:accepted + 1].copy(), accepted, rejected
-
-
 def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     """Integrate dX/drstar = U(rstar) X over a span within one branch.
 
-    On the exterior branch the span alone picks the path.  Where U has two
-    distinct imaginary eigenvalues over the whole span and no turning point
-    lies within a sample interval of it (`_frame_holds`), f = E^{-1} V^{-1} X
-    is carried in the far field's adiabatic frame by Filon-Magnus steps
-    (`_frame_trajectory`).  The samples lie 0.25 apart in the log offset
-    s = log(r - r_plus), with the spacing doubling on each interval
-    below r - r_plus = e^{-8} (r_plus - r_minus), where U tends to a constant;
-    each sample interval is cut into steps uniform in s, halved until its
-    product moves by less than `tol` (`_settled_products`), and the
-    trajectory holds X at every step edge.  Every step conserves the current
-    |X1|^2 - |X2|^2.  `steps` counts the Magnus steps, and `rejected` is 0.
-    Elsewhere, below the mass threshold or on or near a turning point, the
-    adaptive Dormand-Prince pair (`integrate_linear_system`) steps
-    dX/ds = J U X in s (`exterior_system`), where r and rstar are explicit:
-    each sample's rstar comes from the closed form
-    r + kp s - km log(r - r_minus).  `steps` and `rejected` count its steps.
-    On both paths the span endpoints are solved for s (`log_offset`) and
-    rstar[0] and rstar[-1] lie on the span to rounding at any depth.
+    On the exterior branch the samples lie 0.25 apart in the log offset
+    s = log(r - r_plus), with the spacing doubling on each interval below
+    r - r_plus = e^{-8} (r_plus - r_minus), where U tends to a constant.  Each
+    sample interval is cut into steps uniform in s, halved until its product
+    moves by less than `tol` (`_settled_products`), and the trajectory holds
+    X at every step edge.  The span alone picks the frame (`_frame_holds`).
+    Where U has two distinct imaginary eigenvalues over the whole span and no
+    turning point lies within a sample interval of it, f = E^{-1} V^{-1} X is
+    carried in the far field's adiabatic frame (`_frame_steps`, within
+    `_FRAME_STEP_BUDGET` evaluated steps).  Elsewhere, below the mass
+    threshold or on or near a turning point, X itself is carried through
+    dX/ds = J U X at carrier 0 (`_plain_steps`, within `_STEP_BUDGET`), where
+    r and rstar are explicit in s.  Every step conserves the current
+    |X1|^2 - |X2|^2.  Each step edge's rstar comes from the closed form
+    r + kp s - km log(r - r_minus); the span endpoints are solved for s
+    (`log_offset`) and pinned, so rstar[0] and rstar[-1] lie on the span at
+    any depth.
 
     On the interior branch the samples lie on a uniform grid in rstar spaced
     about 0.25/alpha up to 32/alpha, past which the spacing doubles on each
     interval, and the phase-stripped h = (X1 e^{-i nu rstar}, X2),
     nu = 2 (omega + k Omega_minus), is carried across each sample interval by
     Filon-Magnus steps on dh/drstar = B h (`_interior_products`), halved until
-    the interval's product moves by less than `tol`; the samples are
-    re-phased to X.  B lies in u(2), so every step conserves
-    |X1|^2 + |X2|^2, and its off-diagonal phase e^{-+i nu rstar} is integrated
-    exactly, so the steps follow the O(1) coupling and not the periods of X1.
-    `steps` counts the Magnus steps, and `rejected` is 0.
+    the interval's product moves by less than `tol`, within `_STEP_BUDGET`
+    evaluated steps; the samples are re-phased to X.  B lies in u(2), so
+    every step conserves |X1|^2 + |X2|^2, and its off-diagonal phase
+    e^{-+i nu rstar} is integrated exactly, so the steps follow the O(1)
+    coupling and not the periods of X1.
 
     The trajectory carries the log offset s = log(r - r_0) of every sample,
-    r_0 = r_plus or r_minus.  A non-finite error estimate, step-size
-    underflow or an exhausted step budget (`_FRAME_STEP_BUDGET` and
-    `_INTERIOR_STEP_BUDGET` evaluated Magnus steps) raises IntegrationError
-    naming the branch, the mode and the rstar reached.
+    r_0 = r_plus or r_minus; `steps` counts the Magnus steps, and `rejected`
+    is 0.  An exhausted step budget, or a solution that grows past the
+    floats, raises IntegrationError naming the branch, the mode and the rstar
+    reached.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -322,36 +239,29 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     t0, t1 = float(span[0]), float(span[1])
     if t0 == t1:
         raise ValueError(f"span needs two distinct ends, got [{t0!r}, {t1!r}]")
-    rejected = 0
     try:
         if branch == "interior":
-            variable = "rstar"
             # 45 samples in the fit window alpha rstar in [8, 19] of `fit_horizon`;
             # past 32/alpha, where B is below e^{-32}, the spacing doubles
             alpha = cauchy_rate(params)
-            rstar = _sample_grid(t0, t1, 0.25 / alpha, 32.0 / alpha, 1.0, _INTERIOR_STEP_BUDGET)
+            rstar = _sample_grid(t0, t1, 0.25 / alpha, 32.0 / alpha, 1.0, _STEP_BUDGET)
             products, steps = _settled_products(
                 lambda index, n: _interior_products(rstar[index], rstar[index + 1], n, mode, params),
-                rstar, tol, _INTERIOR_STEP_BUDGET, "on rstar")
+                rstar, tol, _STEP_BUDGET, "on rstar")
             nu = _cauchy_nu(mode, params)
-            X = _propagated(products, np.array([y0[0] * np.exp(-1j * nu * t0), y0[1]]))
+            X = _propagated(products, np.array([y0[0] * np.exp(-1j * nu * t0), y0[1]]), rstar)
             X[:, 0] *= np.exp(1j * nu * rstar)
             s = log_offset(rstar, "interior", params)
-        elif _frame_holds(mode, params, s_span):
-            variable = "rstar"
-            rstar, s, X, steps = _frame_trajectory(mode, params, (t0, t1), s_span, y0, tol)
         else:
-            variable = "s = log(r - r_plus)"
-            s, X, steps, rejected = integrate_linear_system(
-                lambda s: exterior_system(s, mode, params), s_span, y0, tol=tol)
-            rstar = _exterior_tortoise(s, params)
+            rstar, s, X, steps = _frame_trajectory(mode, params, (t0, t1), s_span, y0, tol,
+                                                   _frame_holds(mode, params, s_span))
     except IntegrationError as exc:
-        stop = float(exc.t if variable == "rstar" else _exterior_tortoise(exc.t, params))
+        stop = float(exc.t)
         raise IntegrationError(
             f"{branch} integration of the mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
-            f"xi={mode.xi!r} stopped at rstar={stop!r}; in {variable}: {exc}", stop) from exc
+            f"xi={mode.xi!r} stopped at rstar={stop!r}: {exc}", stop) from exc
     return RadialTrajectory(rstar=rstar, X=X, mode=mode, params=params, branch=branch,
-                            steps=steps, rejected=rejected, tol=tol, s=s)
+                            steps=steps, rejected=0, tol=tol, s=s)
 
 
 # the exterior frame's sample spacing in s = log(r - r_plus) above
@@ -366,22 +276,24 @@ def _frame_sample_ref(params):
     return math.log(params.r_plus - params.r_minus) - 8.0
 
 
-def _frame_trajectory(mode, params, span, s_span, X0, tol):
-    """(rstar, s, X, steps) of exterior `integrate` in the adiabatic frame, on
-    a span with log offsets s_span.
+def _frame_trajectory(mode, params, span, s_span, X0, tol, framed):
+    """(rstar, s, X, steps) of exterior `integrate` on a span with log
+    offsets s_span, in the adiabatic frame if `framed` and of X itself
+    otherwise.
 
     The samples lie `_FRAME_SPACING` apart in s; below `_frame_sample_ref`
     the spacing doubles on each interval, so that s < 710 makes a few
     thousand intervals at most.  The settled steps of `_frame_settled` carry
-    f to every step edge.
+    f, or X, to every step edge.
     """
     s_samples = _sample_grid(*s_span, _FRAME_SPACING, _frame_sample_ref(params), -1.0, math.inf)
     samples = _exterior_tortoise(s_samples, params)
     samples[0], samples[-1] = span
-    settled, _, steps = _frame_settled(samples, s_samples, tol, "on rstar", mode, params)
+    settled, _, steps = _frame_settled(samples, s_samples, tol, "on rstar", mode, params, framed)
     rstar = np.concatenate([samples[:1]] + [edges[1:] for edges, _, _ in settled])
     s = np.concatenate([s_samples[:1]] + [s_edges[1:] for _, s_edges, _ in settled])
-    _, X = _through_frame(rstar, s, np.concatenate([f for _, _, f in settled], axis=1), X0, mode, params)
+    factors = np.concatenate([f for _, _, f in settled], axis=1)
+    X = _through_frame(rstar, s, factors, X0, mode, params)[1] if framed else _propagated(factors, X0, rstar)
     return rstar, s, X, steps
 
 
@@ -414,31 +326,13 @@ def _frame_holds(mode, params, s_span):
     return bool(np.all(gap > margin) and np.polyval(quartic, params.r_plus + np.exp(s_b)) > 0)
 
 
-def exterior_system(s, mode, params):
-    """Coefficient matrix J U of the exterior system dX/ds = J U X in the log
-    offset s = log(r - r_plus): what exterior `integrate` steps by
-    Dormand-Prince below the mass threshold and on or near turning points.
-
-    r = r_plus + e^s, Delta = e^s (r - r_minus), which no rounding of r
-    cancels, and J = drstar/ds = (r^2 + a^2) / (r - r_minus), which tends to
-    kp at the event horizon and to r at infinity.  r is explicit in s, so no
-    tortoise inversion is needed at the nodes.
-    """
-    e = np.exp(s)
-    r = params.r_plus + e
-    gap = params.r_plus - params.r_minus + e  # r - r_minus
-    delta = e * gap
-    jac = (r * r + params.a ** 2) / gap
-    return _stacked(*(jac * u for u in _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)))
-
-
 # ---------------------------------------------------------------------------
-# Filon-Magnus steps: the far field in the adiabatic frame, the interior in
-# the phase-stripped frame
+# Filon-Magnus steps: the exterior in the adiabatic frame or at carrier 0,
+# the interior in the phase-stripped frame
 #
 # Every 2x2 quantity is held as four component arrays (x00, x01, x10, x11) and
 # multiplied out by hand.  On the exterior branch U lies in u(1,1): its
-# diagonal entries are imaginary and U10 = conj(U01).  So do the frame
+# diagonal entries are imaginary and U10 = conj(U01).  So do J U, the frame
 # coupling C and every step exponent.  On the interior branch U10 =
 # -conj(U01), so B and its step exponents lie in u(2).  `_expm2` takes both.
 
@@ -494,12 +388,14 @@ _F1, _F2, _F3 = _filon_magnus_tensors()
 # this (relative to its largest entry) on halving every step; the interior
 # takes the caller's tol
 _FAR_TOL = 1e-10
-# most steps one trajectory may evaluate, over all halvings.  The far field
-# settles in 70-72 steps per seed on criterion 7.  Over [0, 32/alpha] the
-# interior evaluates 18,436 on a = 0.995, Q = 0.09 at tol 1e-11, and 57,488
-# at the tightest tol, 1e-13
+# most steps one trajectory may evaluate, over all halvings, in the adiabatic
+# frame and elsewhere.  The far field settles in 70-72 steps per seed on
+# criterion 7.  Over [0, 32/alpha] the interior evaluates 18,436 on
+# a = 0.995, Q = 0.09 at tol 1e-11, and 57,488 at the tightest tol, 1e-13;
+# carrier 0 evaluates 22,513 on a turning mode (xi = 10) over (10.11, 200)
+# at tol 1e-10
 _FRAME_STEP_BUDGET = 20_000
-_INTERIOR_STEP_BUDGET = 200_000
+_STEP_BUDGET = 200_000
 
 
 def _expm2(o00, o01, o10, o11):
@@ -732,10 +628,12 @@ def _settled_products(products_of, samples, tol, budget, where):
     `products_of(index, n)` returns the four components of the products over
     the intervals `index`, each in n steps.  Each interval starts as one step
     and is halved until its product moves by less than `tol` of its largest
-    entry; the finer product is kept, and `steps` counts its steps.  Past
-    `budget` evaluated steps IntegrationError names the first unsettled
-    interval, `where` ("on u", say) and the step counts; its t is the end of
-    that interval, whose start no unsettled product precedes.
+    entry; the finer product is kept, and `steps` counts its steps.  A
+    product that overflows the floats is kept as it is, with no warning, and
+    `_propagated` reports where the solution leaves them.  Past `budget`
+    evaluated steps IntegrationError names the first unsettled interval,
+    `where` ("on u", say) and the step counts; its t is the end of that
+    interval, whose start no unsettled product precedes.
     """
     products = np.empty((4, len(samples) - 1), dtype=complex)
     pending, coarse = np.arange(len(samples) - 1), None
@@ -746,10 +644,12 @@ def _settled_products(products_of, samples, tol, budget, where):
             raise IntegrationError(
                 f"step budget of {budget} exhausted {where} in [{a!r}, {b!r}]: {n} steps per interval "
                 f"on {pending.size} intervals, {evaluated} steps evaluated, {steps} accepted", b)
-        fine = np.array(products_of(pending, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fine = np.array(products_of(pending, n))
+            done = ~np.isfinite(fine).all(axis=0)
+            if coarse is not None:
+                done |= np.abs(fine - coarse).max(axis=0) <= tol * np.abs(fine).max(axis=0)
         evaluated += n * pending.size
-        done = np.zeros(pending.size, dtype=bool) if coarse is None else \
-            np.abs(fine - coarse).max(axis=0) <= tol * np.abs(fine).max(axis=0)
         products[:, pending[done]] = fine[:, done]
         steps += n * int(done.sum())
         pending, coarse, n = pending[~done], fine[:, ~done], 2 * n
@@ -784,13 +684,21 @@ def _sample_grid(t0, t1, width, ref, side, budget):
     return samples
 
 
-def _propagated(products, f):
-    """Samples (len + 1, 2) of f carried across the interval products."""
+def _propagated(products, f, samples):
+    """Samples (len + 1, 2) of f carried across the interval products between
+    consecutive `samples`.  Where f leaves the floats, IntegrationError names
+    the last sample before."""
     fs = [f]
-    for p00, p01, p10, p11 in products.T:
-        f = np.array([p00 * f[0] + p01 * f[1], p10 * f[0] + p11 * f[1]])
-        fs.append(f)
-    return np.array(fs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p00, p01, p10, p11 in products.T:
+            f = np.array([p00 * f[0] + p01 * f[1], p10 * f[0] + p11 * f[1]])
+            fs.append(f)
+    fs = np.array(fs)
+    finite = np.isfinite(fs).all(axis=1)
+    if not finite.all():
+        last = float(samples[np.argmin(finite) - 1])
+        raise IntegrationError(f"the solution overflows the floats past the sample at {last!r}", last)
+    return fs
 
 
 def _frame_steps(edges, s_edges, mode, params):
@@ -808,6 +716,29 @@ def _frame_steps(edges, s_edges, mode, params):
     return _filon_magnus_steps(edges, 2.0 * w_roots(mode.omega, mode.m)[0].real, frame, 1.0)
 
 
+def _plain_steps(_, s_edges, mode, params):
+    """Exponentials of the steps of X itself between consecutive log offsets
+    `s_edges`, as four component arrays: dX/ds = J U X at carrier 0.
+
+    J = drstar/ds = (r^2 + a^2) / (r - r_minus), with r = r_plus + e^s and
+    Delta = e^s (r - r_minus) explicit at the Gauss nodes, so no rounding of r
+    cancels and no node is inverted.  J U lies in u(1,1):
+    G = J Im(U00 - U11) / 2 and A = J U01, and the trace comes from its
+    closed-form antiderivative 2 omega (rstar - r) + 2 k phitilde at s_edges
+    (`_exterior_log_terms`).
+    """
+    def frame(nodes, _):
+        e = np.exp(nodes)
+        r, gap = params.r_plus + e, params.r_plus - params.r_minus + e  # gap = r - r_minus
+        delta = e * gap
+        jac = (r * r + params.a ** 2) / gap
+        u00, u01, _, u11 = _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)
+        u_minus_r, phitilde = _exterior_log_terms(s_edges, params)
+        return 0.5 * jac * (u00 - u11).imag, jac * u01, 2.0 * (mode.omega * u_minus_r + mode.k * phitilde)
+
+    return _filon_magnus_steps(s_edges, 0.0, frame, 1.0)
+
+
 def _through_frame(u, s, products, X0, mode, params):
     """(r, X) at the points u with log offsets s: X = V E f, where
     f = E^{-1} V^{-1} X0 at u[0] is carried across `products`, the
@@ -818,34 +749,36 @@ def _through_frame(u, s, products, X0, mode, params):
     det_v = v00[0] * v11[0] - v01[0] * v10[0]
     X = np.asarray(X0, dtype=complex)
     fs = _propagated(products, np.array([(v11[0] * X[0] - v01[0] * X[1]) / (det_v * ep[0]),
-                                         (v00[0] * X[1] - v10[0] * X[0]) / (det_v * em[0])]))
+                                         (v00[0] * X[1] - v10[0] * X[0]) / (det_v * em[0])]), u)
     return r, np.stack([v00 * ep * fs[:, 0] + v01 * em * fs[:, 1],
                         v10 * ep * fs[:, 0] + v11 * em * fs[:, 1]], axis=-1)
 
 
-def _frame_settled(samples, s_samples, tol, where, mode, params):
-    """Settled steps of f over the intervals between consecutive exterior
+def _frame_settled(samples, s_samples, tol, where, mode, params, framed):
+    """Settled steps over the intervals between consecutive exterior
     `samples` in rstar, with log offsets `s_samples`: (settled, products,
-    steps).
+    steps).  The steps carry f in the adiabatic frame (`_frame_steps`, within
+    `_FRAME_STEP_BUDGET`) if `framed`, and X itself at carrier 0
+    (`_plain_steps`, within `_STEP_BUDGET`) otherwise.
 
     Each interval's steps are uniform in s, their edges at rstar(s)
     (`_exterior_tortoise`) with the samples themselves pinned, and halved
-    until its product settles (`_settled_products`, within
-    `_FRAME_STEP_BUDGET`).  settled[i] holds interval i's step edges in
-    rstar and in s, shape (steps + 1,) each, and step exponentials, shape
-    (4, steps), and products their ordered products.
+    until its product settles (`_settled_products`).  settled[i] holds
+    interval i's step edges in rstar and in s, shape (steps + 1,) each, and
+    step exponentials, shape (4, steps), and products their ordered products.
     """
+    steps_of, budget = (_frame_steps, _FRAME_STEP_BUDGET) if framed else (_plain_steps, _STEP_BUDGET)
     kept = {}
 
     def products_of(index, n):
         s_edges = _uniform_edges(s_samples[index], s_samples[index + 1], n)
         edges = _exterior_tortoise(s_edges, params)
         edges[0], edges[-1] = samples[index], samples[index + 1]
-        factors = np.array(_frame_steps(edges, s_edges, mode, params))
+        factors = np.array(steps_of(edges, s_edges, mode, params))
         kept.update(zip(index.tolist(), zip(edges.T, s_edges.T, factors.transpose(2, 0, 1))))
         return _ordered_product(*factors)
 
-    products, steps = _settled_products(products_of, samples, tol, _FRAME_STEP_BUDGET, where)
+    products, steps = _settled_products(products_of, samples, tol, budget, where)
     return [kept[i] for i in range(len(samples) - 1)], products, steps
 
 
@@ -890,7 +823,7 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
     s = log_offset(us, "exterior", params)
     _, products, steps = _frame_settled(
         us, s, _FAR_TOL, f"for the far-field mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
-                         f"xi={mode.xi!r} on u", mode, params)
+                         f"xi={mode.xi!r} on u", mode, params, True)
     r, Xs = _through_frame(us, s, products, X0, mode, params)
     # det of the X propagator: det P_f times the ratio of det E =
     # e^{i (Phi_plus - Phi_minus)} = e^{4 i M omega log r}; det V = s1 is constant

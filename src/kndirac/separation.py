@@ -135,9 +135,10 @@ def _potential_entries(r, delta, sD, eps_sign, mode, params):
 
     The one evaluator of U: the exterior adiabatic frame of the far field
     and of exterior `radial.integrate` works on the components, the
-    Dormand-Prince system `radial.exterior_system` for spans without that
-    frame is built from it, and the interior Filon-Magnus steps take the
-    coupling amplitude U01 of `radial._horizon_coupling` from it.
+    carrier-0 steps of J U for spans without that frame
+    (`radial._plain_steps`) are built from it, and the interior Filon-Magnus
+    steps take the coupling amplitude U01 of `radial._horizon_coupling` from
+    it.
     """
     om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
     a = params.a

@@ -28,17 +28,123 @@ from kndirac.dirac import (
 )
 from kndirac.geometry import BLPoint, SpacetimeParams, inverse_metric, temporal_minors, tortoise_inverse
 from kndirac.radial import (
+    IntegrationError,
     cauchy_rate,
     far_field_trajectory,
     fit_horizon,
     fit_infinity,
     integrate,
-    integrate_linear_system,
     strip_horizon_phase,
 )
-from kndirac.separation import ModeParams
+from kndirac.separation import ModeParams, _potential_entries, _stacked
 from kndirac.tetrads import orthonormal_bl, orthonormal_u_ef
 from test_separation import integrate_angular, integrate_radial_tilde, potential_trace, radial_potential
+
+
+# ---------------------------------------------------------------------------
+# Dormand-Prince: the adaptive oracle of criterion 9 and of the radial tests,
+# which `src/` integrates by Filon-Magnus steps alone
+
+# Dormand-Prince 4(5) tableau, rows of A as arrays.  Row 6 of A holds the
+# fifth-order weights B5 (whose last entry is 0), so the last stage of an
+# accepted step is the first stage of the next ("first same as last").
+_DP_A = [np.array(row) for row in (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)]
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = np.append(_DP_A[6], 0.0) - _DP_B4  # B5 - B4: the embedded error weights
+_DP_C = np.array([1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # nodes of stages 1..6
+
+
+def integrate_linear_system(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
+    """Adaptive Dormand-Prince integration of dX/dt = matrix(t) X.
+
+    `matrix` takes a 1-d array of times and returns the stacked matrices,
+    shape (len(t), n, n).  The system is linear, so every stage node of a
+    step is known before any stage is computed: `matrix` is called once per
+    attempted step, on the six nodes t + c_i h, plus once at the start.  The
+    first stage reuses the last stage of the previous accepted step (FSAL),
+    or the step's own first stage after a rejection.
+
+    Returns (t samples, X samples, accepted, rejected).  Raises
+    IntegrationError on a non-finite error estimate, on step-size underflow
+    or when more than `max_steps` steps are attempted, naming t, h and the
+    step counts.
+    """
+    t0, t1 = float(span[0]), float(span[1])
+    direction = 1.0 if t1 > t0 else -1.0
+    t = t0
+    y = np.asarray(X0, dtype=complex)
+    atol = tol * 1e-2
+    h = direction * max(1e-6, abs(t1 - t0) * 1e-4)
+    # sample buffers, grown geometrically: a list of one small array per step
+    # costs several times the memory of the samples themselves
+    ts = np.empty(1024)
+    ys = np.empty((1024,) + y.shape, dtype=complex)
+    ts[0], ys[0] = t, y
+    K = np.empty((7,) + y.shape, dtype=complex)
+    K[0] = matrix(np.array([t]))[0] @ y
+    accepted = rejected = 0
+    while (t1 - t) * direction > 0:
+        if abs(h) > abs(t1 - t):
+            h = t1 - t
+        U = matrix(t + _DP_C * h)
+        for i in range(1, 7):
+            yi = y + h * _DP_A[i].dot(K[:i])
+            K[i] = U[i - 1].dot(yi)
+        y5 = yi  # row 6 of A is B5
+        sc = atol + tol * max(np.abs(y).max(), np.abs(y5).max())
+        err = math.sqrt(float((np.abs(h * (_DP_E @ K)) ** 2).sum()) / y.size) / sc
+        if not math.isfinite(err):
+            raise IntegrationError(
+                f"non-finite error estimate in radial integration at t={t!r}, h={h!r} "
+                f"after {accepted} accepted and {rejected} rejected steps", t)
+        if err <= 1.0:
+            t += h
+            y = y5
+            K[0] = K[6]
+            accepted += 1
+            if accepted == len(ts):
+                ts = np.concatenate([ts, np.empty_like(ts)])
+                ys = np.concatenate([ys, np.empty_like(ys)])
+            ts[accepted], ys[accepted] = t, y
+        else:
+            rejected += 1
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+        if abs(h) < 1e-14 * max(1.0, abs(t)):
+            raise IntegrationError(
+                f"step size underflow in radial integration at t={t!r}, h={h!r} "
+                f"after {accepted} accepted and {rejected} rejected steps", t)
+        if accepted + rejected > max_steps:
+            raise IntegrationError(
+                f"step budget of {max_steps} exhausted in radial integration at t={t!r}, "
+                f"h={h!r} after {accepted} accepted and {rejected} rejected steps", t)
+    return ts[:accepted + 1].copy(), ys[:accepted + 1].copy(), accepted, rejected
+
+
+def exterior_system(s, mode, params):
+    """Coefficient matrix J U of the exterior system dX/ds = J U X in the log
+    offset s = log(r - r_plus): the Dormand-Prince oracle's form of what
+    exterior `integrate` steps at carrier 0 below the mass threshold and on or
+    near turning points.
+
+    r = r_plus + e^s, Delta = e^s (r - r_minus), which no rounding of r
+    cancels, and J = drstar/ds = (r^2 + a^2) / (r - r_minus), which tends to
+    kp at the event horizon and to r at infinity.  r is explicit in s, so no
+    tortoise inversion is needed at the nodes.
+    """
+    e = np.exp(s)
+    r = params.r_plus + e
+    gap = params.r_plus - params.r_minus + e  # r - r_minus
+    delta = e * gap
+    jac = (r * r + params.a ** 2) / gap
+    return _stacked(*(jac * u for u in _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)))
 
 
 def report(num, ok, detail, t0, limit):

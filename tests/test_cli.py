@@ -239,6 +239,27 @@ def test_radial_task_default_span(tmp_path):
     assert len(read(out, "trajectory.csv").splitlines()) == 1 + rec["steps"] + 1
 
 
+def test_radial_task_below_the_mass_threshold(tmp_path):
+    # omega < m: no adiabatic frame, so X itself is carried at carrier 0; the
+    # CSV still holds one row at every step edge
+    out = str(tmp_path / "o")
+    assert main(["radial", "--omega", "0.3", "--mass", "0.8", "--xi", "0.9", "--rstar-max", "60",
+                 "--out", out]) == 0
+    rec = json.loads(read(out, "radial.json"))
+    assert set(rec) == {"task", "config", "steps"}
+    assert rec["steps"] > 1000
+    assert len(read(out, "trajectory.csv").splitlines()) == 1 + rec["steps"] + 1
+
+
+def test_radial_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # the subluminal mode grows past the floats near rstar = 970
+    out = str(tmp_path / "o")
+    assert main(["radial", "--omega", "0.3", "--mass", "0.8", "--xi", "0.9", "--rstar-max", "3000",
+                 "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in task radial") and "overflows" in err
+
+
 def test_interior_asymptotics_task(tmp_path):
     out = str(tmp_path / "o")
     rc = main(["asymptotics", "--branch", "interior", "--out", out,

@@ -1,11 +1,12 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
-from test_acceptance import HORIZON_SEEDS, INFTY_SEEDS
+from test_acceptance import HORIZON_SEEDS, INFTY_SEEDS, exterior_system, integrate_linear_system
 from test_separation import potential_trace, radial_potential, radial_potential_from_r
 
 from kndirac.geometry import (
@@ -24,13 +25,11 @@ from kndirac.radial import (
     asymptotic_phases,
     boost_matrix,
     cauchy_rate,
-    exterior_system,
     far_field_trajectory,
     fit_horizon,
     fit_infinity,
     horizon_angular_velocity,
     integrate,
-    integrate_linear_system,
     strip_horizon_phase,
     theta_boost,
     w_roots,
@@ -52,7 +51,7 @@ from kndirac.radial import (
 PAR = SpacetimeParams(M=1.0, a=0.6, Q=0.3)
 MODE = ModeParams(omega=1.3, k=0.5, m=0.55, xi=1.7)
 # below the mass threshold: U has no two imaginary eigenvalues far out, so
-# exterior `integrate` takes Dormand-Prince
+# exterior `integrate` carries X itself at carrier 0
 SUBLUMINAL = ModeParams(omega=0.3, k=0.5, m=0.8, xi=0.9)
 # xi = 10: the discriminant of U changes sign at rstar = -2.07 and 10.10
 TURNING = ModeParams(omega=1.3, k=0.5, m=0.55, xi=10.0)
@@ -259,27 +258,25 @@ def reference_dormand_prince(matrix, span, X0, tol=1e-10, max_steps=2_000_000):
 
 @pytest.mark.parametrize("branch", ["interior", "exterior"])
 def test_integrate_matches_seven_evaluation_reference(branch, monkeypatch):
-    import kndirac.radial
-
-    if branch == "interior":
-        # the interior Dormand-Prince oracle integrates the phase-stripped h
-        # through horizon_B
-        mode, span, tol = IMODE, (0.0, 32.0 / cauchy_rate(PAR)), 1e-11
-        X0 = np.array([1.0 + 0.2j, -0.6 + 0.4j])
-        nu = 2.0 * (mode.omega + mode.k * horizon_angular_velocity(PAR))
-        namespace, name, evaluate = globals(), "horizon_B", lambda t: horizon_B(t, mode, PAR)
-        run, t_span, rstar_of = interior_dormand_prince, span, lambda t: t
-        phase = lambda t: np.array([np.exp(1j * nu * t), 1.0])
-    else:
-        # below the mass threshold the exterior branch steps dX/ds = J U X
-        # in s = log(r - r_plus)
-        mode, span, tol = SUBLUMINAL, (10.0, 60.0), 1e-10
+    if branch == "exterior":
+        # below the mass threshold exterior `integrate` carries X itself at
+        # carrier 0; the reference steps dX/ds = J U X in s = log(r - r_plus)
+        # at a tighter tol
+        mode, span = SUBLUMINAL, (10.0, 60.0)
         X0 = np.array([1.0 + 0.0j, 0.5 - 0.25j])
-        namespace, name = vars(kndirac.radial), "exterior_system"
-        evaluate = lambda s: exterior_system(s, mode, PAR)
-        run, t_span = integrate, log_offset(np.array(span), "exterior", PAR)
-        rstar_of = lambda s: _exterior_tortoise(s, PAR)
-        phase = lambda t: np.ones(2)
+        traj = integrate(mode, PAR, span, X0, tol=1e-10)
+        ts, ys, _, _ = reference_dormand_prince(lambda s: exterior_system(s, mode, PAR),
+                                                log_offset(np.array(span), "exterior", PAR), X0, tol=1e-13)
+        assert abs(traj.rstar[-1] - _exterior_tortoise(ts[-1], PAR)) <= 1e-12 * abs(span[1])
+        assert np.abs(traj.X[-1] - ys[-1]).max() < 1e-9 * np.abs(ys[-1]).max()
+        return
+    # the interior Dormand-Prince oracle integrates the phase-stripped h
+    # through horizon_B
+    mode, span, tol = IMODE, (0.0, 32.0 / cauchy_rate(PAR)), 1e-11
+    X0 = np.array([1.0 + 0.2j, -0.6 + 0.4j])
+    nu = 2.0 * (mode.omega + mode.k * horizon_angular_velocity(PAR))
+    namespace, name, evaluate = globals(), "horizon_B", lambda t: horizon_B(t, mode, PAR)
+    phase = lambda t: np.array([np.exp(1j * nu * t), 1.0])
     calls = []
     original = namespace[name]
 
@@ -288,12 +285,12 @@ def test_integrate_matches_seven_evaluation_reference(branch, monkeypatch):
         return original(t, *args, **kwargs)
 
     monkeypatch.setitem(namespace, name, counted)
-    traj = run(mode, PAR, span, X0, tol=tol)
+    traj = interior_dormand_prince(mode, PAR, span, X0, tol=tol)
     monkeypatch.undo()
-    ts, ys, acc, rej = reference_dormand_prince(evaluate, t_span, X0 / phase(t_span[0]), tol=tol)
+    ts, ys, acc, rej = reference_dormand_prince(evaluate, span, X0 / phase(span[0]), tol=tol)
     end = phase(ts[-1]) * ys[-1]
     assert (traj.steps, traj.rejected) == (acc, rej)
-    assert abs(traj.rstar[-1] - rstar_of(ts[-1])) <= 1e-12 * abs(span[1])
+    assert abs(traj.rstar[-1] - ts[-1]) <= 1e-12 * abs(span[1])
     assert np.abs(traj.X[-1] - end).max() < 10 * tol * np.abs(end).max()
     # one call at the start, then one per attempted step on its six nodes
     assert len(calls) == acc + rej + 1
@@ -326,19 +323,15 @@ def test_non_finite_error_estimate_stops_at_once():
 
 @pytest.mark.parametrize("branch,mode,span,budget", [
     pytest.param("exterior", MODE, (10.0, 60.0), "_FRAME_STEP_BUDGET", id="exterior-span0"),
-    pytest.param("exterior", SUBLUMINAL, (10.0, 60.0), None, id="exterior-subluminal"),
-    pytest.param("interior", MODE, (0.0, 100.0), "_INTERIOR_STEP_BUDGET", id="interior-span1"),
+    pytest.param("exterior", SUBLUMINAL, (10.0, 60.0), "_STEP_BUDGET", id="exterior-subluminal"),
+    pytest.param("interior", MODE, (0.0, 100.0), "_STEP_BUDGET", id="interior-span1"),
 ])
 def test_integrate_budget_error_names_the_mode(branch, mode, span, budget, monkeypatch):
-    # the Dormand-Prince integrator's t is log(r - r_plus): integrate reports rstar
+    # the adiabatic frame and carrier 0 step in s = log(r - r_plus), and
+    # integrate reports the stop in rstar on every path
     import kndirac.radial
 
-    if budget:
-        monkeypatch.setattr(kndirac.radial, budget, 10)
-    else:
-        original = kndirac.radial.integrate_linear_system
-        monkeypatch.setattr(kndirac.radial, "integrate_linear_system",
-                            lambda *args, **kwargs: original(*args, **kwargs, max_steps=10))
+    monkeypatch.setattr(kndirac.radial, budget, 10)
     with pytest.raises(IntegrationError, match=rf"{branch} integration of the mode "
                                                rf"omega={re.escape(repr(mode.omega))}, k=0\.5, "
                                                rf"m={re.escape(repr(mode.m))}, xi={re.escape(repr(mode.xi))} "
@@ -349,9 +342,9 @@ def test_integrate_budget_error_names_the_mode(branch, mode, span, budget, monke
 
 
 def test_exterior_integrate_inverts_only_the_endpoints(monkeypatch):
-    # below the mass threshold r is explicit in s = log(r - r_plus): two
-    # inversions per trajectory, where stepping in rstar inverted the six
-    # nodes of every step
+    # below the mass threshold r is explicit in s = log(r - r_plus): one
+    # inversion of the two span endpoints per trajectory, and none at the
+    # Gauss nodes of the carrier-0 steps
     import kndirac.geometry
     import kndirac.radial
 
@@ -401,19 +394,50 @@ def test_frame_integrate_inverts_once_per_halving_level(monkeypatch):
                                        (TURNING, (10.11, 200.0)), (TURNING, (200.0, 12.2))])
 def test_exterior_matches_rstar_stepping_oracle(mode, span):
     # oracle: Dormand-Prince on dX/drstar = U X, inverting rstar at every node.
-    # MODE takes the adiabatic frame and SUBLUMINAL Dormand-Prince in s;
+    # MODE takes the adiabatic frame and SUBLUMINAL carrier 0 in s;
     # TURNING starts just past its turning point at rstar = 10.10, where the
-    # frame's steps would crowd, so it takes Dormand-Prince, and takes the
-    # frame from 12.2 on.  The frame conserves the current |X1|^2 - |X2|^2 to
-    # rounding
+    # frame's steps would crowd, so it takes carrier 0, and takes the
+    # frame from 12.2 on.  Every step conserves the current |X1|^2 - |X2|^2
+    # to rounding; on the growing SUBLUMINAL spans the rounding of
+    # |X|^2 ~ 1e14 swamps any difference, so they are left out
     X0 = np.array([1.0 + 0.2j, 0.5 - 0.1j])
     traj = integrate(mode, PAR, span, X0, tol=1e-10)
     _, ys, _, _ = integrate_linear_system(
         lambda t: radial_potential(t, mode, PAR, branch="exterior"), span, X0, tol=1e-12)
     assert np.abs(traj.X[-1] - ys[-1]).max() < 1e-8 * np.abs(ys[-1]).max()
-    if _frame_holds(mode, PAR, log_offset(np.array(span), "exterior", PAR)):
+    if mode is not SUBLUMINAL:
         J = np.abs(traj.X[:, 0]) ** 2 - np.abs(traj.X[:, 1]) ** 2
         assert np.abs(J - J[0]).max() <= 1e-12 * abs(J[0])
+
+
+@pytest.mark.parametrize("mode,span", [(SUBLUMINAL, (260.0, 200.0)), (TURNING, (10.11, 200.0)),
+                                       (TURNING, (200.0, 12.2))])
+def test_exterior_matches_dormand_prince_in_s(mode, span):
+    # at tol 1e-10 the end state lies within 1e-9 relative of Dormand-Prince
+    # on dX/ds = J U X at tol 1e-13, on carrier 0 and, from 12.2 on TURNING,
+    # in the adiabatic frame; SUBLUMINAL on (10, 60) is checked against the
+    # seven-evaluation reference
+    X0 = np.array([1.0 + 0.2j, 0.5 - 0.1j])
+    traj = integrate(mode, PAR, span, X0, tol=1e-10)
+    _, ys, _, _ = integrate_linear_system(lambda s: exterior_system(s, mode, PAR),
+                                          log_offset(np.array(span), "exterior", PAR), X0, tol=1e-13)
+    assert np.abs(traj.X[-1] - ys[-1]).max() < 1e-9 * np.abs(ys[-1]).max()
+
+
+@pytest.mark.parametrize("span", [(10.0, 3000.0), (10.0, 1e4)])
+def test_overflow_is_an_integration_error(span):
+    # SUBLUMINAL grows like e^{kappa rstar}, kappa = sqrt(m^2 - omega^2), and
+    # leaves the floats near kappa rstar = 710; on (10, 1e4) the products of
+    # the outer sample intervals overflow too.  Either way the error names
+    # the last finite sample, with no RuntimeWarning on the way
+    kappa = math.sqrt(SUBLUMINAL.m ** 2 - SUBLUMINAL.omega ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegrationError, match=r"exterior integration of the mode omega=0\.3, k=0\.5, "
+                                                   r"m=0\.8, xi=0\.9 stopped at rstar=.*overflows") as info:
+            integrate(SUBLUMINAL, PAR, span, np.array([1.0 + 0.2j, 0.5 - 0.1j]))
+    assert f"rstar={info.value.t!r}" in str(info.value)
+    assert abs(kappa * (info.value.t - span[0]) - math.log(np.finfo(float).max)) < 15.0
 
 
 @pytest.mark.parametrize("mode,span,holds,positive", [
@@ -430,7 +454,7 @@ def test_frame_choice_matches_dense_discriminant(mode, span, holds, positive):
     # 4001 points: (0, 5) lies between the turning points, with no root
     # inside and the discriminant negative throughout.  Spans within 0.25 in
     # s = log(r - r_plus) of a turning point, (10.11, 200) and (-40, -2.1),
-    # keep Dormand-Prince although the discriminant is positive on them, and
+    # take carrier 0 although the discriminant is positive on them, and
     # so does xi = 6.45, whose complex pair of roots lies 0.20 off the real
     # axis in s, at rstar = 2.92
     assert _frame_holds(mode, PAR, log_offset(np.array(span), "exterior", PAR)) is holds
