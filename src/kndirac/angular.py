@@ -43,7 +43,8 @@ symmetric, since D flips the sign of A12's +-a omega e off-diagonals.  So
 P T P = [[X, Y], [Y, X]] with X = -a m J, and T is orthogonally similar to
 (X + Y) + (X - Y) (direct sum): an eigenpair (w, v) of X + Y gives the
 coefficients [v; D v] / sqrt 2 and one of X - Y gives [v; -D v] / sqrt 2.
-`angular_eigenpairs` diagonalizes these two N x N blocks in place of T.
+`angular_eigenpairs` diagonalizes these two N x N blocks in place of T,
+built from their diagonals without forming T (`_parity_blocks`).
 """
 
 from __future__ import annotations
@@ -143,6 +144,30 @@ def discretize_angular(mode, spec, params):
     return np.block([[-am * _tridiag(e, d, e), A12], [A12.T, am * _tridiag(e, -d, e)]])
 
 
+def _parity_signs(N):
+    """D = diag((-1)^n), n < N, as a vector."""
+    return np.where(np.arange(N) % 2, -1.0, 1.0)
+
+
+def _parity_blocks(mode, spec, params):
+    """The parity blocks X + Y and X - Y of `discretize_angular`'s matrix T
+    (module docstring), built from their diagonals: X = T[:N, :N] and
+    Y = T[:N, N:] D, entry by entry with the arithmetic of T, so that they
+    equal the fold of T exactly.  Both are symmetric tridiagonal."""
+    k, N = mode.k, spec.N
+    d, e = _jacobi_matrix(*_exponents(k), N)
+    aw = params.a * mode.omega
+    am = params.a * mode.m
+    L = np.arange(N) + abs(k) + 0.5
+    sigma, D = math.copysign(1.0, k), _parity_signs(N)
+    x_diag, x_off = -am * d, -am * e
+    # Y's upper diagonal A12[n, n+1] D[n+1]; its lower one is the same, since
+    # A12's lower diagonal and D flip sign together
+    y_diag, y_off = sigma * (L + 2 * aw * L * d) * D, sigma * (aw * e) * D[1:]
+    return (_tridiag(x_off + y_off, x_diag + y_diag, x_off + y_off),
+            _tridiag(x_off - y_off, x_diag - y_diag, x_off - y_off))
+
+
 def _branch_indices(xi_sorted):
     # indices n in Z, symmetric around the gap at 0: negative values get
     # -1, -2, ... moving away from zero, positive values 1, 2, ...
@@ -168,11 +193,8 @@ def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     if not 0 <= count <= spec.N:
         raise ValueError(f"count must be between 0 and the basis size N = {spec.N}, got {count}")
     N = spec.N
-    T = discretize_angular(mode, spec, params)
-    # the parity blocks X +- Y of T (module docstring)
-    D = np.where(np.arange(N) % 2, -1.0, 1.0)
-    X, Y = T[:N, :N], T[:N, N:] * D
-    (even, u), (odd, v) = np.linalg.eigh(X + Y), np.linalg.eigh(X - Y)
+    D = _parity_signs(N)
+    (even, u), (odd, v) = (np.linalg.eigh(block) for block in _parity_blocks(mode, spec, params))
     vals, vecs = np.concatenate([even, odd]), np.concatenate([u, v], axis=1)
     sel = np.argsort(np.abs(vals))[:count]
     sel = sel[np.argsort(vals[sel])]

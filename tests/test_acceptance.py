@@ -375,6 +375,19 @@ def test_criterion_8_cauchy_horizon_asymptotics(interior_runs):
            + f" <= 10%; tail differences decay: {cauchy_ok}", t0, 120.0)
 
 
+def test_magnus_step_counts_are_pinned(far_field_runs, interior_runs):
+    # the settled Magnus steps of criteria 7 and 8 and of the near-extremal
+    # hole a = 0.95, Q = 0.3 at tol 1e-11.  A change to the order of the
+    # kernel's arithmetic leaves them where they are; a change to the step
+    # selection moves them, and updates these counts with its reasons
+    assert [traj.steps for _, _, traj in far_field_runs] == [70, 70, 70, 70, 72]
+    assert [traj.steps for _, _, traj in interior_runs] == [2570, 636, 2126, 2724, 1390]
+    par, mode = SpacetimeParams(M=1.0, a=0.95, Q=0.3), HORIZON_SEEDS[0][1]
+    X0 = np.array([1.0 + 0.2j, -0.6 + 0.4j])
+    near = integrate(mode, par, (0.0, 32.0 / cauchy_rate(par)), X0, tol=1e-11, branch="interior")
+    assert near.steps == 6414
+
+
 def test_criterion_9_integrator_health(far_field_runs, interior_runs):
     t0 = time.time()
     # constant-coefficient exponential and superposition at 10x tolerance

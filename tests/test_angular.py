@@ -207,7 +207,8 @@ def _random_case(N, k):
 @pytest.mark.parametrize("k", [0.5, -0.5, 1.5, 7.5, -40.5])
 def test_parity_blocks_of_the_galerkin_matrix(N, k):
     # P T P = [[X, Y], [Y, X]] with P = diag(I, D), D = diag((-1)^n) and Y
-    # symmetric, bitwise: the sign flips of D are exact
+    # symmetric, bitwise: the sign flips of D are exact.  The blocks that
+    # `angular_eigenpairs` diagonalizes, built without T, are X +- Y exactly
     mode, spec, par = _random_case(N, k)
     T = discretize_angular(mode, spec, par)
     D = (-1.0) ** np.arange(N)
@@ -215,6 +216,8 @@ def test_parity_blocks_of_the_galerkin_matrix(N, k):
     assert np.array_equal(D[:, None] * T[N:, N:] * D, X)
     assert np.array_equal(Y, Y.T)
     assert np.array_equal(D[:, None] * T[N:, :N], Y.T)
+    even, odd = angular._parity_blocks(mode, spec, par)
+    assert np.array_equal(even, X + Y) and np.array_equal(odd, X - Y)
 
 
 @pytest.mark.parametrize("N", [16, 64, 256])
@@ -284,7 +287,15 @@ def test_eigenfunction_sign_stable_under_rounding(monkeypatch):
         mode = ModeParams(omega=float(rng.uniform(-1.5, 1.5)), k=float(rng.integers(-3, 3) + 0.5),
                           m=float(rng.uniform(0, 1)), xi=0.0)
         cases.append((par, mode, angular_eigenpairs(mode, spec, par, count=8)))
-    monkeypatch.setattr(angular, "discretize_angular", reference_galerkin_matrix)
+
+    # the fold of the quadrature oracle, in place of the blocks built from d_n, e_n
+    def reference_parity_blocks(mode, spec, params):
+        T = reference_galerkin_matrix(mode, spec, params)
+        N = spec.N
+        X, Y = T[:N, :N], T[:N, N:] * (-1.0) ** np.arange(N)
+        return X + Y, X - Y
+
+    monkeypatch.setattr(angular, "_parity_blocks", reference_parity_blocks)
     for par, mode, pairs in cases:
         for p, q in zip(pairs, angular_eigenpairs(mode, spec, par, count=8)):
             assert np.abs(p.Y - q.Y).max() < 1e-9

@@ -1,9 +1,10 @@
-"""One far_field case, two cauchy cases (one the near-extremal hole), two
-spectrum_cli angular cases and the spectrum_cli exterior radial case of the
-benchmark, solved and checked as
-`bench/run.py` does, so that a change which breaks the benchmark's current,
-Abel, slope, rate, a = 0 spectrum or trajectory CSV checks fails here
-first.  `bench/workloads.py` is imported from the source checkout and not
+"""Two far_field cases, every cauchy case (the five holes of criterion 8 and
+the near-extremal one), two spectrum_cli angular cases and the spectrum_cli
+exterior radial case of the benchmark, solved and checked as `bench/run.py`
+does, so that a change which breaks the benchmark's current, Abel, slope,
+rate, a = 0 spectrum or trajectory CSV checks fails here first.  Every input
+of the Filon-Magnus kernel's interior path is among them.
+`bench/workloads.py` is imported from the source checkout and not
 modified."""
 
 import importlib.util
@@ -25,7 +26,9 @@ def workloads():
 
 
 @pytest.mark.parametrize("workload,name", [
-    ("far_field", "far_field_0"), ("cauchy", "cauchy_0"), ("cauchy", "cauchy_near_extremal"),
+    ("far_field", "far_field_0"), ("far_field", "far_field_4"),
+    ("cauchy", "cauchy_0"), ("cauchy", "cauchy_1"), ("cauchy", "cauchy_2"), ("cauchy", "cauchy_3"),
+    ("cauchy", "cauchy_4"), ("cauchy", "cauchy_near_extremal"),
     ("spectrum_cli", "angular_N64_a0_k-2.5"), ("spectrum_cli", "angular_N256_k-40.5"),
     ("spectrum_cli", "radial_exterior"),
 ])

@@ -37,15 +37,21 @@ from kndirac.radial import (
     _F2,
     _F3,
     _LAGRANGE,
+    _NODES,
+    _WEIGHTS,
     _adiabatic_frame,
     _eigenbasis,
     _cauchy_nu,
     _expm2,
     _exterior_entries,
+    _filon_magnus_steps,
     _frame_holds,
     _interior_products,
     _moments,
     _ordered_product,
+    _propagated,
+    _sample_grid,
+    _uniform_edges,
 )
 
 PAR = SpacetimeParams(M=1.0, a=0.6, Q=0.3)
@@ -810,6 +816,120 @@ def test_filon_magnus_weights_match_quadrature(kappa):
     W2 = (w12[..., None, None] * outer * e1 / e2).sum((0, 1))
     assert np.abs(np.einsum("l,lqr->qr", mu, _F2) - Y).max() < 1e-13
     assert np.abs(np.exp(1j * kappa) * np.einsum("l,lqr->qr", mu, _F3) - W2).max() < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3), (3, 2)])
+def test_moments_of_a_mixed_batch_match_single_calls(shape):
+    # each entry takes the series or the recurrence alone, whatever its
+    # neighbours take
+    kappa = np.array([0.0, 1e-6, 1.999, 2.0, 2.001, -30.0]).reshape(shape)
+    mu = _moments(kappa)
+    assert mu.shape == shape + (8,)
+    for index in np.ndindex(shape):
+        assert np.array_equal(mu[index], _moments(np.array([kappa[index]]))[0])
+
+
+def test_interval_moments_match_step_moments():
+    # on the interior every step of an interval has the same width, so the
+    # kernel takes the moments of kappa = -nu (tb - ta) / (2 n) once per
+    # interval.  The steps' own widths differ from it by the rounding of the
+    # edges, |d kappa| <= 2 eps |nu| max|t|, and |d mu_l / d kappa| =
+    # |mu_{l+1}| <= 1; on edges that are exact binary fractions they agree
+    # bitwise
+    par = SpacetimeParams(M=1.0, a=0.95, Q=0.3)
+    nu, alpha = _cauchy_nu(IMODE, par), cauchy_rate(par)
+    rstar = _sample_grid(0.0, 32.0 / alpha, 0.25 / alpha, 32.0 / alpha, 1.0, math.inf)
+    eps = np.finfo(float).eps
+    for n in (1, 2, 8, 64, 1024):
+        edges = _uniform_edges(rstar[:-1], rstar[1:], n)
+        eta = 0.5 * (edges[1:] - edges[:-1])
+        interval_kappa = -nu * 0.5 * (edges[-1:] - edges[:1]) / n
+        d_kappa = np.abs(interval_kappa - -nu * eta)
+        assert np.all(d_kappa <= 2 * eps * abs(nu) * np.abs(edges).max(axis=0))
+        miss = np.abs(_moments(interval_kappa) - _moments(-nu * eta)).max(axis=-1)
+        assert np.all(miss <= d_kappa + 4 * eps)
+        exact = _uniform_edges(np.arange(0.0, 40.0, 8.0), np.arange(8.0, 48.0, 8.0), n)
+        eta = 0.5 * (exact[1:] - exact[:-1])
+        assert np.array_equal(np.broadcast_to(_moments(-nu * 0.5 * (exact[-1:] - exact[:1]) / n), (n, 5, 8)),
+                              _moments(-nu * eta))
+
+
+def einsum_filon_magnus_steps(edges, carrier, frame, sign):
+    """`_filon_magnus_steps` with the moments of every step and the three
+    multi-operand einsum contractions of its first form: the oracle of the
+    kernel's products over flattened (q, r) pairs."""
+    eta, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+    G, A, trace_phase = frame(mid[..., None] + eta[..., None] * _NODES, edges)
+    trace = np.diff(trace_phase, axis=0)
+    kappa = -carrier * eta
+    mu = _moments(kappa)
+    W2 = np.exp(1j * kappa)[..., None, None] * np.einsum("...l,lqr->...qr", mu, _F3)
+    diag = eta * (G @ _WEIGHTS) + sign * (eta * eta * np.einsum("...qr,...q,...r->...", W2, A, np.conj(A)).imag)
+    o01 = np.exp(-1j * carrier * mid) * (eta * np.einsum("...l,lq,...q->...", mu, _F1, A)
+                                         + 1j * eta * eta * np.einsum("...l,lqr,...q,...r->...", mu, _F2, G, A))
+    o00 = 1j * (0.5 * trace + diag)
+    o11 = 1j * (0.5 * trace - diag)
+    return _expm2(o00, o01, sign * np.conj(o01), o11)
+
+
+@pytest.mark.parametrize("carrier", ["zero", "interior", "frame"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_filon_magnus_steps_match_einsum_contractions(carrier, sign, uniform, monkeypatch):
+    # random G and A on 12 intervals of 4 steps whose |kappa| runs from 0.2 to
+    # 8, across the series/recurrence switch at 2.  The moments are a constant
+    # at carrier 0, computed once per interval on uniform edges and once per
+    # step on edges moved off the uniform grid.  The uniform edges are binary
+    # fractions, so that every step's width is exactly its interval's share
+    # and only the contractions differ from the oracle
+    import kndirac.radial
+
+    carrier = {"zero": 0.0, "interior": _cauchy_nu(IMODE, PAR),
+               "frame": 2.0 * w_roots(MODE.omega, MODE.m)[0].real}[carrier]
+    rng = np.random.default_rng([int(sign > 0), int(uniform), int(1e3 * carrier)])
+    n, widths = 4, np.round(64 * 2 * 4 * np.geomspace(0.2, 8.0, 12) / max(carrier, 1.0)) / 64
+    ta = rng.integers(-50, 50) + np.concatenate([[0.0], np.cumsum(widths[:-1])])
+    edges = _uniform_edges(ta, ta + widths, n)
+    if not uniform:
+        edges[1:-1] += rng.uniform(-0.2, 0.2, (n - 1, 12)) * widths / n
+    # G and A of order 1/eta, so that each step exponent is of order 1, as
+    # the halving loop leaves them
+    scale = 2.0 / (edges[1:] - edges[:-1])[..., None]
+    values = {}
+
+    def frame(nodes, e):
+        if "G" not in values:
+            values["G"] = scale * rng.normal(size=nodes.shape)
+            values["A"] = scale * (rng.normal(size=nodes.shape) + 1j * rng.normal(size=nodes.shape))
+            values["trace"] = rng.normal(size=e.shape)
+        return values["G"], values["A"], values["trace"]
+
+    shapes = []
+
+    def recording(kappa):
+        shapes.append(np.shape(kappa))
+        return _moments(kappa)
+
+    monkeypatch.setattr(kndirac.radial, "_moments", recording)
+    got = np.array(_filon_magnus_steps(edges, carrier, frame, sign))
+    assert shapes == ([] if carrier == 0.0 else [(1, 12)] if uniform else [(n, 12)])
+    ref = np.array(einsum_filon_magnus_steps(edges, carrier, frame, sign))
+    kappa = carrier * 0.5 * (edges[1:] - edges[:-1])
+    assert carrier == 0.0 or (kappa.min() < 2.0 < kappa.max())
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_propagated_matches_the_array_loop():
+    # the reference loop on numpy arrays, which `_propagated` replaced with
+    # Python complex scalars: the same products in the same order, bitwise
+    rng = np.random.default_rng(11)
+    o01 = rng.normal(size=500) + 1j * rng.normal(size=500)
+    products = np.array(_expm2(1j * rng.normal(size=500), o01, -np.conj(o01), 1j * rng.normal(size=500)))
+    f = np.array([0.3 + 0.1j, -0.2 + 0.7j])
+    fs = [f]
+    for p00, p01, p10, p11 in products.T:
+        fs.append(np.array([p00 * fs[-1][0] + p01 * fs[-1][1], p10 * fs[-1][0] + p11 * fs[-1][1]]))
+    assert np.array_equal(_propagated(products, f, np.arange(501.0)), np.array(fs))
 
 
 def _frame_matrices(u, mode, params):
