@@ -133,15 +133,25 @@ def _tridiag(lower, diag, upper):
     return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
 
 
-def discretize_angular(mode, spec, params):
-    """Symmetric 2N x 2N Galerkin matrix whose eigenvalues are the xi_n."""
+def _galerkin_diagonals(mode, spec, params):
+    """The bands of the Galerkin matrix T = [[X, A12], [A12^T, X']]: X's
+    diagonal and off-diagonal, and A12's diagonal and upper diagonal.  X'
+    has X's diagonal and minus its off-diagonal, and A12's lower diagonal is
+    minus its upper one."""
     k, N = mode.k, spec.N
     d, e = _jacobi_matrix(*_exponents(k), N)
     aw = params.a * mode.omega
     am = params.a * mode.m
     L = np.arange(N) + abs(k) + 0.5
-    A12 = math.copysign(1.0, k) * _tridiag(-aw * e, L + 2 * aw * L * d, aw * e)
-    return np.block([[-am * _tridiag(e, d, e), A12], [A12.T, am * _tridiag(e, -d, e)]])
+    sigma = math.copysign(1.0, k)
+    return -am * d, -am * e, sigma * (L + 2 * aw * L * d), sigma * (aw * e)
+
+
+def discretize_angular(mode, spec, params):
+    """Symmetric 2N x 2N Galerkin matrix whose eigenvalues are the xi_n."""
+    x_diag, x_off, c_diag, c_off = _galerkin_diagonals(mode, spec, params)
+    A12 = _tridiag(-c_off, c_diag, c_off)
+    return np.block([[_tridiag(x_off, x_diag, x_off), A12], [A12.T, _tridiag(-x_off, x_diag, -x_off)]])
 
 
 def _parity_signs(N):
@@ -151,19 +161,14 @@ def _parity_signs(N):
 
 def _parity_blocks(mode, spec, params):
     """The parity blocks X + Y and X - Y of `discretize_angular`'s matrix T
-    (module docstring), built from their diagonals: X = T[:N, :N] and
+    (module docstring), built from its bands: X = T[:N, :N] and
     Y = T[:N, N:] D, entry by entry with the arithmetic of T, so that they
     equal the fold of T exactly.  Both are symmetric tridiagonal."""
-    k, N = mode.k, spec.N
-    d, e = _jacobi_matrix(*_exponents(k), N)
-    aw = params.a * mode.omega
-    am = params.a * mode.m
-    L = np.arange(N) + abs(k) + 0.5
-    sigma, D = math.copysign(1.0, k), _parity_signs(N)
-    x_diag, x_off = -am * d, -am * e
+    x_diag, x_off, c_diag, c_off = _galerkin_diagonals(mode, spec, params)
+    D = _parity_signs(spec.N)
     # Y's upper diagonal A12[n, n+1] D[n+1]; its lower one is the same, since
     # A12's lower diagonal and D flip sign together
-    y_diag, y_off = sigma * (L + 2 * aw * L * d) * D, sigma * (aw * e) * D[1:]
+    y_diag, y_off = c_diag * D, c_off * D[1:]
     return (_tridiag(x_off + y_off, x_diag + y_diag, x_off + y_off),
             _tridiag(x_off - y_off, x_diag - y_diag, x_off - y_off))
 

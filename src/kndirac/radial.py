@@ -339,15 +339,11 @@ def _frame_holds(mode, params, s_span):
 # A step exponent is three matrix products with real weights: A, G (x) A and
 # A (x) conj(A) at the Gauss nodes, the last two flattened over node pairs
 # (q, r) to 16 entries, times _F1, _F2 and _F3, summed against the moments
-# mu_l.  The moments depend on a step only through kappa = -carrier eta.  At
-# carrier 0 they are a constant, `_MOMENTS_0`.  The interior's steps are
-# uniform in rstar, so one set of moments serves all the steps of a sample
-# interval.  Only the adiabatic frame, whose steps are uniform in s and not
-# in rstar, takes them step by step.  On criterion 8's five holes and the
-# near-extremal one at tol 1e-11 (30,952 evaluated steps) the kernel takes
-# about 26 ms on one BLAS thread of a 2-vCPU x86-64 machine; with
-# multi-operand einsum contractions and the moments of every step it took
-# 87-93 ms.
+# mu_l.  The moments depend on a step only through kappa = -carrier eta, so
+# steps of one width share them.  The interior and the carrier-0 path step
+# uniformly in the variable they integrate over, so one set of moments
+# serves all the steps of a sample interval.  Only the adiabatic frame,
+# whose steps are uniform in s and not in rstar, takes them step by step.
 
 # Gauss-Legendre nodes and weights on [-1, 1]; the coupling amplitudes are
 # interpolated at the nodes, and the Lagrange basis ell_q(x) has the monomial
@@ -615,10 +611,6 @@ def _uniform_edges(ta, tb, n):
     return edges
 
 
-# at carrier 0 every step has kappa = 0, where mu_l = (1 + (-1)^l) / (l + 1)
-_MOMENTS_0 = _moments(0.0).real
-
-
 def _filon_magnus_steps(edges, carrier, frame, sign):
     """Exponentials of the steps between consecutive `edges` (axis 0; the other
     axes run over intervals), as four component arrays.
@@ -637,10 +629,10 @@ def _filon_magnus_steps(edges, carrier, frame, sign):
     the diagonal and 2 i sign Im(A1 conj(A2) e^{i kappa (x1 - x2)}) sigma3 on
     it.  Each term is one product of A, G (x) A or A (x) conj(A), flattened
     over (q, r), with the real tensors, summed against the moments mu_l of
-    kappa.  The moments depend on the step only through kappa: at carrier 0
-    they are the constant `_MOMENTS_0`, where the edges are the uniform
-    subdivision of each interval (`_uniform_edges`) they are computed once
-    per interval and shared by its steps, and elsewhere once per step.
+    kappa.  The moments depend on the step only through kappa: where the
+    edges are the uniform subdivision of each interval (`_uniform_edges`)
+    they are computed once per interval and shared by its steps, and
+    elsewhere once per step.
     Omega10 = sign conj(Omega01), and the trace int tau over each step comes
     in closed form from the antiderivative at the edges, so Omega lies in
     the algebra of C.
@@ -648,13 +640,10 @@ def _filon_magnus_steps(edges, carrier, frame, sign):
     eta, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
     G, A, trace_phase = frame(mid[..., None] + eta[..., None] * _NODES, edges)
     trace = np.diff(trace_phase, axis=0)
-    if carrier == 0.0:
-        mu, phase = _MOMENTS_0, 1.0
-    else:
-        n = len(eta)
-        uniform = np.array_equal(edges, _uniform_edges(edges[0], edges[-1], n))
-        kappa = -carrier * (0.5 * (edges[-1:] - edges[:1]) / n if uniform else eta)
-        mu, phase = _moments(kappa), np.exp(1j * kappa)
+    n = len(eta)
+    uniform = np.array_equal(edges, _uniform_edges(edges[0], edges[-1], n))
+    kappa = -carrier * (0.5 * (edges[-1:] - edges[:1]) / n if uniform else eta)
+    mu, phase = _moments(kappa), np.exp(1j * kappa)
     GA = (G[..., :, None] * A[..., None, :]).reshape(A.shape[:-1] + (16,))
     AA = (A[..., :, None] * np.conj(A[..., None, :])).reshape(A.shape[:-1] + (16,))
     cross = phase * (mu * (AA @ _F3_T)).sum(-1)  # the double integral of A1 conj(A2)

@@ -877,9 +877,9 @@ def einsum_filon_magnus_steps(edges, carrier, frame, sign):
 @pytest.mark.parametrize("uniform", [True, False])
 def test_filon_magnus_steps_match_einsum_contractions(carrier, sign, uniform, monkeypatch):
     # random G and A on 12 intervals of 4 steps whose |kappa| runs from 0.2 to
-    # 8, across the series/recurrence switch at 2.  The moments are a constant
-    # at carrier 0, computed once per interval on uniform edges and once per
-    # step on edges moved off the uniform grid.  The uniform edges are binary
+    # 8, across the series/recurrence switch at 2.  The moments are computed
+    # once per interval on uniform edges and once per step on edges moved off
+    # the uniform grid, at carrier 0 too.  The uniform edges are binary
     # fractions, so that every step's width is exactly its interval's share
     # and only the contractions differ from the oracle
     import kndirac.radial
@@ -912,7 +912,7 @@ def test_filon_magnus_steps_match_einsum_contractions(carrier, sign, uniform, mo
 
     monkeypatch.setattr(kndirac.radial, "_moments", recording)
     got = np.array(_filon_magnus_steps(edges, carrier, frame, sign))
-    assert shapes == ([] if carrier == 0.0 else [(1, 12)] if uniform else [(n, 12)])
+    assert shapes == ([(1, 12)] if uniform else [(n, 12)])
     ref = np.array(einsum_filon_magnus_steps(edges, carrier, frame, sign))
     kappa = carrier * 0.5 * (edges[1:] - edges[:-1])
     assert carrier == 0.0 or (kappa.min() < 2.0 < kappa.max())
