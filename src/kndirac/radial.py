@@ -73,13 +73,14 @@ more slowly than 1/alpha.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _exterior_log_terms, _exterior_radius, _exterior_tortoise, log_offset
-from .separation import _potential_entries, _potential_slopes, _stacked
+from .geometry import _exterior_log_terms, _exterior_radius, _exterior_tortoise, _kappas, log_offset
+from .separation import _potential_entries, _potential_slopes, _potential_u01, _stacked
 
 __all__ = [
     "w_roots",
@@ -221,7 +222,10 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     evaluated steps; the samples are re-phased to X.  B lies in u(2), so
     every step conserves |X1|^2 + |X2|^2, and its off-diagonal phase
     e^{-+i nu rstar} is integrated exactly, so the steps follow the O(1)
-    coupling and not the periods of X1.
+    coupling and not the periods of X1.  The sample grid is inverted for its
+    log offsets once, up front; each halving level then inverts its step
+    edges and Gauss nodes in one `log_offset` call, seeded from the
+    samples' offsets (`_interior_seeds`), which takes 2 Newton sweeps.
 
     The trajectory carries the log offset s = log(r - r_0) of every sample,
     r_0 = r_plus or r_minus; `steps` counts the Magnus steps, and `rejected`
@@ -245,13 +249,14 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
             # past 32/alpha, where B is below e^{-32}, the spacing doubles
             alpha = cauchy_rate(params)
             rstar = _sample_grid(t0, t1, 0.25 / alpha, 32.0 / alpha, 1.0, _STEP_BUDGET)
+            s = log_offset(rstar, "interior", params)
             products, steps = _settled_products(
-                lambda index, n: _interior_products(rstar[index], rstar[index + 1], n, mode, params),
+                lambda index, n: _interior_products(rstar[index], rstar[index + 1], s[index], s[index + 1],
+                                                    n, mode, params),
                 rstar, tol, _STEP_BUDGET, "on rstar")
             nu = _cauchy_nu(mode, params)
             X = _propagated(products, np.array([y0[0] * np.exp(-1j * nu * t0), y0[1]]), rstar)
             X[:, 0] *= np.exp(1j * nu * rstar)
-            s = log_offset(rstar, "interior", params)
         else:
             rstar, s, X, steps = _frame_trajectory(mode, params, (t0, t1), s_span, y0, tol,
                                                    _frame_holds(mode, params, s_span))
@@ -336,14 +341,16 @@ def _frame_holds(mode, params, s_span):
 # coupling C and every step exponent.  On the interior branch U10 =
 # -conj(U01), so B and its step exponents lie in u(2).  `_expm2` takes both.
 #
-# A step exponent is three matrix products with real weights: A, G (x) A and
-# A (x) conj(A) at the Gauss nodes, the last two flattened over node pairs
-# (q, r) to 16 entries, times _F1, _F2 and _F3, summed against the moments
-# mu_l.  The moments depend on a step only through kappa = -carrier eta, so
-# steps of one width share them.  The interior and the carrier-0 path step
-# uniformly in the variable they integrate over, so one set of moments
-# serves all the steps of a sample interval.  Only the adiabatic frame,
-# whose steps are uniform in s and not in rstar, takes them step by step.
+# A step exponent takes its weights first: the moments mu_l times the real
+# tensors, mu @ _F1 on A, and mu @ _F2 and e^{i kappa} mu @ _F3 as 4x4
+# matrices over node pairs (q, r).  Each step then costs two 4x4 mat-vecs,
+# on A and on conj(A), and three dot products.  The moments, and so the
+# weights, depend on a step only through kappa = -carrier eta, so steps of
+# one width share them.  The interior and the carrier-0 path step uniformly
+# in the variable they integrate over, so one set of weights serves all the
+# steps of a sample interval.  Only the adiabatic frame, whose steps are
+# uniform in s and not in rstar, takes them step by step; the shape of mu
+# alone tells the two apart, and the code path is one.
 
 # Gauss-Legendre nodes and weights on [-1, 1]; the coupling amplitudes are
 # interpolated at the nodes, and the Lagrange basis ell_q(x) has the monomial
@@ -395,9 +402,8 @@ def _filon_magnus_tensors():
 
 
 _F1, _F2, _F3 = _filon_magnus_tensors()
-# the weights as (q or (q, r), l) matrices for products with A, G (x) A and
-# A (x) conj(A) over flattened (q, r) pairs
-_F1_T, _F2_T, _F3_T = _F1.T, _F2.reshape(8, 16).T, _F3.reshape(8, 16).T
+# F2 and F3 flattened over (q, r), for the products mu @ F of all node pairs
+_F2_FLAT, _F3_FLAT = _F2.reshape(8, 16), _F3.reshape(8, 16)
 # a far-field sample interval's product is accepted when it moves by less than
 # this (relative to its largest entry) on halving every step; the interior
 # takes the caller's tol
@@ -420,7 +426,8 @@ def _expm2(o00, o01, o10, o11):
     g = Im(o00 - o11) / 2, is real: o10 = +-conj(o01), so q2 = |o01|^2 - g^2 on
     u(1,1) and -|o01|^2 - g^2 <= 0 on u(2).  exp(Omega) = e^{i mu} (cosh q +
     sinh(q)/q N) is evaluated in real arithmetic, through cos and sin of
-    sqrt(-q2) when q2 < 0 and a series for |q| < 1e-8.
+    sqrt(-q2) when q2 < 0 and a series for |q| < 1e-8.  cosh and sinh are
+    taken only where q2 > 0, which never holds on u(2).
     """
     mu = 0.5 * (o00.imag + o11.imag)
     g = 0.5 * (o00.imag - o11.imag)
@@ -428,9 +435,10 @@ def _expm2(o00, o01, o10, o11):
     s = np.sqrt(np.abs(q2))
     grows = q2 > 0
     small = s < 1e-8
-    ch = np.where(grows, np.cosh(s), np.cos(s))
-    sh = np.where(small, 1.0 + q2 / 6.0 + q2 * q2 / 120.0,
-                  np.where(grows, np.sinh(s), np.sin(s)) / np.where(small, 1.0, s))
+    ch, sh = np.cos(s), np.sin(s)
+    if grows.any():
+        ch[grows], sh[grows] = np.cosh(s[grows]), np.sinh(s[grows])
+    sh = np.where(small, 1.0 + q2 / 6.0 + q2 * q2 / 120.0, sh / np.where(small, 1.0, s))
     phase = np.exp(1j * mu)
     gsh, psh = 1j * (g * sh), phase * sh
     return phase * (ch + gsh), psh * o01, psh * o10, phase * (ch - gsh)
@@ -627,12 +635,13 @@ def _filon_magnus_steps(edges, carrier, frame, sign):
     with every oscillatory moment exact (`_filon_magnus_tensors`); its
     commutator carries 2 i (G1 A2 e^{i kappa x2} - G2 A1 e^{i kappa x1}) off
     the diagonal and 2 i sign Im(A1 conj(A2) e^{i kappa (x1 - x2)}) sigma3 on
-    it.  Each term is one product of A, G (x) A or A (x) conj(A), flattened
-    over (q, r), with the real tensors, summed against the moments mu_l of
-    kappa.  The moments depend on the step only through kappa: where the
-    edges are the uniform subdivision of each interval (`_uniform_edges`)
-    they are computed once per interval and shared by its steps, and
-    elsewhere once per step.
+    it.  The weights come first, the moments mu_l of kappa times the real
+    tensors: mu @ F1 is dotted with A, G with (mu @ F2) A and A with
+    (e^{i kappa} mu @ F3) conj(A), two 4x4 mat-vecs per step.  The moments
+    depend on the step only through kappa: where the edges are the uniform
+    subdivision of each interval (`_uniform_edges`) they and the weights
+    are computed once per interval and shared by its steps, and elsewhere
+    once per step.
     Omega10 = sign conj(Omega01), and the trace int tau over each step comes
     in closed form from the antiderivative at the edges, so Omega lies in
     the algebra of C.
@@ -643,13 +652,15 @@ def _filon_magnus_steps(edges, carrier, frame, sign):
     n = len(eta)
     uniform = np.array_equal(edges, _uniform_edges(edges[0], edges[-1], n))
     kappa = -carrier * (0.5 * (edges[-1:] - edges[:1]) / n if uniform else eta)
-    mu, phase = _moments(kappa), np.exp(1j * kappa)
-    GA = (G[..., :, None] * A[..., None, :]).reshape(A.shape[:-1] + (16,))
-    AA = (A[..., :, None] * np.conj(A[..., None, :])).reshape(A.shape[:-1] + (16,))
-    cross = phase * (mu * (AA @ _F3_T)).sum(-1)  # the double integral of A1 conj(A2)
+    # the weights on the node values, per interval or per step as mu is
+    mu = _moments(kappa)
+    pairs = mu.shape[:-1] + (4, 4)
+    w2 = (mu @ _F2_FLAT).reshape(pairs)
+    w3 = (np.exp(1j * kappa)[..., None] * (mu @ _F3_FLAT)).reshape(pairs)
+    cross = (A * (w3 @ np.conj(A)[..., None])[..., 0]).sum(-1)  # the double integral of A1 conj(A2)
     diag = eta * (G @ _WEIGHTS) + sign * (eta * eta * cross.imag)
-    o01 = np.exp(-1j * carrier * mid) * (eta * (mu * (A @ _F1_T)).sum(-1)
-                                         + 1j * eta * eta * (mu * (GA @ _F2_T)).sum(-1))
+    o01 = np.exp(-1j * carrier * mid) * (eta * ((mu @ _F1) * A).sum(-1)
+                                         + 1j * eta * eta * (G * (w2 @ A[..., None])[..., 0]).sum(-1))
     o00 = 1j * (0.5 * trace + diag)
     o11 = 1j * (0.5 * trace - diag)
     return _expm2(o00, o01, sign * np.conj(o01), o11)
@@ -963,8 +974,9 @@ def cauchy_rate(params):
     return 0.5 * (params.r_plus - params.r_minus) / (params.r_minus**2 + params.a**2)
 
 
-def _horizon_coupling(rstar, mode, params):
-    """(G, A) of B at points rstar: B00 - B11 = 2 i G, B01 = A e^{-i nu rstar}.
+def _horizon_coupling(s, mode, params):
+    """(G, A) of B at points with log offsets s = log(r - r_minus):
+    B00 - B11 = 2 i G, B01 = A e^{-i nu rstar}.
 
     Substituting h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus),
     into dX/drstar = U X on the interior branch gives
@@ -972,19 +984,21 @@ def _horizon_coupling(rstar, mode, params):
         B = [[U00 - i nu,             U01 e^{-i nu rstar}],
              [U10 e^{+i nu rstar},    U11               ]],
 
-    with U10 = -conj(U01), so A = U01.  In U00 - i nu - U11 the constant parts
-    cancel exactly; what is left is 2 i G with
+    with U10 = -conj(U01), so A = U01, the one entry of U evaluated here
+    (`separation._potential_u01`, with |Delta| = eps (r_plus - r_minus - eps),
+    eps = r - r_minus = e^s).  In U00 - i nu - U11 the constant parts cancel
+    exactly; what is left is 2 i G with
     G = -k Omega_minus (r^2 - r_minus^2) / (r^2 + a^2), and
-    r^2 - r_minus^2 = eps (2 r_minus + eps), eps = r - r_minus = e^s, so
-    nothing is lost to cancellation near the horizon.  Both vanish as
-    r -> r_minus: ||B|| = O(e^{-alpha rstar}).
+    r^2 - r_minus^2 = eps (2 r_minus + eps), so nothing is lost to
+    cancellation near the horizon.  Both vanish as r -> r_minus:
+    ||B|| = O(e^{-alpha rstar}).
     """
-    rm = params.r_minus
-    eps = np.exp(log_offset(rstar, "interior", params))
-    abs_delta = eps * (params.r_plus - rm - eps)
-    _, u01, _, _ = _potential_entries(rm + eps, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params)
+    rm, a = params.r_minus, params.a
+    eps = np.exp(s)
+    r = rm + eps
+    u01 = _potential_u01(r, r * r + a * a, np.sqrt(eps * (params.r_plus - rm - eps)), mode)
     q = eps * (2.0 * rm + eps)  # r^2 - r_minus^2
-    return -mode.k * horizon_angular_velocity(params) * q / (rm * rm + params.a ** 2 + q), u01
+    return -mode.k * horizon_angular_velocity(params) * q / (rm * rm + a * a + q), u01
 
 
 def _horizon_trace_phase(s, mode, params):
@@ -1006,17 +1020,64 @@ def _horizon_trace_phase(s, mode, params):
         (params.r_plus + params.r_minus) * np.log1p(-e / width)
 
 
-def _interior_products(ta, tb, n, mode, params):
+@functools.lru_cache
+def _seed_basis(n):
+    """The quintic Hermite basis (5 n + 1, 6) at the fractions of an interval
+    where its n + 1 step edges, then the 4 n Gauss nodes of its n steps,
+    lie; columns: the start's value, slope and curvature, then the end's
+    curvature, slope and value.  Read-only, since it is cached."""
+    x = np.concatenate([np.arange(n + 1), (np.arange(n)[:, None] + 0.5 + 0.5 * _NODES).ravel()])[:, None] / n
+    y = 1.0 - x
+    basis = np.hstack([y ** 3 * (1.0 + x * (3.0 + 6.0 * x)), x * y ** 3 * (1.0 + 3.0 * x), 0.5 * x * x * y ** 3,
+                       0.5 * x ** 3 * y * y, -x ** 3 * y * (1.0 + 3.0 * y), x ** 3 * (1.0 + y * (3.0 + 6.0 * y))])
+    basis.flags.writeable = False
+    return basis
+
+
+def _interior_seeds(n, ta, tb, sa, sb, params):
+    """Seeds (5 n + 1, intervals) for the interior log offsets of the n + 1
+    step edges, then the 4 n Gauss nodes, of n steps on each interval
+    [ta, tb] whose ends have the offsets sa, sb.
+
+    The seeds are the quintic Hermite interpolant of s(rstar) (`_seed_basis`)
+    through the ends' values and their closed-form slopes and curvatures:
+    with e = e^s, g = width - e and N = e g - kp e - km g = g drstar/ds < 0,
+    ds/drstar = g / N and d2s/drstar2 = e (kp width - g^2) g / N^3, free of
+    any division by g, which vanishes at the cap.  The cubic through the
+    values and slopes alone leaves the seeds 1.5e-5 from the roots on the
+    `cauchy` levels, and Newton then takes 3 sweeps; the quintic leaves
+    5e-8 and 2 sweeps.
+    """
+    kp, km = _kappas(params)
+    width = params.r_plus - params.r_minus
+    e = np.exp(np.stack([sa, sb]))
+    g = width - e
+    inverse = 1.0 / (e * g - kp * e - km * g)
+    (da, db), (dda, ddb) = g * inverse, e * (kp * width - g * g) * g * (inverse * inverse * inverse)
+    h = tb - ta
+    return _seed_basis(n) @ np.stack([sa, h * da, h * h * dda, h * h * ddb, h * db, sb])
+
+
+def _interior_products(ta, tb, sa, sb, n, mode, params):
     """Propagators of h = (X1 e^{-i nu rstar}, X2) over the intervals [ta, tb]
-    (arrays), each in n steps uniform in rstar, as four component arrays.
+    (arrays) whose ends have the log offsets sa, sb, each in n steps uniform
+    in rstar, as four component arrays.
 
     B lies in u(2): G and A from `_horizon_coupling` at the Gauss nodes,
-    carrier nu, and the trace from `_horizon_trace_phase` at the edges.
+    carrier nu, and the trace from `_horizon_trace_phase` at the edges.  The
+    step edges and the Gauss nodes of all the intervals are inverted in one
+    `log_offset` call, seeded from their interval's ends (`_interior_seeds`).
     """
-    return _ordered_product(*_filon_magnus_steps(
-        _uniform_edges(ta, tb, n), _cauchy_nu(mode, params),
-        lambda nodes, edges: (*_horizon_coupling(nodes, mode, params),
-                              _horizon_trace_phase(log_offset(edges, "interior", params), mode, params)), -1.0))
+    def frame(nodes, edges):
+        # the nodes (n, intervals, 4) as rows (4 n, intervals) below the
+        # edges, each row at one fraction of every interval
+        points = np.concatenate([edges, np.moveaxis(nodes, -1, 1).reshape(4 * n, -1)])
+        s = log_offset(points, "interior", params, seed=_interior_seeds(n, ta, tb, sa, sb, params))
+        s_nodes = np.moveaxis(s[n + 1:].reshape(n, 4, -1), 1, -1)
+        return *_horizon_coupling(s_nodes, mode, params), _horizon_trace_phase(s[:n + 1], mode, params)
+
+    steps = _filon_magnus_steps(_uniform_edges(ta, tb, n), _cauchy_nu(mode, params), frame, -1.0)
+    return _ordered_product(*steps)
 
 
 @dataclass(frozen=True)

@@ -129,22 +129,29 @@ def separation_residual(mode, radial_data, angular_data, params):
     return float(np.sqrt(np.linalg.norm(res_r) ** 2 + np.linalg.norm(res_a) ** 2))
 
 
+def _potential_u01(r, ra, sD, mode):
+    """U01 = sqrt|Delta| (xi - i m r) / (r^2 + a^2) at radius r, given
+    ra = r^2 + a^2 and sqrt|Delta|: the coupling amplitude of U on either
+    branch.  `_potential_entries` builds U from it, and the interior
+    Filon-Magnus steps (`radial._horizon_coupling`) take it alone."""
+    return sD * (-1j * mode.m * r + mode.xi) / ra
+
+
 def _potential_entries(r, delta, sD, eps_sign, mode, params):
     """Components (U00, U01, U10, U11) of U at radius r, given Delta, sqrt|Delta|
     and the sign of Delta.
 
     The one evaluator of U: the exterior adiabatic frame of the far field
-    and of exterior `radial.integrate` works on the components, the
+    and of exterior `radial.integrate` works on the components, and the
     carrier-0 steps of J U for spans without that frame
-    (`radial._plain_steps`) are built from it, and the interior Filon-Magnus
-    steps take the coupling amplitude U01 of `radial._horizon_coupling` from
-    it.
+    (`radial._plain_steps`) are built from it.  U01 comes from
+    `_potential_u01`.
     """
     om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
     a = params.a
     ra = r * r + a * a
     return (1j * (om * (2 * ra - delta) + 2 * k * a) / ra,
-            sD * (-1j * m * r + xi) / ra,
+            _potential_u01(r, ra, sD, mode),
             eps_sign * sD * (1j * m * r + xi) / ra,
             -1j * delta * om / ra)
 

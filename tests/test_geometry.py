@@ -304,6 +304,63 @@ def test_log_offset_failure_names_the_rstar(region, monkeypatch):
         log_offset(np.array([5.0]), region, PAR)
 
 
+@pytest.mark.parametrize("region", ["exterior", "interior"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_seeded_log_offset_rejects_non_finite_rstar(region, bad):
+    # a seed replaces only the starting point: the finite-rstar check comes first
+    with pytest.raises(ValueError, match=f"rstar must be finite, got {bad!r}"):
+        log_offset(np.array([3.0, bad]), region, PAR, seed=np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("region", ["exterior", "interior"])
+def test_nan_seed_runs_out_the_sweeps(region):
+    # its NaN steps never meet the stop test, and the failure names the
+    # rstar whose step is not below tol, a NaN one included
+    with pytest.raises(ArithmeticError, match=r"did not converge at rstar=5\.0"):
+        log_offset(np.array([3.0, 5.0]), region, PAR, seed=np.array([0.0, math.nan]))
+
+
+class _ExpCounter:
+    """numpy with its `exp` calls counted: `log_offset` takes one per Newton
+    sweep, one for the second-order interior seed and one for the r_plus-side
+    seed."""
+
+    def __init__(self):
+        self.exps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        self.exps += 1
+        return np.exp(x)
+
+
+def test_interior_sweeps_toward_schwarzschild(monkeypatch):
+    # toward Schwarzschild kp -> r_plus - r_minus, the e^s term of the
+    # r_minus-side asymptote cancels, and Newton from the first-order seed
+    # gained about 0.5 in s per sweep: 18 sweeps at alpha rstar = -1.5 on
+    # M = 0.5, a^2 + Q^2 = 1e-6 M^2, and 22 at 1e-8 M^2.  The second-order
+    # seed bounds the scan at 8 sweeps, so at 10 exps with both seeds
+    import kndirac.geometry
+
+    counting = _ExpCounter()
+    monkeypatch.setattr(kndirac.geometry, "np", counting)
+    worst = 0
+    for M in (0.25, 0.5, 1.0, 2.0, 4.0):
+        for q in np.geomspace(1e-8, 0.99, 47):
+            c = M * math.sqrt(q)
+            # Kerr, Reissner-Nordstrom and a = Q
+            for a, Q in ((c, 0.0), (0.0, c), (c / math.sqrt(2.0), c / math.sqrt(2.0))):
+                par = SpacetimeParams(M=M, a=a, Q=Q)
+                alpha = _cauchy_rate(par)
+                for alpha_rstar in np.linspace(-5.0, 40.0, 46):
+                    counting.exps = 0
+                    log_offset(alpha_rstar / alpha, "interior", par)
+                    worst = max(worst, counting.exps)
+    assert worst <= 10
+
+
 # Hypothesis draws of the slow parameter space: Kerr-Newman holes up to
 # a^2 + Q^2 = 0.99 M^2, and the Schwarzschild (exterior only), Kerr and
 # Reissner-Nordstrom limits
@@ -373,8 +430,8 @@ def test_tortoise_inverse_round_trip_interior(par, alpha_rstar):
     counter = _LogCounter()
     with mock.patch.object(kndirac.geometry, "np", counter):
         r = tortoise_inverse(rs, "interior", par)
-    # one log per sweep and one for the r_plus-side seed; sweeps grow like
-    # log(1 / (a^2 + Q^2)) toward Schwarzschild, 17 at a^2 + Q^2 = 1e-6 M^2
+    # one log per sweep, one for the r_plus-side seed and three for the
+    # second-order seed toward Schwarzschild
     assert counter.logs <= 20
     s = log_offset(rs, "interior", par)
     assert np.array_equal(r, par.r_minus + np.exp(s))

@@ -12,6 +12,7 @@ from test_separation import potential_trace, radial_potential, radial_potential_
 from kndirac.geometry import (
     SpacetimeParams,
     _exterior_tortoise,
+    _kappas,
     azimuthal_shift,
     delta_sigma,
     interior_offset,
@@ -46,7 +47,9 @@ from kndirac.radial import (
     _exterior_entries,
     _filon_magnus_steps,
     _frame_holds,
+    _horizon_coupling,
     _interior_products,
+    _interior_seeds,
     _moments,
     _ordered_product,
     _propagated,
@@ -1310,6 +1313,63 @@ def test_interior_matches_dormand_prince(par, mode):
     assert np.abs(J - J[0]).max() < 1e-12 * J[0]
 
 
+def test_interior_integrate_inverts_once_per_halving_level(monkeypatch):
+    # the interior inverts its span's ends and its sample grid once each;
+    # then each halving level inverts its step edges and Gauss nodes in one
+    # call, seeded from the samples' offsets: n + 1 edges and 4 n nodes on
+    # each of its intervals
+    import kndirac.radial
+
+    calls, levels = [], []
+    log_offset_of, products_of = kndirac.radial.log_offset, kndirac.radial._interior_products
+
+    def counted(rstar, region, params, seed=None):
+        calls.append((np.size(rstar), seed is not None))
+        return log_offset_of(rstar, region, params, seed=seed)
+
+    def level(ta, tb, sa, sb, n, mode, params):
+        levels.append((n, len(ta)))
+        return products_of(ta, tb, sa, sb, n, mode, params)
+
+    monkeypatch.setattr(kndirac.radial, "log_offset", counted)
+    monkeypatch.setattr(kndirac.radial, "_interior_products", level)
+    traj = integrate(IMODE, PAR, (0.0, 12.0 / cauchy_rate(PAR)), np.array([1.0, 0.2j]), tol=1e-10,
+                     branch="interior")
+    assert len(levels) >= 3
+    assert calls == [(2, False), (len(traj.rstar), False)] + [((4 * n + n + 1) * k, True) for n, k in levels]
+
+
+SEEDED_HOLES = [par for par, _ in HORIZON_SEEDS] + [NEAR_EXTREMAL[0]] + [
+    SpacetimeParams(M=1.0, a=math.sqrt(q / 2.0), Q=math.sqrt(q / 2.0)) for q in (1e-6, 0.98)]
+
+
+@pytest.mark.parametrize("par", SEEDED_HOLES)
+def test_seeded_offsets_match_cold_ones(par):
+    # the halving levels' seeds (`_interior_seeds`) move only Newton's
+    # starting point.  On the edges and nodes of the first four levels over
+    # (0, 32/alpha) the seeded offsets lie within 4 ulp of max(1, |s|) of the
+    # cold ones, plus 4 rounding units of the residual's terms over its
+    # slope: the band of rounding within which Newton stops.  Seeds 5 off in
+    # either direction, one beyond the cap, still converge there
+    al = cauchy_rate(par)
+    kp, km = _kappas(par)
+    width = par.r_plus - par.r_minus
+    rstar = _sample_grid(0.0, 32.0 / al, 0.25 / al, 32.0 / al, 1.0, 1000)
+    s = log_offset(rstar, "interior", par)
+    for n in (1, 2, 4, 8):
+        edges = _uniform_edges(rstar[:-1], rstar[1:], n)
+        eta, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+        nodes = np.moveaxis(mid[..., None] + eta[..., None] * _NODES, -1, 1).reshape(4 * n, -1)
+        points = np.concatenate([edges, nodes])
+        cold = log_offset(points, "interior", par)
+        e = np.exp(cold)
+        terms = np.abs(points) + par.r_minus + e + kp * np.abs(np.log(width - e)) + km * np.abs(cold)
+        slope = np.abs(e - kp * e / (width - e) - km)
+        bound = 4 * np.spacing(np.maximum(np.abs(cold), 1.0)) + 4 * 2.3e-16 * terms / slope
+        for seed in (_interior_seeds(n, rstar[:-1], rstar[1:], s[:-1], s[1:], par), cold + 5.0, cold - 5.0):
+            assert np.all(np.abs(log_offset(points, "interior", par, seed=seed) - cold) <= bound)
+
+
 def test_interior_long_span_matches_dormand_prince():
     # past 32/alpha, where B is below e^{-32}, the sample spacing doubles on
     # each interval: (0, 1e4) on alpha = 1.74 takes 146 samples; a uniform
@@ -1319,6 +1379,17 @@ def test_interior_long_span_matches_dormand_prince():
     ref = interior_dormand_prince(IMODE, PAR, span, X0, tol=1e-13)
     assert len(traj.rstar) < 200 and traj.rstar[-1] == span[1]
     assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-9 * np.abs(ref.X[-1]).max()
+
+
+@pytest.mark.parametrize("par,mode", HORIZON_SEEDS + [(NEAR_EXTREMAL[0], IMODE)])
+def test_horizon_coupling_takes_u01_from_the_one_evaluator(par, mode):
+    # the interior evaluates U01 alone at its Gauss nodes, from the formula
+    # `_potential_entries` builds U from, bit for bit
+    s = log_offset(np.linspace(-2.0, 40.0, 211) / cauchy_rate(par), "interior", par)
+    eps = np.exp(s)
+    abs_delta = eps * (par.r_plus - par.r_minus - eps)
+    u01 = _potential_entries(par.r_minus + eps, -abs_delta, np.sqrt(abs_delta), -1.0, mode, par)[1]
+    assert np.array_equal(_horizon_coupling(s, mode, par)[1], u01)
 
 
 def test_horizon_fit_alpha_0_0227():
@@ -1368,7 +1439,8 @@ def test_interior_step_exponent_matches_dense_magnus(kappa, monkeypatch):
         return _expm2(*omega)
 
     monkeypatch.setattr(kndirac.radial, "_expm2", recording)
-    _interior_products(np.array([t0]), np.array([t1]), 1, mode, par)
+    _interior_products(np.array([t0]), np.array([t1]), *log_offset(np.array([[t0], [t1]]), "interior", par),
+                       1, mode, par)
     (Om,) = seen
     ref, second = reference_magnus2(lambda t: horizon_B(t, mode, par), t0, t1)
     sigma3_term = abs(second[0, 0] - second[1, 1]) / 2
