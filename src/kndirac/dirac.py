@@ -17,17 +17,21 @@ The diagonal transform uses D = diag(db^1/2, (db|Delta|)^1/2, (d|Delta|)^1/2,
 d^1/2) with d = r + i a cos(theta), db its conjugate, and
 Gamma = -i diag(d, -d, -db, db); the transformed operator separates into the
 radial and angular systems of :mod:`kndirac.separation`.
+
+Every evaluator takes a `BLPoint` holding one point or a batch of them and
+evaluates all of them in one pass, component axes last: B has shape
+(..., 4, 4) and a stencil's coefficients (..., 5, 4, 4), where ... is the
+shape of the point's r.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .geometry import delta_sigma
+from .geometry import BLPoint, delta_sigma
 from .tetrads import orthonormal_u_ef
 
 __all__ = [
@@ -57,9 +61,6 @@ class GammaSet:
     gamma: np.ndarray  # shape (4, 4, 4); gamma[a] is gamma^(a)
     gamma5: np.ndarray
 
-    def __iter__(self):
-        return iter(self.gamma)
-
 
 def gamma_weyl():
     """Weyl-representation gamma matrices with gamma5 = i g0 g1 g2 g3.
@@ -77,6 +78,8 @@ def gamma_weyl():
 
 _GAMMA = gamma_weyl()
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+# gamma^(a) then gamma^(a) gamma5, a = 0..3: the matrices B is a combination of
+_B_BASIS = np.concatenate([_GAMMA.gamma, _GAMMA.gamma @ _GAMMA.gamma5])
 
 SPIN_MATRIX = np.block([[np.zeros((2, 2)), _I2], [_I2, np.zeros((2, 2))]]).astype(complex)
 
@@ -97,6 +100,12 @@ def general_dirac_matrices(tet):
     return np.einsum("...am,aij->...mij", tet.u, _GAMMA.gamma)
 
 
+def _combination(coefficients):
+    """sum_k c_k _B_BASIS[k] at every point, (..., 4, 4), from the eight
+    coefficients stacked on the last axis."""
+    return np.einsum("...k,kij->...ij", coefficients, _B_BASIS)
+
+
 def _sqrt_abs_g(r, theta, params):
     _, sigma = delta_sigma(r, theta, params)
     return sigma * np.sin(theta)
@@ -112,17 +121,21 @@ def b_term_closed(point, params):
     r, th = point.r, point.theta
     delta, sigma = delta_sigma(r, th, params)
     a, M, rp = params.a, params.M, params.r_plus
-    ct, st = math.cos(th), math.sin(th)
-    g, g5 = _GAMMA.gamma, _GAMMA.gamma5
-    s32 = sigma ** 1.5
-    B = (1j * (r - M) / (2 * math.sqrt(sigma) * rp)) * (g[0] + g[3])
-    B = B + (1j * ct / (2 * math.sqrt(sigma) * st)) * g[1]
-    B = B - (1j * a * a / (2 * s32)) * ct * st * g[1]
-    B = B + (1j * r / (4 * s32 * rp)) * ((delta - rp**2) * g[0] + (delta + rp**2) * g[3])
-    B = B + (a * (delta - rp**2) / (4 * s32 * rp)) * ct * (g[0] @ g5)
-    B = B + (a * (delta + rp**2) / (4 * s32 * rp)) * ct * (g[3] @ g5)
-    B = B + (r * a * st / (2 * s32)) * (g[1] @ g5)
-    return B
+    ct, st = np.cos(th), np.sin(th)
+    rS, s32 = np.sqrt(sigma), sigma ** 1.5
+    radial = 1j * (r - M) / (2 * rS * rp)
+    zero = np.zeros_like(radial)
+    # the coefficients of gamma^(0..3), then of gamma^(0..3) gamma5
+    return _combination(np.stack([
+        radial + (1j * r / (4 * s32 * rp)) * (delta - rp**2),
+        1j * ct / (2 * rS * st) - (1j * a * a / (2 * s32)) * ct * st,
+        zero,
+        radial + (1j * r / (4 * s32 * rp)) * (delta + rp**2),
+        (a * (delta - rp**2) / (4 * s32 * rp)) * ct,
+        r * a * st / (2 * s32),
+        zero,
+        (a * (delta + rp**2) / (4 * s32 * rp)) * ct,
+    ], axis=-1))
 
 
 def _levi_civita_flat():
@@ -139,6 +152,9 @@ def _levi_civita_flat():
 
 
 _LEVI = _levi_civita_flat()
+# the point and its neighbours r +- h, theta +- h, in units of h
+_STENCIL_R = np.array([0.0, 1.0, -1.0, 0.0, 0.0])
+_STENCIL_THETA = np.array([0.0, 0.0, 0.0, 1.0, -1.0])
 
 
 def b_term_numeric(point, params, h=1e-5):
@@ -147,92 +163,60 @@ def b_term_numeric(point, params, h=1e-5):
     Central differences in r and theta of sqrt|g| u^mu_(a) and of the frame
     forms; independent of the closed form, agreement is O(h^2).
     """
-    from .geometry import BLPoint
-
-    r, th = point.r, point.theta
-    g, g5 = _GAMMA.gamma, _GAMMA.gamma5
-    # the frame at the point and at its neighbours r +- h, theta +- h, in one call
-    rs = r + h * np.array([0.0, 1.0, -1.0, 0.0, 0.0])
-    ths = th + h * np.array([0.0, 0.0, 0.0, 1.0, -1.0])
+    r, th = np.asarray(point.r, dtype=float), np.asarray(point.theta, dtype=float)
+    # the frame at the points and at their four neighbours, in one call
+    stencil = (5,) + (1,) * r.ndim
+    rs = r + h * _STENCIL_R.reshape(stencil)
+    ths = th + h * _STENCIL_THETA.reshape(stencil)
     vectors, forms = orthonormal_u_ef(BLPoint(rs, ths), params)
-    uvec, uform = vectors.u, forms.u
     sg = _sqrt_abs_g(rs, ths, params)
-
-    B1 = np.zeros((4, 4), dtype=complex)
-    for aidx in range(4):
-        d_r = (sg[1] * uvec[1, aidx, 1] - sg[2] * uvec[2, aidx, 1]) / (2 * h)
-        d_th = (sg[3] * uvec[3, aidx, 2] - sg[4] * uvec[4, aidx, 2]) / (2 * h)
-        B1 += 1j / (2 * sg[0]) * (d_r + d_th) * g[aidx]
-
-    uf = uform[0]
-    duf = np.zeros((4, 4, 4), dtype=complex)
-    duf[1] = (uform[1] - uform[2]) / (2 * h)
-    duf[2] = (uform[3] - uform[4]) / (2 * h)
-    gam5 = np.array([g[c] @ g5 for c in range(4)])
-    B2 = np.zeros((4, 4), dtype=complex)
-    for mu in (1, 2):
-        for al in range(4):
-            for be in range(4):
-                for de in range(4):
-                    lv = _LEVI[mu, al, be, de]
-                    if lv == 0.0:
-                        continue
-                    coef = 0.0 + 0j
-                    for b in range(4):
-                        coef += ETA[b, b] * uf[b, al] * duf[mu, b, be]
-                    B2 += (-0.25 * lv / sg[0]) * coef * np.einsum("c,cij->ij", uf[:, de], gam5)
-    return B1 + B2
+    weighted = sg[..., None, None] * vectors.u  # sqrt|g| u_(a)^mu
+    # d_mu (sqrt|g| u_(a)^mu), mu = r, theta
+    divergence = ((weighted[1, ..., 1] - weighted[2, ..., 1])
+                  + (weighted[3, ..., 2] - weighted[4, ..., 2])) / (2 * h)
+    uf = forms.u[0]
+    duf = np.stack([forms.u[1] - forms.u[2], forms.u[3] - forms.u[4]]) / (2 * h)  # d_r, d_theta
+    # eta^{(b)(b)} u_(b)al d_mu u_(b)be, then contracted with eps^{mu al be de}, mu = r, theta
+    twist = np.einsum("b,...bx,m...by->...mxy", np.diag(ETA), uf, duf)
+    twist = np.einsum("mxyz,...mxy->...z", _LEVI[1:3], twist)
+    chiral = np.einsum("...z,...cz->...c", twist, uf)
+    return _combination(np.concatenate([1j * divergence, -0.5 * chiral], axis=-1)
+                        / (2 * sg[0])[..., None])
 
 
 @dataclass(frozen=True)
 class DiracStencil:
     """First-order operator  A_tau d_tau + A_r d_r + A_theta d_theta
-    + A_phi d_phi + A_0  at a point."""
+    + A_phi d_phi + A_0  at a point or a batch of points."""
 
-    coeffs: np.ndarray  # shape (5, 4, 4): tau, r, theta, phi, zeroth
-    r: float
-    theta: float
-    params: object
-    mass: float = 0.0
-
-    @property
-    def A_tau(self):
-        return self.coeffs[0]
-
-    @property
-    def A_r(self):
-        return self.coeffs[1]
-
-    @property
-    def A_theta(self):
-        return self.coeffs[2]
-
-    @property
-    def A_phi(self):
-        return self.coeffs[3]
-
-    @property
-    def A_0(self):
-        return self.coeffs[4]
+    coeffs: np.ndarray  # shape (..., 5, 4, 4): tau, r, theta, phi, zeroth
 
     def mode_zeroth(self, omega, k):
         """Zeroth-order matrix after e^{-i omega tau} e^{-i k phi} substitution."""
-        return -1j * omega * self.coeffs[0] - 1j * k * self.coeffs[3] + self.coeffs[4]
+        c = self.coeffs
+        return -1j * omega * c[..., 0, :, :] - 1j * k * c[..., 3, :, :] + c[..., 4, :, :]
 
     def apply_mode(self, omega, k, F, dF_dr, dF_dtheta):
         """Act on mode data (component values and their r/theta derivatives)."""
-        return (
-            self.mode_zeroth(omega, k) @ np.asarray(F, dtype=complex)
-            + self.coeffs[1] @ np.asarray(dF_dr, dtype=complex)
-            + self.coeffs[2] @ np.asarray(dF_dtheta, dtype=complex)
-        )
+        def act(matrix, x):
+            return (matrix @ np.asarray(x, dtype=complex)[..., None])[..., 0]
+
+        return (act(self.mode_zeroth(omega, k), F) + act(self.coeffs[..., 1, :, :], dF_dr)
+                + act(self.coeffs[..., 2, :, :], dF_dtheta))
 
 
-def _entry(ct, cr, cth, cphi, c0):
-    return np.array([ct, cr, cth, cphi, c0], dtype=complex)
+def _stencil(shape, entries):
+    """A stencil holding each of `entries`, ((i, j), (c_tau, c_r, c_theta,
+    c_phi, c_0)), at (i, j) and zeros elsewhere; every c broadcasts to the
+    points' `shape`."""
+    coeffs = np.zeros(shape + (5, 4, 4), dtype=complex)
+    for (i, j), entry in entries:
+        for mu, c in enumerate(entry):
+            coeffs[..., mu, i, j] = c
+    return DiracStencil(coeffs=coeffs)
 
 
-def dirac_stencil(point, params, mass=0.0):
+def dirac_stencil(point, params):
     """Dirac operator i G^mu d_mu + B as a stencil of closed-form entries.
 
     The matrix layout is
@@ -240,60 +224,50 @@ def dirac_stencil(point, params, mass=0.0):
          [0,    0,    b+,  a0],
          [a0b,  b+b,  0,   0 ],
          [b-b,  a1b,  0,   0 ]],
-    every entry a first-order operator in (tau, r, theta, phi).  The mass is
-    recorded for the downstream transform but not folded into the stencil.
+    every entry a first-order operator in (tau, r, theta, phi).
     """
     r, th = point.r, point.theta
     delta, sigma = delta_sigma(r, th, params)
     a, M, rp = params.a, params.M, params.r_plus
-    ct, st = math.cos(th), math.sin(th)
-    rS = math.sqrt(sigma)
+    ct, st = np.cos(th), np.sin(th)
+    rS = np.sqrt(sigma)
     dlt = r + 1j * a * ct
     dltb = r - 1j * a * ct
 
     big = 2 * r * r + 2 * a * a - delta
-    a1 = _entry(-1j * big / (rS * rp), -1j * delta / (rS * rp), 0.0, -2j * a / (rS * rp),
-                -(1j / (rS * rp)) * ((r - M) + delta * dltb / (2 * sigma)))
-    a1b = _entry(-1j * big / (rS * rp), -1j * delta / (rS * rp), 0.0, -2j * a / (rS * rp),
-                 -(1j / (rS * rp)) * ((r - M) + delta * dlt / (2 * sigma)))
-    a0 = _entry(-1j * rp / rS, 1j * rp / rS, 0.0, 0.0, 1j * rp * dltb / (2 * sigma * rS))
-    a0b = _entry(-1j * rp / rS, 1j * rp / rS, 0.0, 0.0, 1j * rp * dlt / (2 * sigma * rS))
-    bm = _entry(-a * st / rS, 0.0, -1j / rS, -1.0 / (st * rS),
-                -(1.0 / rS) * (1j * ct / (2 * st) + a * st * dltb / (2 * sigma)))
-    bp = _entry(a * st / rS, 0.0, -1j / rS, 1.0 / (st * rS),
-                -(1.0 / rS) * (1j * ct / (2 * st) + a * st * dltb / (2 * sigma)))
-    bmb = _entry(-a * st / rS, 0.0, 1j / rS, -1.0 / (st * rS),
-                 (1.0 / rS) * (1j * ct / (2 * st) - a * st * dlt / (2 * sigma)))
-    bpb = _entry(a * st / rS, 0.0, 1j / rS, 1.0 / (st * rS),
-                 (1.0 / rS) * (1j * ct / (2 * st) - a * st * dlt / (2 * sigma)))
-
-    coeffs = np.zeros((5, 4, 4), dtype=complex)
-    for (i, j), ent in [((0, 2), a1), ((0, 3), bm), ((1, 2), bp), ((1, 3), a0),
-                        ((2, 0), a0b), ((2, 1), bpb), ((3, 0), bmb), ((3, 1), a1b)]:
-        coeffs[:, i, j] = ent
-    return DiracStencil(coeffs=coeffs, r=r, theta=th, params=params, mass=mass)
+    a1 = (-1j * big / (rS * rp), -1j * delta / (rS * rp), 0.0, -2j * a / (rS * rp),
+          -(1j / (rS * rp)) * ((r - M) + delta * dltb / (2 * sigma)))
+    a1b = a1[:4] + (-(1j / (rS * rp)) * ((r - M) + delta * dlt / (2 * sigma)),)
+    a0 = (-1j * rp / rS, 1j * rp / rS, 0.0, 0.0, 1j * rp * dltb / (2 * sigma * rS))
+    a0b = a0[:4] + (1j * rp * dlt / (2 * sigma * rS),)
+    bm = (-a * st / rS, 0.0, -1j / rS, -1.0 / (st * rS),
+          -(1.0 / rS) * (1j * ct / (2 * st) + a * st * dltb / (2 * sigma)))
+    bp = (a * st / rS, 0.0, -1j / rS, 1.0 / (st * rS), bm[4])
+    bmb = (-a * st / rS, 0.0, 1j / rS, -1.0 / (st * rS),
+           (1.0 / rS) * (1j * ct / (2 * st) - a * st * dlt / (2 * sigma)))
+    bpb = (a * st / rS, 0.0, 1j / rS, 1.0 / (st * rS), bmb[4])
+    return _stencil(np.shape(r), [((0, 2), a1), ((0, 3), bm), ((1, 2), bp), ((1, 3), a0),
+                                  ((2, 0), a0b), ((2, 1), bpb), ((3, 0), bmb), ((3, 1), a1b)])
 
 
-def assembled_dirac_stencil(point, params, mass=0.0):
+def assembled_dirac_stencil(point, params):
     """Independent assembly i G^mu d_mu + B from the frame and spin connection."""
     G = general_dirac_matrices(orthonormal_u_ef(point, params)[0])
-    coeffs = np.zeros((5, 4, 4), dtype=complex)
-    coeffs[:4] = 1j * G
-    coeffs[4] = b_term_closed(point, params)
-    return DiracStencil(coeffs=coeffs, r=point.r, theta=point.theta, params=params, mass=mass)
+    return DiracStencil(coeffs=np.concatenate([1j * G, b_term_closed(point, params)[..., None, :, :]], axis=-3))
 
 
-def _diag_transform_matrices(r, th, params):
+def _diag_transform(r, th, params):
+    """The diagonals of D and Gamma, (..., 4) each."""
     delta, _ = delta_sigma(r, th, params)
-    dlt = r + 1j * params.a * math.cos(th)
+    dlt = r + 1j * params.a * np.cos(th)
     dltb = np.conj(dlt)
-    ad = abs(delta)
-    D = np.diag([np.sqrt(dltb), np.sqrt(dltb * ad), np.sqrt(dlt * ad), np.sqrt(dlt)]).astype(complex)
-    Gam = -1j * np.diag([dlt, -dlt, -dltb, dltb]).astype(complex)
+    ad = np.abs(delta)
+    D = np.stack([np.sqrt(dltb), np.sqrt(dltb * ad), np.sqrt(dlt * ad), np.sqrt(dlt)], axis=-1)
+    Gam = -1j * np.stack([dlt, -dlt, -dltb, dltb], axis=-1)
     return D, Gam
 
 
-def transform_stencil(st, point, params, mass):
+def transform_stencil(point, params, mass):
     """Closed form of the diagonally transformed Dirac operator.
 
     The entries are the separated operators
@@ -302,53 +276,50 @@ def transform_stencil(st, point, params, mass):
         L+- = d_theta + cot/2 -+ i (a sin d_tau + csc d_phi)
     placed with |Delta|^(-1/2) and |Delta|^(1/2) weights, and the mass diagonal
     (i d m, -i d m, -i db m, i db m).  Numerically it equals
-    -Gamma D (G + m) D^{-1} applied to the input stencil (see
+    -Gamma D (G + m) D^{-1} applied to the stencil of `dirac_stencil` (see
     conjugated_stencil_numeric), with all zeroth-order chain-rule terms
-    cancelling against the entries of G.
+    cancelling against the entries of G.  Raises ValueError if any point lies
+    on a horizon.
     """
     r, th = point.r, point.theta
     delta, _ = delta_sigma(r, th, params)
-    if abs(delta) < 1e-12 * params.M**2:
+    if np.any(np.abs(delta) < 1e-12 * params.M**2):
         raise ValueError("transform is singular at r = r_plus (|Delta| factors)")
     a, rp = params.a, params.r_plus
-    ct, st_ = math.cos(th), math.sin(th)
+    ct, st = np.cos(th), np.sin(th)
     dlt = r + 1j * a * ct
     dltb = np.conj(dlt)
-    sD = math.sqrt(abs(delta))
+    sD = np.sqrt(np.abs(delta))
 
-    D1 = _entry((2 * r * r + 2 * a * a - delta) / rp, delta / rp, 0.0, 2 * a / rp, 0.0)
-    D0 = _entry(-rp, rp, 0.0, 0.0, 0.0)
-    Lp = _entry(-1j * a * st_, 0.0, 1.0, -1j / st_, ct / (2 * st_))
-    Lm = _entry(1j * a * st_, 0.0, 1.0, 1j / st_, ct / (2 * st_))
-
-    coeffs = np.zeros((5, 4, 4), dtype=complex)
-    for (i, j), ent in [((0, 2), D1 / sD), ((0, 3), Lp), ((1, 2), -Lm), ((1, 3), sD * D0),
-                        ((2, 0), sD * D0), ((2, 1), Lp), ((3, 0), -Lm), ((3, 1), D1 / sD)]:
-        coeffs[:, i, j] = ent
-    coeffs[4, 0, 0] += 1j * dlt * mass
-    coeffs[4, 1, 1] += -1j * dlt * mass
-    coeffs[4, 2, 2] += -1j * dltb * mass
-    coeffs[4, 3, 3] += 1j * dltb * mass
-    return DiracStencil(coeffs=coeffs, r=r, theta=th, params=params, mass=mass)
+    D1 = ((2 * r * r + 2 * a * a - delta) / rp, delta / rp, 0.0, 2 * a / rp, 0.0)
+    D0 = (-rp, rp, 0.0, 0.0, 0.0)
+    Lp = (-1j * a * st, 0.0, 1.0, -1j / st, ct / (2 * st))
+    mLm = (-1j * a * st, 0.0, -1.0, -1j / st, -ct / (2 * st))  # -L-
+    D1w = tuple(c / sD for c in D1)
+    D0w = tuple(sD * c for c in D0)
+    mass_diagonal = [((i, i), (0.0,) * 4 + (m * mass,))
+                     for i, m in enumerate((1j * dlt, -1j * dlt, -1j * dltb, 1j * dltb))]
+    return _stencil(np.shape(r), [((0, 2), D1w), ((0, 3), Lp), ((1, 2), mLm), ((1, 3), D0w),
+                                  ((2, 0), D0w), ((2, 1), Lp), ((3, 0), mLm), ((3, 1), D1w)] + mass_diagonal)
 
 
 def conjugated_stencil_numeric(st, point, params, mass, h=1e-5):
     """-Gamma D (G + m) D^{-1} with the r- and theta-dependence of D treated
-    by central finite differences; oracle for transform_stencil."""
+    by central finite differences of D^{-1}; oracle for transform_stencil.
+
+    D and Gamma are diagonal, so each product is an elementwise scaling of
+    the rows (by -Gamma D) and the columns (by D^{-1} or its derivative)."""
+    def inverse(r, th):
+        return 1.0 / _diag_transform(r, th, params)[0]
+
     r, th = point.r, point.theta
-    D, Gam = _diag_transform_matrices(r, th, params)
-    Dinv = np.linalg.inv(D)
-    dDinv_r = (
-        np.linalg.inv(_diag_transform_matrices(r + h, th, params)[0])
-        - np.linalg.inv(_diag_transform_matrices(r - h, th, params)[0])
-    ) / (2 * h)
-    dDinv_t = (
-        np.linalg.inv(_diag_transform_matrices(r, th + h, params)[0])
-        - np.linalg.inv(_diag_transform_matrices(r, th - h, params)[0])
-    ) / (2 * h)
-    coeffs = np.zeros((5, 4, 4), dtype=complex)
-    for mu in range(4):
-        coeffs[mu] = -Gam @ D @ st.coeffs[mu] @ Dinv
-    zeroth = st.coeffs[4] + mass * np.eye(4)
-    coeffs[4] = -Gam @ (D @ st.coeffs[1] @ dDinv_r + D @ st.coeffs[2] @ dDinv_t + D @ zeroth @ Dinv)
-    return DiracStencil(coeffs=coeffs, r=r, theta=th, params=params, mass=mass)
+    D, Gam = _diag_transform(r, th, params)
+    Dinv = inverse(r, th)
+    dDinv_r = (inverse(r + h, th) - inverse(r - h, th)) / (2 * h)
+    dDinv_t = (inverse(r, th + h) - inverse(r, th - h)) / (2 * h)
+    rows = (-Gam * D)[..., :, None]
+    c = st.coeffs
+    zeroth = (c[..., 1, :, :] * dDinv_r[..., None, :] + c[..., 2, :, :] * dDinv_t[..., None, :]
+              + (c[..., 4, :, :] + mass * np.eye(4)) * Dinv[..., None, :])
+    first = rows[..., None, :, :] * c[..., :4, :, :] * Dinv[..., None, None, :]
+    return DiracStencil(coeffs=np.concatenate([first, (rows * zeroth)[..., None, :, :]], axis=-3))

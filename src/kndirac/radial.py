@@ -619,7 +619,7 @@ def _uniform_edges(ta, tb, n):
     return edges
 
 
-def _filon_magnus_steps(edges, carrier, frame, sign):
+def _filon_magnus_steps(edges, half_width, carrier, frame, sign):
     """Exponentials of the steps between consecutive `edges` (axis 0; the other
     axes run over intervals), as four component arrays.
 
@@ -638,10 +638,11 @@ def _filon_magnus_steps(edges, carrier, frame, sign):
     it.  The weights come first, the moments mu_l of kappa times the real
     tensors: mu @ F1 is dotted with A, G with (mu @ F2) A and A with
     (e^{i kappa} mu @ F3) conj(A), two 4x4 mat-vecs per step.  The moments
-    depend on the step only through kappa: where the edges are the uniform
-    subdivision of each interval (`_uniform_edges`) they and the weights
-    are computed once per interval and shared by its steps, and elsewhere
-    once per step.
+    depend on the step only through kappa = -carrier `half_width`: a caller
+    whose edges are the uniform subdivision of each interval
+    (`_uniform_edges`) passes the interval's (tb - ta) / (2 n), shape
+    (1, intervals), and the moments and weights are computed once per
+    interval and shared by its steps; elsewhere it passes each step's eta.
     Omega10 = sign conj(Omega01), and the trace int tau over each step comes
     in closed form from the antiderivative at the edges, so Omega lies in
     the algebra of C.
@@ -649,9 +650,7 @@ def _filon_magnus_steps(edges, carrier, frame, sign):
     eta, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
     G, A, trace_phase = frame(mid[..., None] + eta[..., None] * _NODES, edges)
     trace = np.diff(trace_phase, axis=0)
-    n = len(eta)
-    uniform = np.array_equal(edges, _uniform_edges(edges[0], edges[-1], n))
-    kappa = -carrier * (0.5 * (edges[-1:] - edges[:1]) / n if uniform else eta)
+    kappa = -carrier * half_width
     # the weights on the node values, per interval or per step as mu is
     mu = _moments(kappa)
     pairs = mu.shape[:-1] + (4, 4)
@@ -760,7 +759,8 @@ def _frame_steps(edges, s_edges, mode, params):
         G, A = _coupling(nodes, log_offset(nodes, "exterior", params), mode, params)
         return G, A, _trace_phase(s_edges, mode, params)
 
-    return _filon_magnus_steps(edges, 2.0 * w_roots(mode.omega, mode.m)[0].real, frame, 1.0)
+    return _filon_magnus_steps(edges, 0.5 * (edges[1:] - edges[:-1]), 2.0 * w_roots(mode.omega, mode.m)[0].real,
+                               frame, 1.0)
 
 
 def _plain_steps(_, s_edges, mode, params):
@@ -783,7 +783,7 @@ def _plain_steps(_, s_edges, mode, params):
         u_minus_r, phitilde = _exterior_log_terms(s_edges, params)
         return 0.5 * jac * (u00 - u11).imag, jac * u01, 2.0 * (mode.omega * u_minus_r + mode.k * phitilde)
 
-    return _filon_magnus_steps(s_edges, 0.0, frame, 1.0)
+    return _filon_magnus_steps(s_edges, 0.5 * (s_edges[-1:] - s_edges[:1]) / (len(s_edges) - 1), 0.0, frame, 1.0)
 
 
 def _through_frame(u, s, products, X0, mode, params):
@@ -1076,7 +1076,8 @@ def _interior_products(ta, tb, sa, sb, n, mode, params):
         s_nodes = np.moveaxis(s[n + 1:].reshape(n, 4, -1), 1, -1)
         return *_horizon_coupling(s_nodes, mode, params), _horizon_trace_phase(s[:n + 1], mode, params)
 
-    steps = _filon_magnus_steps(_uniform_edges(ta, tb, n), _cauchy_nu(mode, params), frame, -1.0)
+    steps = _filon_magnus_steps(_uniform_edges(ta, tb, n), 0.5 * (tb - ta)[None] / n, _cauchy_nu(mode, params),
+                                frame, -1.0)
     return _ordered_product(*steps)
 
 

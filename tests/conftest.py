@@ -51,12 +51,14 @@ def random_batch(rng, params, n_exterior=30, n_between=10):
 
 
 def assert_batch_matches_pointwise(evaluate, r, theta, rtol=1e-14):
-    """evaluate(BLPoint) on the whole batch against its per-point values
-    stacked, componentwise, relative to each component's largest size."""
+    """evaluate(BLPoint) on the whole batch, of any shape, against its
+    per-point values stacked, componentwise, relative to each component's
+    largest size."""
     from kndirac.geometry import BLPoint
 
     batch = evaluate(BLPoint(r, theta))
-    stacked = np.array([evaluate(BLPoint(ri, ti)) for ri, ti in zip(r, theta)])
+    stacked = np.array([evaluate(BLPoint(r[i], theta[i])) for i in np.ndindex(r.shape)])
+    stacked = stacked.reshape(r.shape + stacked.shape[1:])
     assert batch.shape == stacked.shape
-    scale = np.abs(stacked).max(axis=0)
+    scale = np.abs(stacked).max(axis=tuple(range(r.ndim)))
     assert np.all(np.abs(batch - stacked) <= rtol * scale)

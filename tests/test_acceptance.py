@@ -210,9 +210,9 @@ def test_criterion_3_operator_assembly_and_transform():
         n += 1
         p = BLPoint(r, th)
         m = float(rng.uniform(0.0, 1.0))
-        st = dirac_stencil(p, par, mass=m)
+        st = dirac_stencil(p, par)
         dual = max(dual, float(np.abs(st.coeffs - assembled_dirac_stencil(p, par).coeffs).max()))
-        tr = transform_stencil(st, p, par, m)
+        tr = transform_stencil(p, par, m)
         orc = conjugated_stencil_numeric(st, p, par, m, h=1e-5)
         conj = max(conj, float(np.abs(tr.coeffs - orc.coeffs).max()))
     ok = dual < 1e-10 and conj < 1e-6
@@ -256,7 +256,7 @@ def test_criterion_5_separation_consistency():
         dphi_r = np.array([dX[1] * Y[1], dX[0] * Y[0], dX[0] * Y[1], dX[1] * Y[0]])
         dphi_t = np.array([X[1] * dY[1], X[0] * dY[0], X[0] * dY[1], X[1] * dY[0]])
         p = BLPoint(r, th)
-        tr = transform_stencil(dirac_stencil(p, par, mode.m), p, par, mode.m)
+        tr = transform_stencil(p, par, mode.m)
         out = tr.apply_mode(mode.omega, mode.k, phi, dphi_r, dphi_t)
         worst = max(worst, float(np.abs(out).max() / max(np.abs(phi).max(), 1e-30)))
     report(5, worst < 1e-8, f"transformed-operator residual on separated ansatz {worst:.2e} < 1e-8",

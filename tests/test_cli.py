@@ -57,12 +57,12 @@ def test_configuration_errors(tmp_path):
     notobject.write_text("5")
     assert main(["horizons", "--config", str(notobject), "--out", str(tmp_path)]) == 2
     assert main(["angular", "--count", "-1", "--out", str(tmp_path)]) == 2
-    assert main(["asymptotics", "--n-samples", "2", "--rstar-min", "2e4", "--out", str(tmp_path)]) == 2
+    assert main(["asymptotics-infinity", "--n-samples", "2", "--rstar-min", "2e4", "--out", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("argv", [
     ["radial", "--rstar-max", "inf"], ["radial", "--rstar-min", "nan"],
-    ["asymptotics", "--branch", "interior", "--omega", "nan"], ["horizons", "--M", "inf"],
+    ["asymptotics-cauchy", "--omega", "nan"], ["horizons", "--M", "inf"],
     ["angular", "--omega", "inf"], ["radial", "--xi", "inf"],
 ])
 def test_non_finite_inputs_are_configuration_errors(tmp_path, capsys, argv):
@@ -74,7 +74,7 @@ def test_non_finite_inputs_are_configuration_errors(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("task,key,value", [
     ("angular", "N", 64.5), ("angular", "N", "64"), ("angular", "count", 2.5),
-    ("tetrad-check", "n_points", 3.5), ("asymptotics", "n_samples", 20.5),
+    ("tetrad-check", "n_points", 3.5), ("asymptotics-infinity", "n_samples", 20.5),
     ("tetrad-check", "tol", "1e-9"), ("angular", "N", True),
 ])
 def test_config_value_types(tmp_path, capsys, task, key, value):
@@ -164,13 +164,35 @@ def test_nan_residual_fails_the_check(monkeypatch, tmp_path, task, name, record,
     assert math.isnan(float(residual(rec)))
 
 
+def test_dirac_verify_checks_every_point(monkeypatch, tmp_path):
+    # a closed-form B term wrong at the 13th of 20 points fails the check;
+    # the finite-difference oracles once ran on the first ten points only
+    import kndirac.cli
+
+    params = kndirac.cli._params(kndirac.cli.TASKS["dirac-verify"][1])
+    r_bad = kndirac.cli._random_points(np.random.default_rng(kndirac.cli.DEFAULT_SEED), params, 20)[0][12]
+    original = kndirac.cli.b_term_closed
+
+    def perturbed(point, params):
+        B = original(point, params)
+        return B + 1e-3 * (np.asarray(point.r) == r_bad)[..., None, None]
+
+    monkeypatch.setattr(kndirac.cli, "b_term_closed", perturbed)
+    out = str(tmp_path / "o")
+    assert main(["dirac-verify", "--n-points", "20", "--out", out]) == 1
+    rec = json.loads(read(out, "dirac_verify.json"))
+    assert rec["pass"] is False and rec["max_bterm_residual"] > 9e-4
+
+
 def test_checks_evaluate_all_points_at_once(monkeypatch, tmp_path):
-    # the frames and Dirac matrices of all points are built in one call per
-    # chart, so the calls do not grow with --n-points
+    # the frames, the Dirac matrices, the spin-connection term, the stencils
+    # and the transform of all points are each built in one call (per
+    # chart), so the calls do not grow with --n-points
     import kndirac.cli
 
     names = ("symmetric_bl_tetrad", "ef_null_tetrad", "orthonormal_u_ef", "orthonormal_bl",
-             "general_dirac_matrices")
+             "general_dirac_matrices", "b_term_closed", "b_term_numeric", "dirac_stencil",
+             "assembled_dirac_stencil", "transform_stencil", "conjugated_stencil_numeric")
     calls = {}
 
     def counter(name, fn):
@@ -262,10 +284,10 @@ def test_radial_overflow_is_a_numerical_failure(tmp_path, capsys):
 
 def test_interior_asymptotics_task(tmp_path):
     out = str(tmp_path / "o")
-    rc = main(["asymptotics", "--branch", "interior", "--out", out,
+    rc = main(["asymptotics-cauchy", "--out", out,
                "--omega", "0.9", "--k", "1.5", "--mass", "0.6", "--xi", "1.3"])
     assert rc == 0
-    rec = json.loads(read(out, "asymptotics.json"))
+    rec = json.loads(read(out, "asymptotics_cauchy.json"))
     assert rec["pass"] is True
     assert abs(rec["rate"] - rec["alpha"]) <= 0.1 * rec["alpha"]
 
@@ -273,10 +295,10 @@ def test_interior_asymptotics_task(tmp_path):
 def test_exterior_asymptotics_task(tmp_path):
     # reduced span keeps the runtime small; the slope window scales with it
     out = str(tmp_path / "o")
-    rc = main(["asymptotics", "--branch", "exterior", "--out", out,
+    rc = main(["asymptotics-infinity", "--out", out,
                "--rstar-max", "1e5", "--n-samples", "20"])
     assert rc == 0
-    rec = json.loads(read(out, "asymptotics.json"))
+    rec = json.loads(read(out, "asymptotics_infinity.json"))
     assert rec["pass"] is True
     assert -1.3 <= rec["slope"] <= -0.7
 
@@ -297,7 +319,8 @@ TASK_KEYS = {
     "dirac-verify": "M a Q seed mass n_points",
     "angular": "M a Q omega k mass N count",
     "radial": "M a Q omega k mass xi tol rstar_min rstar_max branch",
-    "asymptotics": "M a Q omega k mass xi tol rstar_min rstar_max n_samples branch",
+    "asymptotics-infinity": "M a Q omega k mass xi rstar_min rstar_max n_samples",
+    "asymptotics-cauchy": "M a Q omega k mass xi tol",
 }
 
 

@@ -9,7 +9,7 @@ transformed Dirac stencil -> far-field fit -> Cauchy-horizon fit.
 import numpy as np
 
 from kndirac.angular import DiscretizationSpec, angular_eigenpairs, eigenfunction_values
-from kndirac.dirac import dirac_stencil, transform_stencil
+from kndirac.dirac import transform_stencil
 from kndirac.geometry import BLPoint, SpacetimeParams
 from kndirac.radial import cauchy_rate, far_field_trajectory, fit_horizon, fit_infinity, integrate
 from kndirac.separation import ModeParams
@@ -37,7 +37,7 @@ def test_angular_eigenvalue_through_radial_pipeline():
     dphi_r = np.array([dX[1] * Y[1], dX[0] * Y[0], dX[0] * Y[1], dX[1] * Y[0]])
     dphi_t = np.array([X[1] * dY[1], X[0] * dY[0], X[0] * dY[1], X[1] * dY[0]])
     p = BLPoint(r, float(th[0]))
-    tr = transform_stencil(dirac_stencil(p, PAR, mode.m), p, PAR, mode.m)
+    tr = transform_stencil(p, PAR, mode.m)
     out = tr.apply_mode(mode.omega, mode.k, phi, dphi_r, dphi_t)
     assert np.abs(out).max() < 1e-8 * np.abs(phi).max()
 

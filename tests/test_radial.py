@@ -914,7 +914,8 @@ def test_filon_magnus_steps_match_einsum_contractions(carrier, sign, uniform, mo
         return _moments(kappa)
 
     monkeypatch.setattr(kndirac.radial, "_moments", recording)
-    got = np.array(_filon_magnus_steps(edges, carrier, frame, sign))
+    half_width = 0.5 * (edges[-1:] - edges[:1]) / n if uniform else 0.5 * (edges[1:] - edges[:-1])
+    got = np.array(_filon_magnus_steps(edges, half_width, carrier, frame, sign))
     assert shapes == ([(1, 12)] if uniform else [(n, 12)])
     ref = np.array(einsum_filon_magnus_steps(edges, carrier, frame, sign))
     kappa = carrier * 0.5 * (edges[1:] - edges[:-1])

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_mode, random_slow_params
 from scipy.integrate import solve_ivp
 
-from kndirac.dirac import dirac_stencil, transform_stencil
+from kndirac.dirac import transform_stencil
 from kndirac.geometry import BLPoint, SpacetimeParams, delta_sigma, interior_offset, log_offset, tortoise_inverse
 from kndirac.separation import (
     ModeParams,
@@ -257,7 +257,7 @@ def test_mode_consistency_with_transformed_stencil():
         dphi_r = np.array([dX[1] * Y[1], dX[0] * Y[0], dX[0] * Y[1], dX[1] * Y[0]])
         dphi_t = np.array([X[1] * dY[1], X[0] * dY[0], X[0] * dY[1], X[1] * dY[0]])
         p = BLPoint(r, th)
-        tr = transform_stencil(dirac_stencil(p, par, mode.m), p, par, mode.m)
+        tr = transform_stencil(p, par, mode.m)
         out = tr.apply_mode(mode.omega, mode.k, phi, dphi_r, dphi_t)
         # compare with (R + A) action on the same data
         R0, R1 = radial_operator(r, mode, par)
