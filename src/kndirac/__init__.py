@@ -5,13 +5,11 @@ Cauchy horizon."""
 
 from .geometry import (
     BLPoint,
-    HorizonData,
     SpacetimeParams,
     azimuthal_shift,
     delta_sigma,
     ef_metric,
     bl_metric,
-    horizons,
     metric,
     inverse_metric,
     temporal_minors,

@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .geometry import BLPoint, SpacetimeParams, bl_metric, ef_metric, horizons, inverse_metric
+from .geometry import BLPoint, SpacetimeParams, bl_metric, ef_metric, inverse_metric
 from .tetrads import (
     ef_null_tetrad,
     np_condition_residual,
@@ -111,9 +111,9 @@ def _random_points(rng, params, n):
 
 
 def task_horizons(cfg, outdir):
-    h = horizons(_params(cfg))
+    params = _params(cfg)
     _write_record(outdir, "horizons", {"task": "horizons", "config": cfg,
-                                       "r_plus": h.r_plus, "r_minus": h.r_minus})
+                                       "r_plus": params.r_plus, "r_minus": params.r_minus})
     return 0
 
 

@@ -22,14 +22,11 @@ import numpy as np
 
 __all__ = [
     "SpacetimeParams",
-    "HorizonData",
     "BLPoint",
-    "horizons",
     "delta_sigma",
     "tortoise",
     "tortoise_inverse",
     "log_offset",
-    "interior_offset",
     "azimuthal_shift",
     "bl_metric",
     "ef_metric",
@@ -74,14 +71,6 @@ class SpacetimeParams:
 
 
 @dataclass(frozen=True)
-class HorizonData:
-    """Outer (event) and inner (Cauchy) horizon radii."""
-
-    r_plus: float
-    r_minus: float
-
-
-@dataclass(frozen=True)
 class BLPoint:
     """A point (r, theta) in the poloidal plane, or a batch of them: r and
     theta are floats or arrays of one shape, every r finite and every theta
@@ -100,11 +89,6 @@ class BLPoint:
         ok = (0.0 < theta) & (theta < math.pi)
         if not ok.all():
             raise ValueError(f"theta must lie in (0, pi), got {theta[~ok][0]}")
-
-
-def horizons(params):
-    """Roots r_pm = M ± sqrt(M^2 - a^2 - Q^2) of Delta."""
-    return HorizonData(r_plus=params.r_plus, r_minus=params.r_minus)
 
 
 def delta_sigma(r, theta, params):
@@ -198,7 +182,7 @@ def _cauchy_side_seed(excess, kp, km, width):
     return 0.5 * np.where(w < 1.0, t - w, np.log(w) - log_b)
 
 
-def log_offset(rstar, region, params, seed=None):
+def log_offset(rstar, region, params):
     """Log offset s = log(r - r_0) of the root r(rstar), r_0 = r_plus on the
     exterior branch and r_minus on the interior branch.
 
@@ -212,11 +196,6 @@ def log_offset(rstar, region, params, seed=None):
     steps are clamped to +-30 and the interior s is capped at log(width) - 1e-15.
     A non-finite rstar raises ValueError, and 200 sweeps without convergence
     raise ArithmeticError naming the rstar.
-
-    `seed`, of rstar's shape, replaces the asymptotic seeds below with the
-    caller's starting points (held below the interior cap); every check and
-    stop rule stays the same.  `radial.integrate` seeds each interior halving
-    level from the samples' own offsets.
     """
     rs = np.array(rstar, dtype=float, ndmin=1, copy=None)
     rp, rm = params.r_plus, params.r_minus
@@ -247,9 +226,7 @@ def log_offset(rstar, region, params, seed=None):
     f_floor_max = f_floor.max()
     if not f_floor_max < math.inf:
         raise ValueError(f"rstar must be finite, got {float(rs[~np.isfinite(rs)][0])!r}")
-    if seed is not None:
-        s = np.minimum(np.array(seed, dtype=float, ndmin=1), s_cap)
-    elif region == "interior":
+    if region == "interior":
         # rstar(s) is concave and decreasing.  Seeds: beyond the midpoint's
         # rstar the r_minus-side asymptote rstar ~ rm + kp log(width) - km s,
         # which lies past the root, or the midpoint where that is nearer; short
@@ -293,14 +270,6 @@ def log_offset(rstar, region, params, seed=None):
         if moved < tol or (moved <= floor_move and (np.abs(f) <= f_floor).all()):
             return s if np.ndim(rstar) else float(s[0])
     raise ArithmeticError(f"tortoise inversion did not converge at rstar={float(rs[~(np.abs(step) < tol)][0])!r}")
-
-
-def interior_offset(rstar, params):
-    """eps = r - r_minus = e^s on the interior branch, s from `log_offset`:
-    accurate arbitrarily close to the Cauchy horizon, where eps underflows
-    any direct subtraction r - r_minus.  A scalar rstar returns a float."""
-    eps = np.exp(log_offset(rstar, "interior", params))
-    return eps if np.ndim(rstar) else float(eps)
 
 
 def _exterior_radius(rstar, s, params):

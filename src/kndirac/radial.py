@@ -24,9 +24,11 @@ frames:
   Delta = e^s (r - r_minus) carries no cancellation at any depth.  For a
   frozen U the Magnus exponential is exact, so these steps follow the
   variation of U.
-- On the interior branch `integrate` follows the phase-stripped h below,
-  whose coupling B lies in u(2) and carries the phase e^{-+i nu rstar} off
-  the diagonal; every step conserves |X1|^2 + |X2|^2.
+- On the interior branch `integrate` follows the phase-stripped h below
+  through dh/ds = J B h, in the log offset s = log(r - r_minus), where
+  r = r_minus + e^s, J = drstar/ds and rstar are explicit.  B lies in u(2)
+  and carries the phase e^{-+i nu rstar} off the diagonal; every step
+  conserves |X1|^2 + |X2|^2.
 
 On the exterior branch the coupling and every step exponent lie in u(1,1),
 so the current |X1|^2 - |X2|^2 and the Abel/Wronskian identity hold to
@@ -66,14 +68,14 @@ alpha = (r_plus - r_minus) / (2 (r_minus^2 + a^2)), so h has a limit and the
 error decays exponentially at rate alpha.  The coupling itself integrates to
 O(1) whatever alpha is, while X1 turns through nu / (2 pi) periods per unit
 of rstar all the way to the horizon: about 350 over [0, 32/alpha] at
-alpha = 0.05.  The Filon-Magnus steps integrate that phase exactly, so they
+alpha = 0.05.  The Filon-Magnus steps integrate its carrier e^{i nu km s}
+exactly, km s = -rstar up to a term that stays bounded there, so they
 cluster at alpha rstar < 2, where ||B|| = O(1), and their number grows far
 more slowly than 1/alpha.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -156,10 +158,10 @@ class RadialTrajectory:
     first sample when the trajectory came from `far_field_trajectory`; the Abel
     identity det = exp(int tr U) can then be audited without re-propagation.
     s carries the log offset s = log(r - r_0) of each sample when it came from
-    `integrate`: r = r_0 + e^s holds at any depth, where re-inverting rstar
-    meets the rounding floor of r.  steps counts the Magnus steps; rejected
-    is always 0, since no step is ever rejected, and is kept for readers of
-    the field.
+    `integrate` or `far_field_trajectory`: r = r_0 + e^s holds at any depth,
+    where re-inverting rstar meets the rounding floor of r.  steps counts the
+    Magnus steps; rejected is always 0, since no step is ever rejected, and is
+    kept for readers of the field.
     """
 
     rstar: np.ndarray
@@ -215,17 +217,18 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
 
     On the interior branch the samples lie on a uniform grid in rstar spaced
     about 0.25/alpha up to 32/alpha, past which the spacing doubles on each
-    interval, and the phase-stripped h = (X1 e^{-i nu rstar}, X2),
-    nu = 2 (omega + k Omega_minus), is carried across each sample interval by
-    Filon-Magnus steps on dh/drstar = B h (`_interior_products`), halved until
-    the interval's product moves by less than `tol`, within `_STEP_BUDGET`
-    evaluated steps; the samples are re-phased to X.  B lies in u(2), so
-    every step conserves |X1|^2 + |X2|^2, and its off-diagonal phase
-    e^{-+i nu rstar} is integrated exactly, so the steps follow the O(1)
-    coupling and not the periods of X1.  The sample grid is inverted for its
-    log offsets once, up front; each halving level then inverts its step
-    edges and Gauss nodes in one `log_offset` call, seeded from the
-    samples' offsets (`_interior_seeds`), which takes 2 Newton sweeps.
+    interval, and the grid is inverted for its log offsets
+    s = log(r - r_minus) once, up front.  The phase-stripped
+    h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus), is carried
+    across each sample interval by Filon-Magnus steps on dh/ds = J B h,
+    J = drstar/ds, uniform in s (`_interior_products`), where r, J and rstar
+    are explicit, so no step edge or node is inverted.  The steps are halved
+    until the interval's product moves by less than `tol`, within
+    `_STEP_BUDGET` evaluated steps, and the samples are re-phased to X.  B
+    lies in u(2), so every step conserves |X1|^2 + |X2|^2.  Toward the
+    horizon rstar = -km s + O(e^s), so the carrier e^{i nu km s} takes up the
+    off-diagonal phase e^{-+i nu rstar}, and the steps follow the O(1)
+    coupling and not the periods of X1.
 
     The trajectory carries the log offset s = log(r - r_0) of every sample,
     r_0 = r_plus or r_minus; `steps` counts the Magnus steps, and `rejected`
@@ -251,8 +254,7 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
             rstar = _sample_grid(t0, t1, 0.25 / alpha, 32.0 / alpha, 1.0, _STEP_BUDGET)
             s = log_offset(rstar, "interior", params)
             products, steps = _settled_products(
-                lambda index, n: _interior_products(rstar[index], rstar[index + 1], s[index], s[index + 1],
-                                                    n, mode, params),
+                lambda index, n: _interior_products(s[index], s[index + 1], n, mode, params),
                 rstar, tol, _STEP_BUDGET, "on rstar")
             nu = _cauchy_nu(mode, params)
             X = _propagated(products, np.array([y0[0] * np.exp(-1j * nu * t0), y0[1]]), rstar)
@@ -339,7 +341,8 @@ def _frame_holds(mode, params, s_span):
 # multiplied out by hand.  On the exterior branch U lies in u(1,1): its
 # diagonal entries are imaginary and U10 = conj(U01).  So do J U, the frame
 # coupling C and every step exponent.  On the interior branch U10 =
-# -conj(U01), so B and its step exponents lie in u(2).  `_expm2` takes both.
+# -conj(U01), so B, J B and their step exponents lie in u(2).  `_expm2` takes
+# both.
 #
 # A step exponent takes its weights first: the moments mu_l times the real
 # tensors, mu @ _F1 on A, and mu @ _F2 and e^{i kappa} mu @ _F3 as 4x4
@@ -876,7 +879,7 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
     # e^{i (Phi_plus - Phi_minus)} = e^{4 i M omega log r}; det V = s1 is constant
     det_p = np.cumprod(np.concatenate([[1.0], products[0] * products[3] - products[1] * products[2]]))
     return RadialTrajectory(rstar=us, X=Xs, mode=mode, params=params,
-                            branch="exterior", steps=steps, rejected=0, tol=_FAR_TOL,
+                            branch="exterior", steps=steps, rejected=0, tol=_FAR_TOL, s=s,
                             prop_det=det_p * np.exp(4j * params.M * mode.omega * np.log(r / r[0])))
 
 
@@ -885,13 +888,11 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
 
 @dataclass(frozen=True)
 class InfinityAsymptotics:
-    """Fitted far-field data: roots, boost parameter, amplitudes and decay."""
+    """Fitted far-field data: root, boost parameter, amplitudes and decay."""
 
     w1: complex
-    w2: complex
     theta: complex
     f_inf: np.ndarray
-    decay_constant: float
     slope: float
     window: tuple
     boost_sign: int  # +1 if the closed-form eigenbasis of U(u_max) matches boost(+Theta)
@@ -901,15 +902,21 @@ class InfinityAsymptotics:
 def fit_infinity(traj, mode, params, ablate_log_phase=False):
     """Recover f(u) = W^{-1} V^{-1} X, its limit, and the residual decay slope.
 
-    V(u) is the closed-form eigenbasis of U(u) and W = (e^{i Phi_plus},
-    e^{-i Phi_minus}) carries the phases in log r(u), r the polished root of
+    V(u) is the closed-form eigenbasis of U(u) at the samples' log offsets
+    `traj.s`, which `far_field_trajectory` and exterior `integrate` record, so
+    nothing is inverted again, and W = (e^{i Phi_plus}, e^{-i Phi_minus})
+    carries the phases in log r(u), r the polished root of
     `geometry._exterior_radius`:
     Phi(u) = w1 u + c log r(u), whose derivative matches the eigenvalues to
     O(1/u^2).  The asymptotic model rebuilt from the fitted f_inf is compared
     with the trajectory; the log-log slope of ||X - X_asym|| over the fit
     window is close to -1, and degrades to near 0 when `ablate_log_phase`
-    drops the log term (the 1/u eigenvalue terms are essential).
+    drops the log term (the 1/u eigenvalue terms are essential).  A
+    trajectory off the exterior branch, or without its log offsets, raises
+    ValueError.
     """
+    if traj.branch != "exterior" or traj.s is None:
+        raise ValueError("infinity fit needs an exterior-branch trajectory with its log offsets s")
     us, Xs = traj.rstar, traj.X
     if us[-1] < 1e4:
         raise ValueError("far-field fit needs the trajectory to reach rstar >= 1e4")
@@ -919,9 +926,9 @@ def fit_infinity(traj, mode, params, ablate_log_phase=False):
             f"do not oscillate (got |omega| = {abs(mode.omega)!r}, m = {mode.m!r})")
     if np.linalg.norm(Xs[-1]) < 1e-14:
         raise ValueError("trivial solution: no amplitude left at the anchor point")
-    w1, w2 = w_roots(mode.omega, mode.m)
+    w1, _ = w_roots(mode.omega, mode.m)
 
-    r, _, entries = _exterior_entries(us, log_offset(us, "exterior", params), mode, params)
+    r, _, entries = _exterior_entries(us, traj.s, mode, params)
     _, _, V = _eigenbasis(*entries)
     if ablate_log_phase:
         pp = pm = w1 * us + 0j
@@ -939,7 +946,7 @@ def fit_infinity(traj, mode, params, ablate_log_phase=False):
         raise ValueError(
             f"far-field fit window u in [{float(us[0])!r}, {float(us[-1]) / 5.0!r}] (u <= u_max/5) holds "
             f"{np.count_nonzero(sel)} of the {len(us)} samples; a slope needs at least 2")
-    slope, intercept = np.polyfit(np.log(us[sel]), np.log(resid[sel]), 1)
+    slope, _ = np.polyfit(np.log(us[sel]), np.log(resid[sel]), 1)
 
     theta = theta_boost(mode.omega, mode.m)
     # which printed boost sign the eigenbasis of U(u_max) realizes; the boost
@@ -948,8 +955,7 @@ def fit_infinity(traj, mode, params, ablate_log_phase=False):
            for th in (theta, -theta)]
     sign = 1 if gap[0] < gap[1] else -1
     return InfinityAsymptotics(
-        w1=w1, w2=w2, theta=theta, f_inf=f_inf,
-        decay_constant=float(np.exp(intercept)), slope=float(slope),
+        w1=w1, theta=theta, f_inf=f_inf, slope=float(slope),
         window=(float(us[sel][0]), float(us[sel][-1])), boost_sign=sign,
         f_history=fs,
     )
@@ -1020,64 +1026,40 @@ def _horizon_trace_phase(s, mode, params):
         (params.r_plus + params.r_minus) * np.log1p(-e / width)
 
 
-@functools.lru_cache
-def _seed_basis(n):
-    """The quintic Hermite basis (5 n + 1, 6) at the fractions of an interval
-    where its n + 1 step edges, then the 4 n Gauss nodes of its n steps,
-    lie; columns: the start's value, slope and curvature, then the end's
-    curvature, slope and value.  Read-only, since it is cached."""
-    x = np.concatenate([np.arange(n + 1), (np.arange(n)[:, None] + 0.5 + 0.5 * _NODES).ravel()])[:, None] / n
-    y = 1.0 - x
-    basis = np.hstack([y ** 3 * (1.0 + x * (3.0 + 6.0 * x)), x * y ** 3 * (1.0 + 3.0 * x), 0.5 * x * x * y ** 3,
-                       0.5 * x ** 3 * y * y, -x ** 3 * y * (1.0 + 3.0 * y), x ** 3 * (1.0 + y * (3.0 + 6.0 * y))])
-    basis.flags.writeable = False
-    return basis
-
-
-def _interior_seeds(n, ta, tb, sa, sb, params):
-    """Seeds (5 n + 1, intervals) for the interior log offsets of the n + 1
-    step edges, then the 4 n Gauss nodes, of n steps on each interval
-    [ta, tb] whose ends have the offsets sa, sb.
-
-    The seeds are the quintic Hermite interpolant of s(rstar) (`_seed_basis`)
-    through the ends' values and their closed-form slopes and curvatures:
-    with e = e^s, g = width - e and N = e g - kp e - km g = g drstar/ds < 0,
-    ds/drstar = g / N and d2s/drstar2 = e (kp width - g^2) g / N^3, free of
-    any division by g, which vanishes at the cap.  The cubic through the
-    values and slopes alone leaves the seeds 1.5e-5 from the roots on the
-    `cauchy` levels, and Newton then takes 3 sweeps; the quintic leaves
-    5e-8 and 2 sweeps.
-    """
-    kp, km = _kappas(params)
+def _interior_slow_phase(s, params):
+    """rstar + km s at log offsets s = log(r - r_minus): the part of the
+    interior tortoise coordinate rstar = r + kp log(r_plus - r) - km s that
+    stays bounded as r -> r_minus, r_minus + kp log(width) + e^s
+    + kp log1p(-e^s / width), width = r_plus - r_minus."""
+    kp, _ = _kappas(params)
     width = params.r_plus - params.r_minus
-    e = np.exp(np.stack([sa, sb]))
-    g = width - e
-    inverse = 1.0 / (e * g - kp * e - km * g)
-    (da, db), (dda, ddb) = g * inverse, e * (kp * width - g * g) * g * (inverse * inverse * inverse)
-    h = tb - ta
-    return _seed_basis(n) @ np.stack([sa, h * da, h * h * dda, h * h * ddb, h * db, sb])
+    e = np.exp(s)
+    return params.r_minus + kp * math.log(width) + e + kp * np.log1p(-e / width)
 
 
-def _interior_products(ta, tb, sa, sb, n, mode, params):
-    """Propagators of h = (X1 e^{-i nu rstar}, X2) over the intervals [ta, tb]
-    (arrays) whose ends have the log offsets sa, sb, each in n steps uniform
-    in rstar, as four component arrays.
+def _interior_products(sa, sb, n, mode, params):
+    """Propagators of h = (X1 e^{-i nu rstar}, X2) over the intervals between
+    the log offsets sa and sb = log(r - r_minus) (arrays), each in n steps
+    uniform in s, as four component arrays.
 
-    B lies in u(2): G and A from `_horizon_coupling` at the Gauss nodes,
-    carrier nu, and the trace from `_horizon_trace_phase` at the edges.  The
-    step edges and the Gauss nodes of all the intervals are inverted in one
-    `log_offset` call, seeded from their interval's ends (`_interior_seeds`).
+    dh/ds = J B h with J = drstar/ds = -(r^2 + a^2) / (r_plus - r), and
+    r = r_minus + e^s explicit at the Gauss nodes, so no node is inverted.
+    J B lies in u(2): J G and J A from `_horizon_coupling`, with the phase
+    e^{-i nu rstar} = e^{i nu km s} e^{-i nu (rstar + km s)} split into the
+    carrier -nu km and the slow rest (`_interior_slow_phase`), folded into
+    the amplitude; the trace comes from `_horizon_trace_phase` at the edges.
     """
-    def frame(nodes, edges):
-        # the nodes (n, intervals, 4) as rows (4 n, intervals) below the
-        # edges, each row at one fraction of every interval
-        points = np.concatenate([edges, np.moveaxis(nodes, -1, 1).reshape(4 * n, -1)])
-        s = log_offset(points, "interior", params, seed=_interior_seeds(n, ta, tb, sa, sb, params))
-        s_nodes = np.moveaxis(s[n + 1:].reshape(n, 4, -1), 1, -1)
-        return *_horizon_coupling(s_nodes, mode, params), _horizon_trace_phase(s[:n + 1], mode, params)
+    nu, km = _cauchy_nu(mode, params), _kappas(params)[1]
 
-    steps = _filon_magnus_steps(_uniform_edges(ta, tb, n), 0.5 * (tb - ta)[None] / n, _cauchy_nu(mode, params),
-                                frame, -1.0)
+    def frame(nodes, edges):
+        e = np.exp(nodes)
+        r = params.r_minus + e
+        jac = -(r * r + params.a ** 2) / (params.r_plus - params.r_minus - e)
+        G, A = _horizon_coupling(nodes, mode, params)
+        return jac * G, jac * A * np.exp(-1j * nu * _interior_slow_phase(nodes, params)), \
+            _horizon_trace_phase(edges, mode, params)
+
+    steps = _filon_magnus_steps(_uniform_edges(sa, sb, n), 0.5 * (sb - sa)[None] / n, -nu * km, frame, -1.0)
     return _ordered_product(*steps)
 
 
@@ -1087,7 +1069,6 @@ class HorizonAsymptotics:
 
     h: np.ndarray
     alpha: float
-    omega_minus: float
     rate: float
     window: tuple
 
@@ -1124,7 +1105,5 @@ def fit_horizon(traj, mode, params):
     err = np.linalg.norm(h - h_limit, axis=1)
     sel = (traj.rstar >= 8.0 / alpha) & (traj.rstar <= 19.0 / alpha) & (err > 0)
     rate, _ = np.polyfit(traj.rstar[sel], np.log(err[sel]), 1)
-    return HorizonAsymptotics(
-        h=h_limit, alpha=alpha, omega_minus=horizon_angular_velocity(params),
-        rate=float(-rate), window=(float(traj.rstar[sel][0]), float(traj.rstar[sel][-1])),
-    )
+    return HorizonAsymptotics(h=h_limit, alpha=alpha, rate=float(-rate),
+                              window=(float(traj.rstar[sel][0]), float(traj.rstar[sel][-1])))

@@ -15,8 +15,6 @@ from kndirac.geometry import (
     bl_metric,
     delta_sigma,
     ef_metric,
-    horizons,
-    interior_offset,
     inverse_metric,
     log_offset,
     metric,
@@ -29,19 +27,19 @@ PAR = SpacetimeParams(M=1.0, a=0.6, Q=0.3)
 
 
 def test_horizons_schwarzschild():
-    h = horizons(SpacetimeParams(M=1.0))
+    h = SpacetimeParams(M=1.0)
     assert h.r_minus == 0.0
     assert h.r_plus == 2.0
 
 
 def test_horizons_kerr():
-    h = horizons(SpacetimeParams(M=1.0, a=0.6))
+    h = SpacetimeParams(M=1.0, a=0.6)
     assert math.isclose(h.r_minus, 0.2, abs_tol=1e-15)
     assert math.isclose(h.r_plus, 1.8, abs_tol=1e-15)
 
 
 def test_horizons_kerr_newman():
-    h = horizons(SpacetimeParams(M=1.0, a=0.6, Q=0.48))
+    h = SpacetimeParams(M=1.0, a=0.6, Q=0.48)
     assert math.isclose(h.r_minus, 0.36, abs_tol=1e-15)
     assert math.isclose(h.r_plus, 1.64, abs_tol=1e-15)
 
@@ -178,7 +176,7 @@ def test_tortoise_roundtrip_both_branches():
 
 
 def test_interior_offset_deep_tail():
-    eps = interior_offset(40.0, PAR)
+    eps = np.exp(log_offset(40.0, "interior", PAR))
     # consistency in log space where direct subtraction would underflow
     kp = (PAR.r_plus**2 + PAR.a**2) / (PAR.r_plus - PAR.r_minus)
     km = (PAR.r_minus**2 + PAR.a**2) / (PAR.r_plus - PAR.r_minus)
@@ -188,8 +186,8 @@ def test_interior_offset_deep_tail():
 
 
 class _CountingNumpy:
-    """numpy with its `log` calls counted: `interior_offset` takes one per
-    Newton sweep, plus one for the r_plus-side seed."""
+    """numpy with its `log` calls counted: an interior `log_offset` takes one
+    per Newton sweep, plus one for the r_plus-side seed."""
 
     def __init__(self):
         self.logs = 0
@@ -217,7 +215,7 @@ def test_interior_offset_newton_sweeps(par, monkeypatch):
     monkeypatch.setattr(kndirac.geometry, "np", counting)
     for alpha_rstar in np.linspace(0.4, 5.0, 47):
         counting.logs = 0
-        interior_offset(alpha_rstar / _cauchy_rate(par), par)
+        log_offset(alpha_rstar / _cauchy_rate(par), "interior", par)
         assert counting.logs <= 8
 
 
@@ -233,7 +231,7 @@ def test_interior_offset_at_rounding_floor(alpha_rstar, eps_ref, monkeypatch):
     par = SpacetimeParams(M=1.0, a=0.3, Q=0.6)
     counting = _CountingNumpy()
     monkeypatch.setattr(kndirac.geometry, "np", counting)
-    eps = interior_offset(alpha_rstar / _cauchy_rate(par), par)
+    eps = np.exp(log_offset(alpha_rstar / _cauchy_rate(par), "interior", par))
     assert abs(eps - eps_ref) <= 1e-14 * eps_ref
     assert counting.logs <= 8
 
@@ -247,7 +245,7 @@ def test_interior_offset_held_at_the_cap(monkeypatch):
     par = SpacetimeParams(M=1.0, a=0.95, Q=0.3)
     counting = _CountingNumpy()
     monkeypatch.setattr(kndirac.geometry, "np", counting)
-    eps = interior_offset(-30.0 / _cauchy_rate(par), par)
+    eps = np.exp(log_offset(-30.0 / _cauchy_rate(par), "interior", par))
     width = par.r_plus - par.r_minus
     assert 0.0 < width - eps <= 2e-15 * width  # the cap, log(eps) <= log(width) - 1e-15
     assert counting.logs <= 8
@@ -277,9 +275,6 @@ def test_log_offset_rejects_non_finite_rstar(region, bad):
         for inverse in (lambda x: log_offset(x, region, PAR), lambda x: tortoise_inverse(x, region, PAR)):
             with pytest.raises(ValueError, match=f"rstar must be finite, got {bad!r}"):
                 inverse(rstar)
-    if region == "interior":
-        with pytest.raises(ValueError, match="rstar must be finite"):
-            interior_offset(bad, PAR)
 
 
 @pytest.mark.parametrize("region", ["exterior", "interior"])
@@ -302,22 +297,6 @@ def test_log_offset_failure_names_the_rstar(region, monkeypatch):
     monkeypatch.setattr(kndirac.geometry, "np", NoisyNumpy())
     with pytest.raises(ArithmeticError, match=r"did not converge at rstar=5\.0"):
         log_offset(np.array([5.0]), region, PAR)
-
-
-@pytest.mark.parametrize("region", ["exterior", "interior"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_seeded_log_offset_rejects_non_finite_rstar(region, bad):
-    # a seed replaces only the starting point: the finite-rstar check comes first
-    with pytest.raises(ValueError, match=f"rstar must be finite, got {bad!r}"):
-        log_offset(np.array([3.0, bad]), region, PAR, seed=np.array([0.0, 0.0]))
-
-
-@pytest.mark.parametrize("region", ["exterior", "interior"])
-def test_nan_seed_runs_out_the_sweeps(region):
-    # its NaN steps never meet the stop test, and the failure names the
-    # rstar whose step is not below tol, a NaN one included
-    with pytest.raises(ArithmeticError, match=r"did not converge at rstar=5\.0"):
-        log_offset(np.array([3.0, 5.0]), region, PAR, seed=np.array([0.0, math.nan]))
 
 
 class _ExpCounter:

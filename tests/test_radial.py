@@ -15,8 +15,8 @@ from kndirac.geometry import (
     _kappas,
     azimuthal_shift,
     delta_sigma,
-    interior_offset,
     log_offset,
+    tortoise,
     tortoise_inverse,
 )
 from kndirac.separation import ModeParams, _potential_entries, _stacked
@@ -49,7 +49,7 @@ from kndirac.radial import (
     _frame_holds,
     _horizon_coupling,
     _interior_products,
-    _interior_seeds,
+    _interior_slow_phase,
     _moments,
     _ordered_product,
     _propagated,
@@ -495,10 +495,7 @@ def test_exterior_deep_span_matches_event_horizon_limit():
 @pytest.mark.parametrize("region,rstar", [("exterior", -40.0), ("exterior", 1e6),
                                           ("interior", 40.0), ("interior", 1e3)])
 def test_inversion_scalar_matches_array(region, rstar):
-    inverses = [lambda s: tortoise_inverse(s, region, PAR)]
-    if region == "interior":
-        inverses.append(lambda s: interior_offset(s, PAR))
-    for inverse in inverses:
+    for inverse in (lambda s: tortoise_inverse(s, region, PAR), lambda s: log_offset(s, region, PAR)):
         scalar = inverse(rstar)
         arr = inverse(np.array([rstar, rstar + 1.0]))
         assert type(scalar) is float
@@ -766,7 +763,8 @@ def test_far_field_matches_magnus_oracle(infinity_fits, magnus_oracle):
 def test_far_field_fit_matches_magnus_oracle(infinity_fits, magnus_oracle):
     for ((traj, fit), (us, X, _)), (par, mode) in zip(zip(infinity_fits, magnus_oracle), INFTY_SEEDS):
         ref = fit_infinity(RadialTrajectory(rstar=us, X=X, mode=mode, params=par, branch="exterior",
-                                            steps=0, rejected=0, tol=0.0), mode, par)
+                                            steps=0, rejected=0, tol=0.0,
+                                            s=log_offset(us, "exterior", par)), mode, par)
         assert np.abs(fit.f_inf - ref.f_inf).max() < 1e-8
         assert abs(fit.slope - ref.slope) < 1e-5
 
@@ -1036,7 +1034,7 @@ def test_manufactured_single_branch():
     pp, _ = log_r_phases(us, MODE, PAR)
     Xs = V[:, :, 0] * np.exp(1j * pp)[:, None]
     traj = RadialTrajectory(rstar=us, X=Xs, mode=MODE, params=PAR,
-                            branch="exterior", steps=0, rejected=0, tol=0.0)
+                            branch="exterior", steps=0, rejected=0, tol=0.0, s=log_offset(us, "exterior", PAR))
     fit = fit_infinity(traj, MODE, PAR)
     assert abs(fit.f_inf[1]) < 1e-6
     assert abs(fit.f_inf[0] - 1.0) < 1e-3
@@ -1129,7 +1127,7 @@ def test_fit_below_mass_threshold_raises():
     us = np.geomspace(1e3, 1e4, 12)
     Xs = np.tile(np.array([1.0 + 0.2j, 0.5 - 0.1j]), (len(us), 1))
     traj = RadialTrajectory(rstar=us, X=Xs, mode=mode, params=PAR,
-                            branch="exterior", steps=0, rejected=0, tol=0.0)
+                            branch="exterior", steps=0, rejected=0, tol=0.0, s=log_offset(us, "exterior", PAR))
     with pytest.raises(ValueError, match="threshold"):
         fit_infinity(traj, mode, PAR)
 
@@ -1137,8 +1135,8 @@ def test_fit_below_mass_threshold_raises():
 def test_trivial_solution_rejected():
     us = np.geomspace(1e4, 1e6, 5)
     traj = RadialTrajectory(rstar=us, X=np.zeros((5, 2), complex), mode=MODE, params=PAR,
-                            branch="exterior", steps=0, rejected=0, tol=0.0)
-    with pytest.raises(ValueError):
+                            branch="exterior", steps=0, rejected=0, tol=0.0, s=log_offset(us, "exterior", PAR))
+    with pytest.raises(ValueError, match="trivial solution"):
         fit_infinity(traj, MODE, PAR)
 
 
@@ -1186,7 +1184,7 @@ def horizon_B(rstar, mode, params):
     """
     rm = params.r_minus
     om_minus = horizon_angular_velocity(params)
-    eps = interior_offset(rstar, params)
+    eps = np.exp(log_offset(rstar, "interior", params))
     abs_delta = eps * (params.r_plus - rm - eps)
     _, u01, u10, u11 = _potential_entries(rm + eps, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params)
     ph = np.exp(1j * _cauchy_nu(mode, params) * rstar)
@@ -1314,61 +1312,45 @@ def test_interior_matches_dormand_prince(par, mode):
     assert np.abs(J - J[0]).max() < 1e-12 * J[0]
 
 
-def test_interior_integrate_inverts_once_per_halving_level(monkeypatch):
-    # the interior inverts its span's ends and its sample grid once each;
-    # then each halving level inverts its step edges and Gauss nodes in one
-    # call, seeded from the samples' offsets: n + 1 edges and 4 n nodes on
-    # each of its intervals
+def test_interior_integrate_inverts_only_the_span_and_the_samples(monkeypatch):
+    # the interior solves for the log offsets of its span's ends, then of its
+    # sample grid, and of nothing else: every halving level places its step
+    # edges and Gauss nodes in s, where r and rstar are explicit
     import kndirac.radial
 
-    calls, levels = [], []
-    log_offset_of, products_of = kndirac.radial.log_offset, kndirac.radial._interior_products
+    calls = []
+    log_offset_of = kndirac.radial.log_offset
 
-    def counted(rstar, region, params, seed=None):
-        calls.append((np.size(rstar), seed is not None))
-        return log_offset_of(rstar, region, params, seed=seed)
-
-    def level(ta, tb, sa, sb, n, mode, params):
-        levels.append((n, len(ta)))
-        return products_of(ta, tb, sa, sb, n, mode, params)
+    def counted(rstar, region, params):
+        calls.append(np.size(rstar))
+        return log_offset_of(rstar, region, params)
 
     monkeypatch.setattr(kndirac.radial, "log_offset", counted)
-    monkeypatch.setattr(kndirac.radial, "_interior_products", level)
     traj = integrate(IMODE, PAR, (0.0, 12.0 / cauchy_rate(PAR)), np.array([1.0, 0.2j]), tol=1e-10,
                      branch="interior")
-    assert len(levels) >= 3
-    assert calls == [(2, False), (len(traj.rstar), False)] + [((4 * n + n + 1) * k, True) for n, k in levels]
+    assert traj.steps > len(traj.rstar)
+    assert calls == [2, len(traj.rstar)]
 
 
-SEEDED_HOLES = [par for par, _ in HORIZON_SEEDS] + [NEAR_EXTREMAL[0]] + [
+# criterion 8's holes, the near-extremal a = 0.95, and a = Q with
+# a^2 + Q^2 of 1e-6 and 0.98
+INTERIOR_HOLES = [par for par, _ in HORIZON_SEEDS] + [NEAR_EXTREMAL[0]] + [
     SpacetimeParams(M=1.0, a=math.sqrt(q / 2.0), Q=math.sqrt(q / 2.0)) for q in (1e-6, 0.98)]
 
 
-@pytest.mark.parametrize("par", SEEDED_HOLES)
-def test_seeded_offsets_match_cold_ones(par):
-    # the halving levels' seeds (`_interior_seeds`) move only Newton's
-    # starting point.  On the edges and nodes of the first four levels over
-    # (0, 32/alpha) the seeded offsets lie within 4 ulp of max(1, |s|) of the
-    # cold ones, plus 4 rounding units of the residual's terms over its
-    # slope: the band of rounding within which Newton stops.  Seeds 5 off in
-    # either direction, one beyond the cap, still converge there
-    al = cauchy_rate(par)
+@pytest.mark.parametrize("par", INTERIOR_HOLES)
+def test_interior_slow_phase_is_rstar_plus_km_s(par):
+    # rstar + km s in closed form against the tortoise coordinate of
+    # r = r_minus + e^s, from e^s = (1 - 1e-12) width at the r_plus end of
+    # the branch to 1e-12 width, within a few rounding units of rstar's
+    # terms and of their logs' arguments r_plus - r and r - r_minus
     kp, km = _kappas(par)
     width = par.r_plus - par.r_minus
-    rstar = _sample_grid(0.0, 32.0 / al, 0.25 / al, 32.0 / al, 1.0, 1000)
-    s = log_offset(rstar, "interior", par)
-    for n in (1, 2, 4, 8):
-        edges = _uniform_edges(rstar[:-1], rstar[1:], n)
-        eta, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
-        nodes = np.moveaxis(mid[..., None] + eta[..., None] * _NODES, -1, 1).reshape(4 * n, -1)
-        points = np.concatenate([edges, nodes])
-        cold = log_offset(points, "interior", par)
-        e = np.exp(cold)
-        terms = np.abs(points) + par.r_minus + e + kp * np.abs(np.log(width - e)) + km * np.abs(cold)
-        slope = np.abs(e - kp * e / (width - e) - km)
-        bound = 4 * np.spacing(np.maximum(np.abs(cold), 1.0)) + 4 * 2.3e-16 * terms / slope
-        for seed in (_interior_seeds(n, rstar[:-1], rstar[1:], s[:-1], s[1:], par), cold + 5.0, cold - 5.0):
-            assert np.all(np.abs(log_offset(points, "interior", par, seed=seed) - cold) <= bound)
+    s = np.log(width) + np.log(np.concatenate([1.0 - np.geomspace(1e-12, 0.5, 40), np.geomspace(0.5, 1e-12, 80)]))
+    r = par.r_minus + np.exp(s)
+    terms = r + kp * np.abs(np.log(par.r_plus - r)) + km * np.abs(s) \
+        + kp * par.r_plus / (par.r_plus - r) + km * r / (r - par.r_minus)
+    assert np.all(np.abs(_interior_slow_phase(s, par) - (tortoise(r, par) + km * s)) <= 8 * 2.3e-16 * terms)
 
 
 def test_interior_long_span_matches_dormand_prince():
@@ -1380,6 +1362,18 @@ def test_interior_long_span_matches_dormand_prince():
     ref = interior_dormand_prince(IMODE, PAR, span, X0, tol=1e-13)
     assert len(traj.rstar) < 200 and traj.rstar[-1] == span[1]
     assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-9 * np.abs(ref.X[-1]).max()
+
+
+@pytest.mark.parametrize("omega", [40.0, -40.0])
+def test_interior_meets_tol_at_large_omega(omega):
+    # on the near-extremal hole nu is large where ||B|| is O(1): there a
+    # step uniform in rstar spans nu eta up to 200, and its halving test
+    # settles on a plateau, 2.2e-9 relative from the tol-1e-13 end state at
+    # omega = 40.  Steps uniform in s are short there and miss by 1.6e-10
+    par, mode = NEAR_EXTREMAL[0], ModeParams(omega=omega, k=1.5, m=0.6, xi=1.3)
+    span, X0 = (0.0, 32.0 / cauchy_rate(par)), np.array([1.0 + 0.2j, -0.6 + 0.4j])
+    coarse, fine = (integrate(mode, par, span, X0, tol=tol, branch="interior").X[-1] for tol in (1e-11, 1e-13))
+    assert np.abs(coarse - fine).max() < 1e-9 * np.abs(fine).max()
 
 
 @pytest.mark.parametrize("par,mode", HORIZON_SEEDS + [(NEAR_EXTREMAL[0], IMODE)])
@@ -1420,12 +1414,15 @@ def reference_magnus2(B, t0, t1, n=240):
     return first + second, second
 
 
-@pytest.mark.parametrize("kappa", [0.1, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("kappa", [0.1, 1.0])
 def test_interior_step_exponent_matches_dense_magnus(kappa, monkeypatch):
-    # one Filon-Magnus step of h at alpha rstar = 1 on the a = 0.95 hole, with
-    # |kappa| = nu eta; omega = 40 keeps the step short against 1/alpha, so the
-    # four-node interpolation of the amplitude misses by 3e-7 relative at most
-    # (at kappa = 100).  The sigma3 term of the commutator,
+    # one Filon-Magnus step of h, uniform in s, across rstar in
+    # [1/alpha - eta, 1/alpha + eta] on the a = 0.95 hole, nu eta = kappa (in s
+    # the carrier turns by 0.89 kappa); omega = 40 keeps the step short against
+    # 1/alpha.  At nu eta of 10 and more the slow phase folded into the
+    # amplitude outruns the four-node interpolation; the weights at large
+    # kappa are checked by `test_filon_magnus_weights_match_quadrature`.  The
+    # sigma3 term of the commutator,
     # 2 i Im(A1 conj(A2) e^{i kappa (x1 - x2)}), flips sign between u(1,1) and
     # u(2); a wrong sign misses it by twice its size
     import kndirac.radial
@@ -1440,8 +1437,7 @@ def test_interior_step_exponent_matches_dense_magnus(kappa, monkeypatch):
         return _expm2(*omega)
 
     monkeypatch.setattr(kndirac.radial, "_expm2", recording)
-    _interior_products(np.array([t0]), np.array([t1]), *log_offset(np.array([[t0], [t1]]), "interior", par),
-                       1, mode, par)
+    _interior_products(*log_offset(np.array([[t0], [t1]]), "interior", par), 1, mode, par)
     (Om,) = seen
     ref, second = reference_magnus2(lambda t: horizon_B(t, mode, par), t0, t1)
     sigma3_term = abs(second[0, 0] - second[1, 1]) / 2
@@ -1454,6 +1450,14 @@ def test_horizon_fit_requires_interior():
     traj = far_field_trajectory(MODE, PAR, np.array([1.0, 0.5j]), u_min=1e3, u_max=2e3, n_samples=3)
     with pytest.raises(ValueError):
         fit_horizon(traj, MODE, PAR)
+
+
+def test_infinity_fit_requires_exterior():
+    # an interior trajectory's log offsets are s = log(r - r_minus), which the
+    # far-field frame must not read as exterior ones
+    traj = integrate(MODE, PAR, (0.0, 2e4), np.array([1.0, 0.5j]), tol=1e-10, branch="interior")
+    with pytest.raises(ValueError, match="exterior-branch trajectory"):
+        fit_infinity(traj, MODE, PAR)
 
 
 def test_wronskian_on_interior_trajectory():

@@ -6,7 +6,7 @@ from conftest import random_mode, random_slow_params
 from scipy.integrate import solve_ivp
 
 from kndirac.dirac import transform_stencil
-from kndirac.geometry import BLPoint, SpacetimeParams, delta_sigma, interior_offset, log_offset, tortoise_inverse
+from kndirac.geometry import BLPoint, SpacetimeParams, delta_sigma, log_offset, tortoise_inverse
 from kndirac.separation import (
     ModeParams,
     _potential_entries,
@@ -60,7 +60,7 @@ def radial_potential(rstar, mode, params, branch="exterior"):
         delta = eps * (r - params.r_minus)
         return _stacked(*_potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params))
     if branch == "interior":
-        eps = interior_offset(rstar, params)
+        eps = np.exp(log_offset(rstar, "interior", params))
         r = params.r_minus + eps
         abs_delta = eps * (params.r_plus - params.r_minus - eps)
         return _stacked(*_potential_entries(r, -abs_delta, np.sqrt(abs_delta), -1.0, mode, params))
