@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .geometry import BLPoint, SpacetimeParams, bl_metric, ef_metric, inverse_metric
+from .geometry import BLPoint, SpacetimeParams, _offset_terms, bl_metric, ef_metric, inverse_metric
 from .tetrads import (
     ef_null_tetrad,
     np_condition_residual,
@@ -188,7 +188,7 @@ def task_radial(cfg, outdir):
                      tol=cfg["tol"], branch=cfg["branch"])
     # r from the trajectory's own log offset s = log(r - r_0): re-inverting
     # rstar would meet the rounding floor of r deep in the exterior
-    r = (params.r_plus if cfg["branch"] == "exterior" else params.r_minus) + np.exp(traj.s)
+    r = _offset_terms(traj.s, cfg["branch"], params)[1]
     X1, X2 = traj.X[:, 0], traj.X[:, 1]
     rows = zip(traj.rstar, r, X1.real, X1.imag, X2.real, X2.imag, traj.s)
     _write_table(outdir, "trajectory", ("rstar", "r", "ReX1", "ImX1", "ReX2", "ImX2", "s"), rows)

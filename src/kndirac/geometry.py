@@ -9,6 +9,8 @@ Conventions used throughout the package:
 - the horizon-penetrating chart (called "EF" here) is built from the tortoise
   coordinate rstar and the azimuthal shift phitilde via
   tau = t + rstar - r and phihat = phi + phitilde.
+- both branches are charted by the log offset s = log(r - r_0), r_0 = r_plus
+  or r_minus, in one evaluator (`_offset_terms`), free of the rounding of r.
 
 All functions are pure and accept numpy arrays where that makes sense.
 """
@@ -124,21 +126,34 @@ def azimuthal_shift(r, params):
     )
 
 
-def _exterior_log_terms(s, params):
-    """(rstar - r, phitilde) at the exterior log offset s = log(r - r_plus):
-    kp s - km log(r - r_minus) and `azimuthal_shift`,
-    (a / (r_plus - r_minus)) (s - log(r - r_minus)), with
-    r - r_minus = r_plus - r_minus + e^s, so no rounding of r cancels."""
-    kp, km = _kappas(params)
+def _offset_terms(s, region, params):
+    """The log-offset chart at s = log(r - r_0), r_0 = r_plus on the exterior
+    branch and r_minus on the interior: (e, r, gap, log|r - r_plus|,
+    log|r - r_minus|), e = e^s, r = r_0 + e and gap = |r - r_1| = width +- e,
+    r_1 the other horizon and width = r_plus - r_minus.
+
+    log|r - r_0| is s, and the other log is log(width + e) outside and
+    log(width) + log1p(-e / width) inside, so no rounding of r cancels in the
+    logs, Delta = -+e gap or J = drstar/ds = +-(r^2 + a^2) / gap at any depth.
+    """
     width = params.r_plus - params.r_minus
-    log_gap = np.log(width + np.exp(s))
-    return kp * s - km * log_gap, params.a / width * (s - log_gap)
+    e = np.exp(s)
+    if region == "interior":
+        return e, params.r_minus + e, width - e, math.log(width) + np.log1p(-e / width), s
+    return e, params.r_plus + e, width + e, s, np.log(width + e)
 
 
-def _exterior_tortoise(s, params):
-    """rstar = r_plus + e^s + (rstar - r) at the log offset s = log(r - r_plus)
-    (`_exterior_log_terms`): free of the cancellation in r - r_plus."""
-    return params.r_plus + np.exp(s) + _exterior_log_terms(s, params)[0]
+def _offset_tortoise(s, region, params):
+    """rstar = r + kp log|r - r_plus| - km log|r - r_minus| at the log offset
+    s of `_offset_terms`, free of the cancellation in r - r_0."""
+    kp, km = _kappas(params)
+    _, r, _, log_p, log_m = _offset_terms(s, region, params)
+    return r + (kp * log_p - km * log_m)
+
+
+def _interior_cap(params):
+    """The largest interior log offset, log(width) - 1e-15 (`log_offset`)."""
+    return math.log(params.r_plus - params.r_minus) - 1e-15
 
 
 def _far_seed(rs, params):
@@ -187,33 +202,31 @@ def log_offset(rstar, region, params):
     exterior branch and r_minus on the interior branch.
 
     Newton on rstar = r + kp log|r - r_plus| - km log|r - r_minus|, which is
-    explicit in s with r = r_0 + e^s and log|r - r_0| = s, vectorized over
-    rstar (a scalar returns a float).  Its slope
-    +-(r^2 + a^2) / (r - r_1), r_1 the other horizon, is at least 2M in size on
-    the exterior and km on the interior, so no iterate needs a floor or damping
-    at any depth.  The loop stops once the step is below 1e-15 relative, or
-    once the step and the residual are at a rounding floor fixed from rstar;
-    steps are clamped to +-30 and the interior s is capped at log(width) - 1e-15.
+    explicit in s (`_offset_terms`), vectorized over rstar (a scalar returns
+    a float).  Its slope J = +-(r^2 + a^2) / gap, gap = |r - r_1| and r_1 the
+    other horizon, is at least 2M in size on the exterior and km on the
+    interior, so no iterate needs a floor or damping at any depth.  The loop
+    stops once the step is below 1e-15 relative, or once the step and the
+    residual are at a rounding floor fixed from rstar; steps are clamped to
+    +-30 and the interior s is capped at `_interior_cap`.
     A non-finite rstar raises ValueError, and 200 sweeps without convergence
     raise ArithmeticError naming the rstar.
     """
     rs = np.array(rstar, dtype=float, ndmin=1, copy=None)
     rp, rm = params.r_plus, params.r_minus
     kp, km = _kappas(params)
-    width = rp - rm
+    width, a2 = rp - rm, params.a * params.a
     log_w = math.log(width)
-    # f = rstar(s) - rstar = e^s + k_log log(gap) + k_s s + r_0 - rstar, gap = width -+ e^s;
-    # its slope e^s - k_1 e^s / gap + k_s is at least slope_min in size
     if region == "interior":
         if rm <= 0.0:
             raise ValueError("interior branch requires a Cauchy horizon (a, Q not both 0)")
-        r0, k_log, k_1, k_s, gap_of, slope_min, s_cap = rm, kp, kp, -km, np.subtract, km, log_w - 1e-15
+        sign, slope_min, s_cap = -1.0, km, _interior_cap(params)
         log_half = log_w - math.log(2.0)
         # one of km |s| and kp |log(width - e^s)| is bounded on its half of the
         # branch, and the other is at most |rstar| + rp plus that bound
         bound = rp + kp * max(abs(log_w), abs(log_half))
     elif region == "exterior":
-        r0, k_log, k_1, k_s, gap_of, slope_min, s_cap = rp, -km, km, kp, np.add, kp - km, math.inf
+        sign, slope_min, s_cap = 1.0, kp - km, math.inf
         # while e^s <= width both log terms are bounded by (kp + km) |log(2 width)|
         # or (kp + km) |log width|; beyond it they grow like log r < |rstar| + rp
         bound = rp + (kp + km) * max(abs(log_w), abs(log_w + math.log(2.0)))
@@ -253,17 +266,16 @@ def log_offset(rstar, region, params):
         far = rs > rp + 4.0 * kp
         if far.any():
             s[far] = _far_seed(rs[far], params)
-    c = r0 - rs
     # once |f| is at its floor no step exceeds f_floor / slope_min (twice
     # that covers the rounding of f / slope)
     floor_move = 2.0 * f_floor_max / slope_min
     tol = 1e-15 * max(1.0, np.abs(s).max())
     for _ in range(200):
-        e = np.exp(s)
-        gap = gap_of(width, e)
-        f = e + k_log * np.log(gap) + k_s * s + c
+        # f = rstar(s) - rstar as in `_offset_tortoise`, over J = sign (r^2 + a^2) / gap
+        _, r, gap, log_p, log_m = _offset_terms(s, region, params)
+        f = r + (kp * log_p - km * log_m) - rs
         # no step passes the cap, so a point resting there takes a zero step
-        step = np.clip(f / (e - k_1 * e / gap + k_s), -30.0, 30.0)
+        step = np.clip(f * gap / (sign * (r * r + a2)), -30.0, 30.0)
         step = np.maximum(step, s - s_cap, out=step)
         s = s - step
         moved = np.abs(step).max()
@@ -283,12 +295,10 @@ def _exterior_radius(rstar, s, params):
     depth, where r itself rounds to r_plus.
     """
     kp, km = _kappas(params)
-    width = params.r_plus - params.r_minus
-    e = np.exp(s)
-    r = params.r_plus + e
+    e, r, gap, log_p, log_m = _offset_terms(s, "exterior", params)
     # r - rstar first: it is exact wherever r is within a factor 2 of rstar
-    f = (r - rstar) + kp * s - km * np.log(width + e)
-    step = f * e * (width + e) / (r * r + params.a * params.a)
+    f = (r - rstar) + kp * log_p - km * log_m
+    step = f * e * gap / (r * r + params.a * params.a)
     return r - step, e - step
 
 
@@ -303,7 +313,7 @@ def tortoise_inverse(rstar, region, params):
     rs = np.array(rstar, dtype=float, ndmin=1, copy=None)
     s = log_offset(rs, region, params)
     if region == "interior":
-        r = params.r_minus + np.exp(s)
+        r = _offset_terms(s, region, params)[1]
     else:
         r = np.maximum(_exterior_radius(rs, s, params)[0], params.r_plus * (1.0 + 1e-15))
     return r if np.ndim(rstar) else float(r[0])

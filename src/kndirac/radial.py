@@ -18,23 +18,20 @@ frames:
   tol 1e-10.  Its steps follow the coupling, not the wavelength.
 - Below the mass threshold |omega| <= m and on or near a turning point of U
   that frame does not exist or would crowd its steps.  There exterior
-  `integrate` carries X itself, through dX/ds = J U X with carrier 0, in the
-  log offset s = log(r - r_plus), where r = r_plus + e^s and
-  rstar = r + kp s - km log(r - r_minus) are explicit and
-  Delta = e^s (r - r_minus) carries no cancellation at any depth.  For a
-  frozen U the Magnus exponential is exact, so these steps follow the
+  `integrate` carries X itself, through dX/ds = J U X with carrier 0.  For
+  a frozen U the Magnus exponential is exact, so these steps follow the
   variation of U.
 - On the interior branch `integrate` follows the phase-stripped h below
-  through dh/ds = J B h, in the log offset s = log(r - r_minus), where
-  r = r_minus + e^s, J = drstar/ds and rstar are explicit.  B lies in u(2)
-  and carries the phase e^{-+i nu rstar} off the diagonal; every step
-  conserves |X1|^2 + |X2|^2.
+  through dh/ds = J B h.  B lies in u(2) and carries the phase
+  e^{-+i nu rstar} off the diagonal; every step conserves |X1|^2 + |X2|^2.
 
+Both branches place their points by the log offset s = log(r - r_0),
+r_0 = r_plus or r_minus (`geometry.log_offset`), and read r, the horizon
+logs, Delta, J = drstar/ds and rstar from one chart,
+`geometry._offset_terms`, in which no rounding of r cancels at any depth.
 On the exterior branch the coupling and every step exponent lie in u(1,1),
 so the current |X1|^2 - |X2|^2 and the Abel/Wronskian identity hold to
-rounding by construction.  The exterior points are placed by their log
-offsets s = log(r - r_plus) (`geometry.log_offset`), which keep r - r_plus
-and Delta free of cancellation at any depth.
+rounding by construction.
 
 The 2x2 algebra (the exponential and the tree-reduced ordered product) is
 written out on four component arrays, in real arithmetic for the
@@ -81,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _exterior_log_terms, _exterior_radius, _exterior_tortoise, _kappas, log_offset
+from .geometry import _exterior_radius, _interior_cap, _kappas, _offset_terms, _offset_tortoise, log_offset
 from .separation import _potential_entries, _potential_slopes, _potential_u01, _stacked
 
 __all__ = [
@@ -184,10 +181,11 @@ class RadialTrajectory:
 
 
 class IntegrationError(ArithmeticError):
-    """An exhausted step budget or a solution that overflows the floats; `t`
-    is where the integration stopped: rstar for `integrate` (u for the far
-    field), the end of the first sample interval that did not settle within
-    the budget, or the last sample before the overflow."""
+    """An exhausted step budget, a solution that overflows the floats or an
+    interior span end on r_plus; `t` is where the integration stopped: rstar
+    for `integrate` (u for the far field), the end of the first sample
+    interval that did not settle within the budget, the last sample before
+    the overflow, or that span end."""
 
     def __init__(self, message, t):
         super().__init__(message)
@@ -210,10 +208,9 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     threshold or on or near a turning point, X itself is carried through
     dX/ds = J U X at carrier 0 (`_plain_steps`, within `_STEP_BUDGET`), where
     r and rstar are explicit in s.  Every step conserves the current
-    |X1|^2 - |X2|^2.  Each step edge's rstar comes from the closed form
-    r + kp s - km log(r - r_minus); the span endpoints are solved for s
-    (`log_offset`) and pinned, so rstar[0] and rstar[-1] lie on the span at
-    any depth.
+    |X1|^2 - |X2|^2.  Each step edge's rstar comes from the chart
+    (`_offset_tortoise`); the span endpoints are solved for s (`log_offset`)
+    and pinned, so rstar[0] and rstar[-1] lie on the span at any depth.
 
     On the interior branch the samples lie on a uniform grid in rstar spaced
     about 0.25/alpha up to 32/alpha, past which the spacing doubles on each
@@ -232,9 +229,10 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
 
     The trajectory carries the log offset s = log(r - r_0) of every sample,
     r_0 = r_plus or r_minus; `steps` counts the Magnus steps, and `rejected`
-    is 0.  An exhausted step budget, or a solution that grows past the
-    floats, raises IntegrationError naming the branch, the mode and the rstar
-    reached.
+    is 0.  An exhausted step budget, a solution that grows past the floats,
+    or an interior span end on the cap of `log_offset`, within 1e-15 width of
+    r_plus, raises IntegrationError naming the branch, the mode and the rstar
+    reached (for the cap, that end).
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -248,6 +246,10 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
         raise ValueError(f"span needs two distinct ends, got [{t0!r}, {t1!r}]")
     try:
         if branch == "interior":
+            capped = np.array(span, dtype=float)[s_span >= _interior_cap(params)]
+            if capped.size:
+                raise IntegrationError("the span end lies within 1e-15 (r_plus - r_minus) of r_plus, where the "
+                                       "interior log offset rests on its cap", float(capped[0]))
             # 45 samples in the fit window alpha rstar in [8, 19] of `fit_horizon`;
             # past 32/alpha, where B is below e^{-32}, the spacing doubles
             alpha = cauchy_rate(params)
@@ -294,7 +296,7 @@ def _frame_trajectory(mode, params, span, s_span, X0, tol, framed):
     f, or X, to every step edge.
     """
     s_samples = _sample_grid(*s_span, _FRAME_SPACING, _frame_sample_ref(params), -1.0, math.inf)
-    samples = _exterior_tortoise(s_samples, params)
+    samples = _offset_tortoise(s_samples, "exterior", params)
     samples[0], samples[-1] = span
     settled, _, steps = _frame_settled(samples, s_samples, tol, "on rstar", mode, params, framed)
     rstar = np.concatenate([samples[:1]] + [edges[1:] for edges, _, _ in settled])
@@ -330,7 +332,7 @@ def _frame_holds(mode, params, s_span):
         s_root = np.log(np.roots(quartic) - params.r_plus + 0j)
     margin = _FRAME_SPACING + np.maximum(_frame_sample_ref(params) - s_root.real, 0.0)
     gap = np.abs(s_root - np.clip(s_root.real, s_a, s_b))
-    return bool(np.all(gap > margin) and np.polyval(quartic, params.r_plus + np.exp(s_b)) > 0)
+    return bool(np.all(gap > margin) and np.polyval(quartic, _offset_terms(s_b, "exterior", params)[1]) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +610,13 @@ def _trace_phase(s, mode, params):
     tr U = 2 i omega (1 - Delta/(r^2+a^2)) + 2 i k a/(r^2+a^2), with phitilde
     = `geometry.azimuthal_shift`: the antiderivative of Im tr C, since
     tr K = (log det V)' vanishes (det V = s1 in the gauge of
-    `_adiabatic_frame`).  u - r and phitilde come from s itself
-    (`_exterior_log_terms`), which no rounding of r cancels."""
-    u_minus_r, phitilde = _exterior_log_terms(s, params)
-    log_r = np.log(params.r_plus + np.exp(s))
-    return 2.0 * mode.omega * (u_minus_r - 2.0 * params.M * log_r) + 2.0 * mode.k * phitilde
+    `_adiabatic_frame`).  u - r = kp log(r - r_plus) - km log(r - r_minus)
+    and phitilde = (a / (r_plus - r_minus)) (log(r - r_plus) - log(r - r_minus))
+    come from the logs of `_offset_terms`, which no rounding of r cancels."""
+    kp, km = _kappas(params)
+    _, r, _, log_p, log_m = _offset_terms(s, "exterior", params)
+    phitilde = params.a / (params.r_plus - params.r_minus) * (log_p - log_m)
+    return 2.0 * mode.omega * ((kp * log_p - km * log_m) - 2.0 * params.M * np.log(r)) + 2.0 * mode.k * phitilde
 
 
 def _uniform_edges(ta, tb, n):
@@ -770,21 +774,24 @@ def _plain_steps(_, s_edges, mode, params):
     """Exponentials of the steps of X itself between consecutive log offsets
     `s_edges`, as four component arrays: dX/ds = J U X at carrier 0.
 
-    J = drstar/ds = (r^2 + a^2) / (r - r_minus), with r = r_plus + e^s and
-    Delta = e^s (r - r_minus) explicit at the Gauss nodes, so no rounding of r
-    cancels and no node is inverted.  J U lies in u(1,1):
+    J = drstar/ds = (r^2 + a^2) / (r - r_minus), with r, r - r_minus and
+    Delta = e^s (r - r_minus) explicit at the Gauss nodes (`_offset_terms`),
+    so no rounding of r cancels and no node is inverted.  J U lies in u(1,1):
     G = J Im(U00 - U11) / 2 and A = J U01, and the trace comes from its
-    closed-form antiderivative 2 omega (rstar - r) + 2 k phitilde at s_edges
-    (`_exterior_log_terms`).
+    closed-form antiderivative 2 omega (rstar - r) + 2 k phitilde at s_edges,
+    from the logs of `_offset_terms` as in `_trace_phase`.
     """
+    kp, km = _kappas(params)
+
     def frame(nodes, _):
-        e = np.exp(nodes)
-        r, gap = params.r_plus + e, params.r_plus - params.r_minus + e  # gap = r - r_minus
+        e, r, gap, _, _ = _offset_terms(nodes, "exterior", params)
         delta = e * gap
         jac = (r * r + params.a ** 2) / gap
         u00, u01, _, u11 = _potential_entries(r, delta, np.sqrt(delta), 1.0, mode, params)
-        u_minus_r, phitilde = _exterior_log_terms(s_edges, params)
-        return 0.5 * jac * (u00 - u11).imag, jac * u01, 2.0 * (mode.omega * u_minus_r + mode.k * phitilde)
+        _, _, _, log_p, log_m = _offset_terms(s_edges, "exterior", params)
+        phitilde = params.a / (params.r_plus - params.r_minus) * (log_p - log_m)
+        return 0.5 * jac * (u00 - u11).imag, jac * u01, 2.0 * (mode.omega * (kp * log_p - km * log_m)
+                                                               + mode.k * phitilde)
 
     return _filon_magnus_steps(s_edges, 0.5 * (s_edges[-1:] - s_edges[:1]) / (len(s_edges) - 1), 0.0, frame, 1.0)
 
@@ -812,7 +819,7 @@ def _frame_settled(samples, s_samples, tol, where, mode, params, framed):
     (`_plain_steps`, within `_STEP_BUDGET`) otherwise.
 
     Each interval's steps are uniform in s, their edges at rstar(s)
-    (`_exterior_tortoise`) with the samples themselves pinned, and halved
+    (`_offset_tortoise`) with the samples themselves pinned, and halved
     until its product settles (`_settled_products`).  settled[i] holds
     interval i's step edges in rstar and in s, shape (steps + 1,) each, and
     step exponentials, shape (4, steps), and products their ordered products.
@@ -822,7 +829,7 @@ def _frame_settled(samples, s_samples, tol, where, mode, params, framed):
 
     def products_of(index, n):
         s_edges = _uniform_edges(s_samples[index], s_samples[index + 1], n)
-        edges = _exterior_tortoise(s_edges, params)
+        edges = _offset_tortoise(s_edges, "exterior", params)
         edges[0], edges[-1] = samples[index], samples[index + 1]
         factors = np.array(steps_of(edges, s_edges, mode, params))
         kept.update(zip(index.tolist(), zip(edges.T, s_edges.T, factors.transpose(2, 0, 1))))
@@ -980,9 +987,10 @@ def cauchy_rate(params):
     return 0.5 * (params.r_plus - params.r_minus) / (params.r_minus**2 + params.a**2)
 
 
-def _horizon_coupling(s, mode, params):
-    """(G, A) of B at points with log offsets s = log(r - r_minus):
-    B00 - B11 = 2 i G, B01 = A e^{-i nu rstar}.
+def _horizon_coupling(e, r, gap, mode, params):
+    """(G, A) of B at interior points given by the chart of `_offset_terms`,
+    e = r - r_minus, r and gap = r_plus - r: B00 - B11 = 2 i G,
+    B01 = A e^{-i nu rstar}.
 
     Substituting h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus),
     into dX/drstar = U X on the interior branch gives
@@ -991,19 +999,15 @@ def _horizon_coupling(s, mode, params):
              [U10 e^{+i nu rstar},    U11               ]],
 
     with U10 = -conj(U01), so A = U01, the one entry of U evaluated here
-    (`separation._potential_u01`, with |Delta| = eps (r_plus - r_minus - eps),
-    eps = r - r_minus = e^s).  In U00 - i nu - U11 the constant parts cancel
-    exactly; what is left is 2 i G with
+    (`separation._potential_u01`, with |Delta| = e gap).  In U00 - i nu - U11
+    the constant parts cancel exactly; what is left is 2 i G with
     G = -k Omega_minus (r^2 - r_minus^2) / (r^2 + a^2), and
-    r^2 - r_minus^2 = eps (2 r_minus + eps), so nothing is lost to
-    cancellation near the horizon.  Both vanish as r -> r_minus:
-    ||B|| = O(e^{-alpha rstar}).
+    r^2 - r_minus^2 = e (2 r_minus + e), so nothing is lost to cancellation
+    near the horizon.  Both vanish as r -> r_minus: ||B|| = O(e^{-alpha rstar}).
     """
     rm, a = params.r_minus, params.a
-    eps = np.exp(s)
-    r = rm + eps
-    u01 = _potential_u01(r, r * r + a * a, np.sqrt(eps * (params.r_plus - rm - eps)), mode)
-    q = eps * (2.0 * rm + eps)  # r^2 - r_minus^2
+    u01 = _potential_u01(r, r * r + a * a, np.sqrt(e * gap), mode)
+    q = e * (2.0 * rm + e)  # r^2 - r_minus^2
     return -mode.k * horizon_angular_velocity(params) * q / (rm * rm + a * a + q), u01
 
 
@@ -1016,25 +1020,12 @@ def _horizon_trace_phase(s, mode, params):
     rstar - r = kp log(r_plus - r) - km s, phitilde = (a / (r_plus - r_minus))
     (log(r_plus - r) - s) and k Omega_minus km = k a / (r_plus - r_minus), the
     s terms cancel, leaving -nu e^s - 2 k Omega_minus (r_plus + r_minus)
-    log(r_plus - r) plus a constant; log(r_plus - r) is taken as
-    log1p(-e^s / (r_plus - r_minus)), so that neither term cancels as
-    r -> r_minus.
+    log(r_plus - r) plus a constant, with e^s and log(r_plus - r) from
+    `_offset_terms`, so that neither term cancels as r -> r_minus.
     """
-    e = np.exp(s)
-    width = params.r_plus - params.r_minus
+    e, _, _, log_p, _ = _offset_terms(s, "interior", params)
     return -_cauchy_nu(mode, params) * e - 2.0 * mode.k * horizon_angular_velocity(params) * \
-        (params.r_plus + params.r_minus) * np.log1p(-e / width)
-
-
-def _interior_slow_phase(s, params):
-    """rstar + km s at log offsets s = log(r - r_minus): the part of the
-    interior tortoise coordinate rstar = r + kp log(r_plus - r) - km s that
-    stays bounded as r -> r_minus, r_minus + kp log(width) + e^s
-    + kp log1p(-e^s / width), width = r_plus - r_minus."""
-    kp, _ = _kappas(params)
-    width = params.r_plus - params.r_minus
-    e = np.exp(s)
-    return params.r_minus + kp * math.log(width) + e + kp * np.log1p(-e / width)
+        (params.r_plus + params.r_minus) * log_p
 
 
 def _interior_products(sa, sb, n, mode, params):
@@ -1042,22 +1033,22 @@ def _interior_products(sa, sb, n, mode, params):
     the log offsets sa and sb = log(r - r_minus) (arrays), each in n steps
     uniform in s, as four component arrays.
 
-    dh/ds = J B h with J = drstar/ds = -(r^2 + a^2) / (r_plus - r), and
-    r = r_minus + e^s explicit at the Gauss nodes, so no node is inverted.
-    J B lies in u(2): J G and J A from `_horizon_coupling`, with the phase
+    dh/ds = J B h with J = drstar/ds = -(r^2 + a^2) / (r_plus - r), and r,
+    r_plus - r and log(r_plus - r) explicit at the Gauss nodes
+    (`_offset_terms`, one exp of the nodes), so no node is inverted.  J B lies
+    in u(2): J G and J A from `_horizon_coupling`, with the phase
     e^{-i nu rstar} = e^{i nu km s} e^{-i nu (rstar + km s)} split into the
-    carrier -nu km and the slow rest (`_interior_slow_phase`), folded into
-    the amplitude; the trace comes from `_horizon_trace_phase` at the edges.
+    carrier -nu km and the slow rest rstar + km s = r + kp log(r_plus - r),
+    folded into the amplitude; the trace comes from `_horizon_trace_phase` at
+    the edges.
     """
-    nu, km = _cauchy_nu(mode, params), _kappas(params)[1]
+    nu, (kp, km) = _cauchy_nu(mode, params), _kappas(params)
 
     def frame(nodes, edges):
-        e = np.exp(nodes)
-        r = params.r_minus + e
-        jac = -(r * r + params.a ** 2) / (params.r_plus - params.r_minus - e)
-        G, A = _horizon_coupling(nodes, mode, params)
-        return jac * G, jac * A * np.exp(-1j * nu * _interior_slow_phase(nodes, params)), \
-            _horizon_trace_phase(edges, mode, params)
+        e, r, gap, log_p, _ = _offset_terms(nodes, "interior", params)
+        jac = -(r * r + params.a ** 2) / gap
+        G, A = _horizon_coupling(e, r, gap, mode, params)
+        return jac * G, jac * A * np.exp(-1j * nu * (r + kp * log_p)), _horizon_trace_phase(edges, mode, params)
 
     steps = _filon_magnus_steps(_uniform_edges(sa, sb, n), 0.5 * (sb - sa)[None] / n, -nu * km, frame, -1.0)
     return _ordered_product(*steps)

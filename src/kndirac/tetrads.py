@@ -154,29 +154,10 @@ def ef_null_tetrad(point, params):
 
 
 def orthonormal_u_ef(point, params):
-    """Orthonormal frame u_(a) (vectors, forms) of the horizon-regular NP frame."""
-    r, th = point.r, point.theta
-    delta, sigma = delta_sigma(r, th, params)
-    a, rp = params.a, params.r_plus
-    st = np.sin(th)
-    rS = np.sqrt(sigma)
-    f = 1.0 / (2.0 * rS * rp)
-    uvec = np.stack([
-        _legs(f, 2 * r * r + 2 * a * a - delta + rp * rp, delta - rp * rp, 0.0, 2 * a),
-        _legs(1.0 / rS, 0.0, 0.0, 1.0, 0.0),
-        _legs(1.0 / rS, a * st, 0.0, 0.0, 1.0 / st),
-        _legs(f, 2 * r * r + 2 * a * a - delta - rp * rp, delta + rp * rp, 0.0, 2 * a),
-    ], axis=-2)
-    uform = np.stack([
-        _legs(f, delta + rp**2, delta - 2 * sigma + rp**2, 0.0, -a * st * st * (delta + rp**2)),
-        _legs(rS, 0.0, 0.0, -1.0, 0.0),
-        _legs(1.0 / rS, a * st, a * st, 0.0, -(r * r + a * a) * st),
-        _legs(f, delta - rp**2, delta - 2 * sigma - rp**2, 0.0, -a * st * st * (delta - rp**2)),
-    ], axis=-2)
-    return (
-        OrthonormalTetrad(u=uvec, variance="vectors", chart="EF"),
-        OrthonormalTetrad(u=uform, variance="forms", chart="EF"),
-    )
+    """Orthonormal frame u_(a) (vectors, forms) of the horizon-regular NP frame:
+    `orthonormal_from_null` of both frames of `ef_null_tetrad`."""
+    vectors, forms = ef_null_tetrad(point, params)
+    return orthonormal_from_null(vectors), orthonormal_from_null(forms)
 
 
 def orthonormal_bl(point, params):

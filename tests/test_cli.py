@@ -282,6 +282,16 @@ def test_radial_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert err.startswith("numerical failure in task radial") and "overflows" in err
 
 
+def test_radial_interior_span_on_the_cap_is_a_numerical_failure(tmp_path, capsys):
+    # the span's start lies within 1e-15 width of r_plus, where the interior
+    # log offset rests on its cap
+    out = str(tmp_path / "o")
+    assert main(["radial", "--branch", "interior", "--rstar-min", "-100", "--rstar-max", "-80",
+                 "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure in task radial") and "rstar=-100.0" in err
+
+
 def test_interior_asymptotics_task(tmp_path):
     out = str(tmp_path / "o")
     rc = main(["asymptotics-cauchy", "--out", out,

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from kndirac.geometry import (
     BLPoint,
     SpacetimeParams,
-    _exterior_tortoise,
     _kappas,
+    _offset_terms,
+    _offset_tortoise,
     azimuthal_shift,
     bl_metric,
     delta_sigma,
@@ -186,8 +187,9 @@ def test_interior_offset_deep_tail():
 
 
 class _CountingNumpy:
-    """numpy with its `log` calls counted: an interior `log_offset` takes one
-    per Newton sweep, plus one for the r_plus-side seed."""
+    """numpy with its `log` and `log1p` calls counted together: an interior
+    `log_offset` takes one per Newton sweep, plus one for the r_plus-side
+    seed."""
 
     def __init__(self):
         self.logs = 0
@@ -198,6 +200,10 @@ class _CountingNumpy:
     def log(self, x):
         self.logs += 1
         return np.log(x)
+
+    def log1p(self, x):
+        self.logs += 1
+        return np.log1p(x)
 
 
 def _cauchy_rate(par):
@@ -294,6 +300,10 @@ def test_log_offset_failure_names_the_rstar(region, monkeypatch):
             NoisyNumpy.calls += 1
             return np.log(x) + (-1e-6) ** (NoisyNumpy.calls % 2) * 1e-6
 
+        def log1p(self, x):
+            NoisyNumpy.calls += 1
+            return np.log1p(x) + (-1e-6) ** (NoisyNumpy.calls % 2) * 1e-6
+
     monkeypatch.setattr(kndirac.geometry, "np", NoisyNumpy())
     with pytest.raises(ArithmeticError, match=r"did not converge at rstar=5\.0"):
         log_offset(np.array([5.0]), region, PAR)
@@ -355,6 +365,8 @@ def slow_holes(draw, interior):
 
 
 class _LogCounter:
+    """numpy with its `log` and `log1p` calls counted together."""
+
     def __init__(self):
         self.logs = 0
 
@@ -364,6 +376,10 @@ class _LogCounter:
     def log(self, x):
         self.logs += 1
         return np.log(x)
+
+    def log1p(self, x):
+        self.logs += 1
+        return np.log1p(x)
 
 
 def _interior_tortoise(s, par):
@@ -387,7 +403,7 @@ def test_tortoise_inverse_round_trip_exterior(par, rstar):
     assert counter.logs <= 14  # a sweep each, 3 for the far seed and 2 for the step in r
     floor = par.r_plus * (1.0 + 1e-15)
     assert np.all(r >= floor)
-    below = _exterior_tortoise(math.log(floor - par.r_plus), par)
+    below = _offset_tortoise(math.log(floor - par.r_plus), "exterior", par)
     for ri, rsi in zip(r, rs):
         if ri == floor:
             assert rsi <= below + 1e-12 * max(1.0, abs(rsi))
@@ -395,6 +411,31 @@ def test_tortoise_inverse_round_trip_exterior(par, rstar):
         drs = (ri * ri + par.a**2) / ((ri - par.r_plus) * (ri - par.r_minus))
         bound = 1e-12 * max(1.0, abs(rsi)) + 64 * 2.3e-16 * drs * ri
         assert abs(tortoise(ri, par) - rsi) <= bound
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(region=st.sampled_from(["exterior", "interior"]), data=st.data())
+def test_offset_chart_matches_tortoise(region, data):
+    # the chart at s = log(r - r_0) against `tortoise` and the horizon gap
+    # at r = r_0 + e^s, from e^s = 1e-12 width to the r_plus end of the
+    # interior and to 1e6 width outside.  `tortoise` takes its logs after r
+    # rounds, which costs it kp ulp(r) / |r - r_plus| and km ulp(r) /
+    # |r - r_minus|: the gate is a few rounding units of those and of the terms
+    interior = region == "interior"
+    par = data.draw(slow_holes(interior=interior))
+    kp, km = _kappas(par)
+    width = par.r_plus - par.r_minus
+    x = 10.0 ** data.draw(st.floats(-12.0, math.log10(0.5) if interior else 6.0))  # e^s / width
+    if interior and data.draw(st.booleans()):
+        x = 1.0 - x  # the r_plus half of the branch
+    s = math.log(width) + math.log(x)
+    e, r, gap, log_p, log_m = _offset_terms(s, region, par)
+    r0, r1 = (par.r_minus, par.r_plus) if interior else (par.r_plus, par.r_minus)
+    assert abs(e - math.exp(s)) <= 2.3e-16 * e and r == r0 + e
+    assert abs(gap - abs(r - r1)) <= 4 * 2.3e-16 * max(r, r1)
+    dp, dm = (gap, e) if interior else (e, gap)  # |r - r_plus|, |r - r_minus|
+    terms = r + kp * abs(log_p) + km * abs(log_m) + kp * r / dp + km * r / dm
+    assert abs(_offset_tortoise(s, region, par) - tortoise(r, par)) <= 8 * 2.3e-16 * terms
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -409,8 +450,8 @@ def test_tortoise_inverse_round_trip_interior(par, alpha_rstar):
     counter = _LogCounter()
     with mock.patch.object(kndirac.geometry, "np", counter):
         r = tortoise_inverse(rs, "interior", par)
-    # one log per sweep, one for the r_plus-side seed and three for the
-    # second-order seed toward Schwarzschild
+    # one log1p per sweep and one for r, one log for the r_plus-side seed and
+    # three for the second-order seed toward Schwarzschild
     assert counter.logs <= 20
     s = log_offset(rs, "interior", par)
     assert np.array_equal(r, par.r_minus + np.exp(s))

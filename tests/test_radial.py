@@ -11,8 +11,9 @@ from test_separation import potential_trace, radial_potential, radial_potential_
 
 from kndirac.geometry import (
     SpacetimeParams,
-    _exterior_tortoise,
     _kappas,
+    _offset_terms,
+    _offset_tortoise,
     azimuthal_shift,
     delta_sigma,
     log_offset,
@@ -49,7 +50,6 @@ from kndirac.radial import (
     _frame_holds,
     _horizon_coupling,
     _interior_products,
-    _interior_slow_phase,
     _moments,
     _ordered_product,
     _propagated,
@@ -276,7 +276,7 @@ def test_integrate_matches_seven_evaluation_reference(branch, monkeypatch):
         traj = integrate(mode, PAR, span, X0, tol=1e-10)
         ts, ys, _, _ = reference_dormand_prince(lambda s: exterior_system(s, mode, PAR),
                                                 log_offset(np.array(span), "exterior", PAR), X0, tol=1e-13)
-        assert abs(traj.rstar[-1] - _exterior_tortoise(ts[-1], PAR)) <= 1e-12 * abs(span[1])
+        assert abs(traj.rstar[-1] - _offset_tortoise(ts[-1], "exterior", PAR)) <= 1e-12 * abs(span[1])
         assert np.abs(traj.X[-1] - ys[-1]).max() < 1e-9 * np.abs(ys[-1]).max()
         return
     # the interior Dormand-Prince oracle integrates the phase-stripped h
@@ -1340,17 +1340,19 @@ INTERIOR_HOLES = [par for par, _ in HORIZON_SEEDS] + [NEAR_EXTREMAL[0]] + [
 
 @pytest.mark.parametrize("par", INTERIOR_HOLES)
 def test_interior_slow_phase_is_rstar_plus_km_s(par):
-    # rstar + km s in closed form against the tortoise coordinate of
-    # r = r_minus + e^s, from e^s = (1 - 1e-12) width at the r_plus end of
-    # the branch to 1e-12 width, within a few rounding units of rstar's
-    # terms and of their logs' arguments r_plus - r and r - r_minus
+    # the interior's slow phase rstar + km s = r + kp log(r_plus - r) from
+    # the chart against the tortoise coordinate of r = r_minus + e^s, from
+    # e^s = (1 - 1e-12) width at the r_plus end of the branch to 1e-12 width,
+    # within a few rounding units of rstar's terms and of their logs'
+    # arguments r_plus - r and r - r_minus
     kp, km = _kappas(par)
     width = par.r_plus - par.r_minus
     s = np.log(width) + np.log(np.concatenate([1.0 - np.geomspace(1e-12, 0.5, 40), np.geomspace(0.5, 1e-12, 80)]))
+    _, r_chart, _, log_p, _ = _offset_terms(s, "interior", par)
     r = par.r_minus + np.exp(s)
     terms = r + kp * np.abs(np.log(par.r_plus - r)) + km * np.abs(s) \
         + kp * par.r_plus / (par.r_plus - r) + km * r / (r - par.r_minus)
-    assert np.all(np.abs(_interior_slow_phase(s, par) - (tortoise(r, par) + km * s)) <= 8 * 2.3e-16 * terms)
+    assert np.all(np.abs(r_chart + kp * log_p - (tortoise(r, par) + km * s)) <= 8 * 2.3e-16 * terms)
 
 
 def test_interior_long_span_matches_dormand_prince():
@@ -1362,6 +1364,52 @@ def test_interior_long_span_matches_dormand_prince():
     ref = interior_dormand_prince(IMODE, PAR, span, X0, tol=1e-13)
     assert len(traj.rstar) < 200 and traj.rstar[-1] == span[1]
     assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-9 * np.abs(ref.X[-1]).max()
+
+
+@pytest.mark.parametrize("span,end", [((-120.0, -100.0), -120.0), ((-100.0, -80.0), -100.0),
+                                      ((-90.0, -70.0), -90.0)])
+def test_interior_span_on_the_r_plus_cap_raises(span, end):
+    # below about rstar = -80 on this hole the root lies within 1e-15 width
+    # of r_plus, and its log offset rests on the cap: integrating from there
+    # returned one X for the first two spans, 0.54 off Dormand-Prince on the
+    # first, without a word
+    with pytest.raises(IntegrationError, match="rests on its cap") as info:
+        integrate(MODE, PAR, span, np.array([1.0, 0.2j]), tol=1e-11, branch="interior")
+    assert info.value.t == end
+
+
+def test_interior_span_off_the_cap():
+    # (-30, -20) lies off the cap and integrates; (-70, 0) starts 1.7e-14
+    # width from r_plus, off the cap, and still stops on the step budget
+    X0 = np.array([1.0, 0.2j])
+    traj = integrate(MODE, PAR, (-30.0, -20.0), X0, tol=1e-11, branch="interior")
+    assert traj.rstar[-1] == -20.0 and np.isfinite(traj.X).all()
+    with pytest.raises(IntegrationError, match="step budget"):
+        integrate(MODE, PAR, (-70.0, 0.0), X0, tol=1e-11, branch="interior")
+
+
+def test_interior_kernel_exponentiates_its_nodes_once(monkeypatch):
+    # the interior frame takes r, r_plus - r and log(r_plus - r) at its Gauss
+    # nodes from one chart evaluation: one real exp of the nodes per call
+    import kndirac.geometry
+    import kndirac.radial
+
+    shapes = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            if not np.iscomplexobj(x):
+                shapes.append(np.shape(x))
+            return np.exp(x)
+
+    for module in (kndirac.geometry, kndirac.radial):
+        monkeypatch.setattr(module, "np", Counting())
+    sa, sb = log_offset(np.array([0.0, 2.0]), "interior", PAR), log_offset(np.array([1.0, 3.0]), "interior", PAR)
+    _interior_products(sa, sb, 8, IMODE, PAR)
+    assert shapes.count((8, 2, 4)) == 1
 
 
 @pytest.mark.parametrize("omega", [40.0, -40.0])
@@ -1381,10 +1429,10 @@ def test_horizon_coupling_takes_u01_from_the_one_evaluator(par, mode):
     # the interior evaluates U01 alone at its Gauss nodes, from the formula
     # `_potential_entries` builds U from, bit for bit
     s = log_offset(np.linspace(-2.0, 40.0, 211) / cauchy_rate(par), "interior", par)
-    eps = np.exp(s)
+    eps, r, gap, _, _ = _offset_terms(s, "interior", par)
     abs_delta = eps * (par.r_plus - par.r_minus - eps)
     u01 = _potential_entries(par.r_minus + eps, -abs_delta, np.sqrt(abs_delta), -1.0, mode, par)[1]
-    assert np.array_equal(_horizon_coupling(s, mode, par)[1], u01)
+    assert np.array_equal(_horizon_coupling(eps, r, gap, mode, par)[1], u01)
 
 
 def test_horizon_fit_alpha_0_0227():
