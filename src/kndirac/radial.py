@@ -5,7 +5,7 @@ One integrator serves every span: Filon-Magnus steps, second-order Magnus
 exponents of a 2x2 coupling whose off-diagonal is a smooth amplitude times an
 exact phase e^{i kappa x} across the step, with that oscillation integrated
 exactly (Filon quadrature) and the trace taken from closed forms.  One kernel
-(`_filon_magnus_steps`) and one halving loop (`_settled_products`) serve three
+(`_filon_magnus_steps`) and one halving driver (`_settled_steps`) serve three
 frames:
 
 - On the exterior branch, wherever U has two distinct imaginary eigenvalues,
@@ -199,7 +199,7 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     s = log(r - r_plus), with the spacing doubling on each interval below
     r - r_plus = e^{-8} (r_plus - r_minus), where U tends to a constant.  Each
     sample interval is cut into steps uniform in s, halved until its product
-    moves by less than `tol` (`_settled_products`), and the trajectory holds
+    moves by less than `tol` (`_settled_steps`), and the trajectory holds
     X at every step edge.  The span alone picks the frame (`_frame_holds`).
     Where U has two distinct imaginary eigenvalues over the whole span and no
     turning point lies within a sample interval of it, f = E^{-1} V^{-1} X is
@@ -218,7 +218,7 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     s = log(r - r_minus) once, up front.  The phase-stripped
     h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus), is carried
     across each sample interval by Filon-Magnus steps on dh/ds = J B h,
-    J = drstar/ds, uniform in s (`_interior_products`), where r, J and rstar
+    J = drstar/ds, uniform in s (`_interior_steps`), where r, J and rstar
     are explicit, so no step edge or node is inverted.  The steps are halved
     until the interval's product moves by less than `tol`, within
     `_STEP_BUDGET` evaluated steps, and the samples are re-phased to X.  B
@@ -255,9 +255,8 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
             alpha = cauchy_rate(params)
             rstar = _sample_grid(t0, t1, 0.25 / alpha, 32.0 / alpha, 1.0, _STEP_BUDGET)
             s = log_offset(rstar, "interior", params)
-            products, steps = _settled_products(
-                lambda index, n: _interior_products(s[index], s[index + 1], n, mode, params),
-                rstar, tol, _STEP_BUDGET, "on rstar")
+            products, _, steps = _settled_steps(_interior_steps, mode, params, rstar, s, tol, _STEP_BUDGET,
+                                                "on rstar")
             nu = _cauchy_nu(mode, params)
             X = _propagated(products, np.array([y0[0] * np.exp(-1j * nu * t0), y0[1]]), rstar)
             X[:, 0] *= np.exp(1j * nu * rstar)
@@ -292,16 +291,20 @@ def _frame_trajectory(mode, params, span, s_span, X0, tol, framed):
 
     The samples lie `_FRAME_SPACING` apart in s; below `_frame_sample_ref`
     the spacing doubles on each interval, so that s < 710 makes a few
-    thousand intervals at most.  The settled steps of `_frame_settled` carry
-    f, or X, to every step edge.
+    thousand intervals at most.  The settled steps (`_settled_steps`) carry
+    f, or X, to every step edge, whose rstar takes one `_offset_tortoise`
+    call, with the span's ends pinned.
     """
     s_samples = _sample_grid(*s_span, _FRAME_SPACING, _frame_sample_ref(params), -1.0, math.inf)
     samples = _offset_tortoise(s_samples, "exterior", params)
     samples[0], samples[-1] = span
-    settled, _, steps = _frame_settled(samples, s_samples, tol, "on rstar", mode, params, framed)
-    rstar = np.concatenate([samples[:1]] + [edges[1:] for edges, _, _ in settled])
-    s = np.concatenate([s_samples[:1]] + [s_edges[1:] for _, s_edges, _ in settled])
-    factors = np.concatenate([f for _, _, f in settled], axis=1)
+    steps_of, budget = (_frame_steps, _FRAME_STEP_BUDGET) if framed else (_plain_steps, _STEP_BUDGET)
+    _, settled, steps = _settled_steps(steps_of, mode, params, samples, s_samples, tol, budget, "on rstar")
+    pieces = sorted((i, e[1:, j], f[..., j]) for index, e, f in settled for j, i in enumerate(index.tolist()))
+    s = np.concatenate([s_samples[:1]] + [e for _, e, _ in pieces])
+    factors = np.concatenate([f for _, _, f in pieces], axis=1)
+    rstar = _offset_tortoise(s, "exterior", params)
+    rstar[0], rstar[-1] = span
     X = _through_frame(rstar, s, factors, X0, mode, params)[1] if framed else _propagated(factors, X0, rstar)
     return rstar, s, X, steps
 
@@ -672,22 +675,26 @@ def _filon_magnus_steps(edges, half_width, carrier, frame, sign):
     return _expm2(o00, o01, sign * np.conj(o01), o11)
 
 
-def _settled_products(products_of, samples, tol, budget, where):
-    """Propagators over the intervals between consecutive `samples`, each
-    halved throughout until it settles: (products, steps).
+def _settled_steps(steps_of, mode, params, samples, s_samples, tol, budget, where):
+    """Steps over the intervals between consecutive `samples`, with log
+    offsets `s_samples`, each halved throughout until it settles:
+    (products, settled, steps).
 
-    `products_of(index, n)` returns the four components of the products over
-    the intervals `index`, each in n steps.  Each interval starts as one step
-    and is halved until its product moves by less than `tol` of its largest
-    entry; the finer product is kept, and `steps` counts its steps.  A
-    product that overflows the floats is kept as it is, with no warning, and
-    `_propagated` reports where the solution leaves them.  Past `budget`
-    evaluated steps IntegrationError names the first unsettled interval,
-    `where` ("on u", say) and the step counts; its t is the end of that
-    interval, whose start no unsettled product precedes.
+    A level's steps are uniform in s (`_uniform_edges`), and
+    `steps_of(s_edges, ends, mode, params)` gives their exponentials as four
+    component arrays, `ends` the pending intervals' samples.  Each interval
+    starts as one step and is halved until the ordered product of its steps
+    moves by less than `tol` of its largest entry.  The finer steps are
+    kept: `products` (4, intervals), and in `settled` one (index, s_edges,
+    factors) per level, the intervals that settled there with their step
+    edges (n + 1, k) and exponentials (4, n, k); `steps` counts them.  A
+    product that overflows the floats is kept as it is, and `_propagated`
+    reports where the solution leaves them.  Past `budget` evaluated steps
+    IntegrationError names the first unsettled interval, `where` ("on u",
+    say) and the step counts; its t is the end of that interval.
     """
     products = np.empty((4, len(samples) - 1), dtype=complex)
-    pending, coarse = np.arange(len(samples) - 1), None
+    settled, pending, coarse = [], np.arange(len(samples) - 1), None
     n, evaluated, steps = 1, 0, 0
     while pending.size:
         if evaluated + n * pending.size > budget:
@@ -695,16 +702,19 @@ def _settled_products(products_of, samples, tol, budget, where):
             raise IntegrationError(
                 f"step budget of {budget} exhausted {where} in [{a!r}, {b!r}]: {n} steps per interval "
                 f"on {pending.size} intervals, {evaluated} steps evaluated, {steps} accepted", b)
+        s_edges = _uniform_edges(s_samples[pending], s_samples[pending + 1], n)
         with np.errstate(over="ignore", invalid="ignore"):
-            fine = np.array(products_of(pending, n))
+            factors = np.array(steps_of(s_edges, (samples[pending], samples[pending + 1]), mode, params))
+            fine = np.array(_ordered_product(*factors))
             done = ~np.isfinite(fine).all(axis=0)
             if coarse is not None:
                 done |= np.abs(fine - coarse).max(axis=0) <= tol * np.abs(fine).max(axis=0)
         evaluated += n * pending.size
         products[:, pending[done]] = fine[:, done]
+        settled.append((pending[done], s_edges[:, done], factors[..., done]))
         steps += n * int(done.sum())
         pending, coarse, n = pending[~done], fine[:, ~done], 2 * n
-    return products, steps
+    return products, settled, steps
 
 
 def _sample_grid(t0, t1, width, ref, side, budget):
@@ -754,14 +764,19 @@ def _propagated(products, f, samples):
     return fs
 
 
-def _frame_steps(edges, s_edges, mode, params):
+def _frame_steps(s_edges, ends, mode, params):
     """Exponentials of the steps of f = E^{-1} V^{-1} X between consecutive
-    `edges` in rstar, with log offsets `s_edges`, as four component arrays.
+    log offsets `s_edges`, as four component arrays.
 
-    C lies in u(1,1): G and the slow amplitude A from `_coupling` at the Gauss
-    nodes, which are inverted for their log offsets in one `log_offset` call,
+    The frame steps in rstar: its edges come from the chart
+    (`_offset_tortoise`), with the intervals' `ends` pinned.  C lies in
+    u(1,1): G and the slow amplitude A from `_coupling` at the Gauss nodes,
+    which are inverted for their log offsets in one `log_offset` call,
     carrier 2 w1, and the trace from `_trace_phase` at s_edges.
     """
+    edges = _offset_tortoise(s_edges, "exterior", params)
+    edges[0], edges[-1] = ends
+
     def frame(nodes, _):
         G, A = _coupling(nodes, log_offset(nodes, "exterior", params), mode, params)
         return G, A, _trace_phase(s_edges, mode, params)
@@ -770,7 +785,7 @@ def _frame_steps(edges, s_edges, mode, params):
                                frame, 1.0)
 
 
-def _plain_steps(_, s_edges, mode, params):
+def _plain_steps(s_edges, _, mode, params):
     """Exponentials of the steps of X itself between consecutive log offsets
     `s_edges`, as four component arrays: dX/ds = J U X at carrier 0.
 
@@ -811,34 +826,6 @@ def _through_frame(u, s, products, X0, mode, params):
                         v10 * ep * fs[:, 0] + v11 * em * fs[:, 1]], axis=-1)
 
 
-def _frame_settled(samples, s_samples, tol, where, mode, params, framed):
-    """Settled steps over the intervals between consecutive exterior
-    `samples` in rstar, with log offsets `s_samples`: (settled, products,
-    steps).  The steps carry f in the adiabatic frame (`_frame_steps`, within
-    `_FRAME_STEP_BUDGET`) if `framed`, and X itself at carrier 0
-    (`_plain_steps`, within `_STEP_BUDGET`) otherwise.
-
-    Each interval's steps are uniform in s, their edges at rstar(s)
-    (`_offset_tortoise`) with the samples themselves pinned, and halved
-    until its product settles (`_settled_products`).  settled[i] holds
-    interval i's step edges in rstar and in s, shape (steps + 1,) each, and
-    step exponentials, shape (4, steps), and products their ordered products.
-    """
-    steps_of, budget = (_frame_steps, _FRAME_STEP_BUDGET) if framed else (_plain_steps, _STEP_BUDGET)
-    kept = {}
-
-    def products_of(index, n):
-        s_edges = _uniform_edges(s_samples[index], s_samples[index + 1], n)
-        edges = _offset_tortoise(s_edges, "exterior", params)
-        edges[0], edges[-1] = samples[index], samples[index + 1]
-        factors = np.array(steps_of(edges, s_edges, mode, params))
-        kept.update(zip(index.tolist(), zip(edges.T, s_edges.T, factors.transpose(2, 0, 1))))
-        return _ordered_product(*factors)
-
-    products, steps = _settled_products(products_of, samples, tol, budget, where)
-    return [kept[i] for i in range(len(samples) - 1)], products, steps
-
-
 def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
     """Propagate outward over log-spaced samples in [u_min, u_max], in the
     adiabatic frame.
@@ -859,7 +846,7 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
 
     The steps are uniform in s = log(r - r_plus), as in exterior `integrate`,
     and each sample interval is halved until its product moves by less than
-    `_FAR_TOL` (`_frame_settled`).  At most `_FRAME_STEP_BUDGET` steps are
+    `_FAR_TOL` (`_settled_steps`).  At most `_FRAME_STEP_BUDGET` steps are
     evaluated in all; past that IntegrationError names the mode, the interval
     and the step counts.
 
@@ -878,9 +865,9 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
         raise ValueError(f"far-field propagation needs n_samples >= 2, got {n_samples!r}")
     us = np.geomspace(u_min, u_max, n_samples)
     s = log_offset(us, "exterior", params)
-    _, products, steps = _frame_settled(
-        us, s, _FAR_TOL, f"for the far-field mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, "
-                         f"xi={mode.xi!r} on u", mode, params, True)
+    products, _, steps = _settled_steps(
+        _frame_steps, mode, params, us, s, _FAR_TOL, _FRAME_STEP_BUDGET,
+        f"for the far-field mode omega={mode.omega!r}, k={mode.k!r}, m={mode.m!r}, xi={mode.xi!r} on u")
     r, Xs = _through_frame(us, s, products, X0, mode, params)
     # det of the X propagator: det P_f times the ratio of det E =
     # e^{i (Phi_plus - Phi_minus)} = e^{4 i M omega log r}; det V = s1 is constant
@@ -1028,10 +1015,10 @@ def _horizon_trace_phase(s, mode, params):
         (params.r_plus + params.r_minus) * log_p
 
 
-def _interior_products(sa, sb, n, mode, params):
-    """Propagators of h = (X1 e^{-i nu rstar}, X2) over the intervals between
-    the log offsets sa and sb = log(r - r_minus) (arrays), each in n steps
-    uniform in s, as four component arrays.
+def _interior_steps(s_edges, _, mode, params):
+    """Exponentials of the steps of h = (X1 e^{-i nu rstar}, X2) between
+    consecutive log offsets `s_edges` = log(r - r_minus), uniform in s on
+    each interval, as four component arrays.
 
     dh/ds = J B h with J = drstar/ds = -(r^2 + a^2) / (r_plus - r), and r,
     r_plus - r and log(r_plus - r) explicit at the Gauss nodes
@@ -1050,8 +1037,8 @@ def _interior_products(sa, sb, n, mode, params):
         G, A = _horizon_coupling(e, r, gap, mode, params)
         return jac * G, jac * A * np.exp(-1j * nu * (r + kp * log_p)), _horizon_trace_phase(edges, mode, params)
 
-    steps = _filon_magnus_steps(_uniform_edges(sa, sb, n), 0.5 * (sb - sa)[None] / n, -nu * km, frame, -1.0)
-    return _ordered_product(*steps)
+    return _filon_magnus_steps(s_edges, 0.5 * (s_edges[-1:] - s_edges[:1]) / (len(s_edges) - 1), -nu * km,
+                               frame, -1.0)
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,15 @@ from kndirac.radial import (
     _exterior_entries,
     _filon_magnus_steps,
     _frame_holds,
+    _frame_steps,
     _horizon_coupling,
-    _interior_products,
+    _interior_steps,
     _moments,
     _ordered_product,
+    _plain_steps,
     _propagated,
     _sample_grid,
+    _settled_steps,
     _uniform_edges,
 )
 
@@ -385,9 +388,9 @@ def test_frame_integrate_inverts_once_per_halving_level(monkeypatch):
         calls.append(np.size(rstar))
         return log_offset_of(rstar, region, params)
 
-    def level(edges, s_edges, mode, params):
-        levels.append(edges.shape)
-        return steps_of(edges, s_edges, mode, params)
+    def level(s_edges, ends, mode, params):
+        levels.append(s_edges.shape)
+        return steps_of(s_edges, ends, mode, params)
 
     monkeypatch.setattr(kndirac.radial, "log_offset", counted)
     monkeypatch.setattr(kndirac.radial, "_frame_steps", level)
@@ -395,6 +398,52 @@ def test_frame_integrate_inverts_once_per_halving_level(monkeypatch):
     assert len(levels) >= 2
     # edges - 1 steps on each of k intervals: 4 Gauss nodes per step
     assert calls == [2] + [4 * (edges - 1) * k for edges, k in levels]
+
+
+@pytest.mark.parametrize("mode,span,branch,most", [(SUBLUMINAL, (10.0, 60.0), "exterior", 2),
+                                                   (TURNING, (10.11, 200.0), "exterior", 2),
+                                                   (MODE, (0.0, 20.0), "interior", 0)])
+def test_rstar_of_the_step_edges_is_taken_once(mode, span, branch, most, monkeypatch):
+    # only the adiabatic frame steps in rstar; at carrier 0 the samples and
+    # the settled step edges take one chart call each, and the interior none
+    import kndirac.radial
+
+    calls = []
+    original = kndirac.radial._offset_tortoise
+
+    def counted(s, region, params):
+        calls.append(np.size(s))
+        return original(s, region, params)
+
+    monkeypatch.setattr(kndirac.radial, "_offset_tortoise", counted)
+    traj = integrate(mode, PAR, span, np.array([1.0 + 0.0j, 0.5 - 0.25j]), branch=branch)
+    assert len(calls) <= most
+    if branch == "exterior":
+        assert calls[-1] == traj.steps + 1
+
+
+@pytest.mark.parametrize("frame", ["adiabatic", "carrier 0", "interior"])
+def test_settled_factors_multiply_to_the_products(frame):
+    # each halving level keeps the step edges and exponentials of the
+    # intervals that settled on it; their ordered products are the interval
+    # products bit for bit, and every interval settles on exactly one level
+    if frame == "interior":
+        samples = np.linspace(0.0, 20.0, 6)
+        s_samples = log_offset(samples, "interior", PAR)
+        mode, steps_of = MODE, _interior_steps
+    else:
+        mode, steps_of = (MODE, _frame_steps) if frame == "adiabatic" else (SUBLUMINAL, _plain_steps)
+        s_samples = np.linspace(*log_offset(np.array([10.0, 60.0]), "exterior", PAR), 6)
+        samples = _offset_tortoise(s_samples, "exterior", PAR)
+    products, settled, steps = _settled_steps(steps_of, mode, PAR, samples, s_samples, 1e-10, 10 ** 5, "on rstar")
+    assert len(settled) >= 3
+    index = np.concatenate([index for index, _, _ in settled])
+    assert np.array_equal(np.sort(index), np.arange(len(samples) - 1))
+    assert steps == sum((len(s_edges) - 1) * len(index) for index, s_edges, _ in settled)
+    for index, s_edges, factors in settled:
+        assert factors.shape == (4, len(s_edges) - 1, len(index))
+        assert np.array_equal(s_edges[[0, -1]], np.stack([s_samples[index], s_samples[index + 1]]))
+        assert np.array_equal(np.array(_ordered_product(*factors)), products[:, index])
 
 
 @pytest.mark.parametrize("mode,span", [(MODE, (10.0, 60.0)), (MODE, (-40.0, 0.0)),
@@ -1408,7 +1457,7 @@ def test_interior_kernel_exponentiates_its_nodes_once(monkeypatch):
     for module in (kndirac.geometry, kndirac.radial):
         monkeypatch.setattr(module, "np", Counting())
     sa, sb = log_offset(np.array([0.0, 2.0]), "interior", PAR), log_offset(np.array([1.0, 3.0]), "interior", PAR)
-    _interior_products(sa, sb, 8, IMODE, PAR)
+    _interior_steps(_uniform_edges(sa, sb, 8), None, IMODE, PAR)
     assert shapes.count((8, 2, 4)) == 1
 
 
@@ -1485,7 +1534,7 @@ def test_interior_step_exponent_matches_dense_magnus(kappa, monkeypatch):
         return _expm2(*omega)
 
     monkeypatch.setattr(kndirac.radial, "_expm2", recording)
-    _interior_products(*log_offset(np.array([[t0], [t1]]), "interior", par), 1, mode, par)
+    _interior_steps(log_offset(np.array([[t0], [t1]]), "interior", par), None, mode, par)
     (Om,) = seen
     ref, second = reference_magnus2(lambda t: horizon_B(t, mode, par), t0, t1)
     sigma3_term = abs(second[0, 0] - second[1, 1]) / 2
