@@ -538,10 +538,9 @@ def _moments(kappa):
     kappa = np.asarray(kappa, dtype=float)
     m = np.empty(kappa.shape + (8,))
     small = np.abs(kappa) < 2.0
-    if small.any():
-        powers = np.repeat(kappa[small][:, None], _SERIES.shape[1], axis=1)
-        powers[:, 0] = 1.0
-        m[small] = (np.cumprod(powers, axis=1)[:, None, :] * _SERIES).sum(-1)
+    # one (1, 30) @ (30, 8) product per entry, so that no entry's rounding
+    # depends on how many share the call
+    m[small] = (np.vander(kappa[small], _SERIES.shape[1], increasing=True)[:, None] @ _SERIES.T)[:, 0]
     if not small.all():
         k = kappa[~small]
         two_sin, two_cos = 2.0 * np.sin(k), 2.0 * np.cos(k)
