@@ -232,7 +232,8 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     is 0.  An exhausted step budget, a solution that grows past the floats,
     or an interior span end on the cap of `log_offset`, within 1e-15 width of
     r_plus, raises IntegrationError naming the branch, the mode and the rstar
-    reached (for the cap, that end).
+    reached (for the cap, that end).  An X0 other than two finite entries
+    raises ValueError before any step.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -240,7 +241,7 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
         raise ValueError(f"branch must be 'exterior' or 'interior', got {branch!r}")
     # also rejects a non-finite span, and an interior without a Cauchy horizon
     s_span = log_offset(np.array(span, dtype=float), branch, params)
-    y0 = np.array(X0, dtype=complex)
+    y0 = _initial_state(X0)
     t0, t1 = float(span[0]), float(span[1])
     if t0 == t1:
         raise ValueError(f"span needs two distinct ends, got [{t0!r}, {t1!r}]")
@@ -270,6 +271,14 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
             f"xi={mode.xi!r} stopped at rstar={stop!r}: {exc}", stop) from exc
     return RadialTrajectory(rstar=rstar, X=X, mode=mode, params=params, branch=branch,
                             steps=steps, rejected=0, tol=tol, s=s)
+
+
+def _initial_state(X0):
+    """X0 as a complex array; ValueError unless it holds two finite entries."""
+    y0 = np.array(X0, dtype=complex)
+    if y0.shape != (2,) or not np.isfinite(y0).all():
+        raise ValueError(f"X0 must hold two finite entries, got {X0!r}")
+    return y0
 
 
 # the exterior frame's sample spacing in s = log(r - r_plus) above
@@ -818,9 +827,8 @@ def _through_frame(u, s, products, X0, mode, params):
     pp, pm = _log_r_phases(u, r, mode, params)
     ep, em = np.exp(1j * pp), np.exp(-1j * pm)
     det_v = v00[0] * v11[0] - v01[0] * v10[0]
-    X = np.asarray(X0, dtype=complex)
-    fs = _propagated(products, np.array([(v11[0] * X[0] - v01[0] * X[1]) / (det_v * ep[0]),
-                                         (v00[0] * X[1] - v10[0] * X[0]) / (det_v * em[0])]), u)
+    fs = _propagated(products, np.array([(v11[0] * X0[0] - v01[0] * X0[1]) / (det_v * ep[0]),
+                                         (v00[0] * X0[1] - v10[0] * X0[0]) / (det_v * em[0])]), u)
     return r, np.stack([v00 * ep * fs[:, 0] + v01 * em * fs[:, 1],
                         v10 * ep * fs[:, 0] + v11 * em * fs[:, 1]], axis=-1)
 
@@ -851,8 +859,9 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
 
     Every step conserves the current |X1|^2 - |X2|^2, and its determinant is
     exp(int tr C) from closed forms, so `prop_det` carries the Abel factor
-    exp(int tr U) to rounding.  Needs |omega| > m and two distinct imaginary
-    eigenvalues of U over the span; raises ValueError otherwise.
+    exp(int tr U) to rounding.  Needs |omega| > m, two distinct imaginary
+    eigenvalues of U over the span and an X0 of two finite entries; raises
+    ValueError otherwise.
     """
     if abs(mode.omega) <= mode.m:
         raise ValueError(
@@ -862,6 +871,7 @@ def far_field_trajectory(mode, params, X0, u_min=1e3, u_max=1e6, n_samples=40):
         raise ValueError(f"far-field span needs 0 < u_min < u_max, got [{u_min!r}, {u_max!r}]")
     if n_samples < 2:
         raise ValueError(f"far-field propagation needs n_samples >= 2, got {n_samples!r}")
+    X0 = _initial_state(X0)
     us = np.geomspace(u_min, u_max, n_samples)
     s = log_offset(us, "exterior", params)
     products, _, steps = _settled_steps(
@@ -1068,7 +1078,8 @@ def fit_horizon(traj, mode, params):
     must lie well below that there.  `integrate` follows h itself, whose
     error stays near tol; following X across the span at tol = 1e-11 leaves
     an error of about 6e-9 relative on the near-extremal hole a = 0.95,
-    Q = 0.3 (alpha = 0.05), which moves the fitted rate by 14%.
+    Q = 0.3 (alpha = 0.05), which moves the fitted rate by 14%.  A window
+    that holds fewer than two samples raises ValueError.
     """
     if traj.branch != "interior":
         raise ValueError("horizon fit needs an interior-branch trajectory")
@@ -1078,9 +1089,11 @@ def fit_horizon(traj, mode, params):
     if np.linalg.norm(traj.X[-1]) < 1e-14:
         raise ValueError("trivial solution: no amplitude at the horizon end")
     h = strip_horizon_phase(traj, mode, params)
-    h_limit = h[-1]
-    err = np.linalg.norm(h - h_limit, axis=1)
+    err = np.linalg.norm(h - h[-1], axis=1)
     sel = (traj.rstar >= 8.0 / alpha) & (traj.rstar <= 19.0 / alpha) & (err > 0)
+    if np.count_nonzero(sel) < 2:
+        raise ValueError(f"horizon fit window rstar in [{8.0 / alpha!r}, {19.0 / alpha!r}] holds "
+                         f"{np.count_nonzero(sel)} of the {len(traj.rstar)} samples; a rate needs at least 2")
     rate, _ = np.polyfit(traj.rstar[sel], np.log(err[sel]), 1)
-    return HorizonAsymptotics(h=h_limit, alpha=alpha, rate=float(-rate),
+    return HorizonAsymptotics(h=h[-1], alpha=alpha, rate=float(-rate),
                               window=(float(traj.rstar[sel][0]), float(traj.rstar[sel][-1])))

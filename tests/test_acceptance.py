@@ -375,6 +375,21 @@ def test_criterion_8_cauchy_horizon_asymptotics(interior_runs):
            + f" <= 10%; tail differences decay: {cauchy_ok}", t0, 120.0)
 
 
+def test_criterion_8_fit_windows_hold_44_samples_or_more(interior_runs):
+    # the interior samples lie 0.25/alpha apart, so the fit window
+    # alpha rstar in [8, 19] holds 45 of them, or 44 where the sample at 19
+    # rounds past the window's end, and the rate is the least-squares slope
+    # over exactly those: the guard on short windows leaves criterion 8's
+    # fits as they are
+    for par, mode, traj in interior_runs:
+        fit = fit_horizon(traj, mode, par)
+        inside = (traj.rstar >= 8.0 / fit.alpha) & (traj.rstar <= 19.0 / fit.alpha)
+        assert np.count_nonzero(inside) in (44, 45)
+        assert fit.window == (traj.rstar[inside][0], traj.rstar[inside][-1])
+        err = np.linalg.norm(strip_horizon_phase(traj, mode, par) - fit.h, axis=1)
+        assert -fit.rate == np.polyfit(traj.rstar[inside], np.log(err[inside]), 1)[0]
+
+
 def test_magnus_step_counts_are_pinned(far_field_runs, interior_runs):
     # the settled Magnus steps of criteria 7 and 8 and of the near-extremal
     # hole a = 0.95, Q = 0.3 at tol 1e-11.  A change to the order of the

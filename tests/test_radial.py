@@ -1543,6 +1543,40 @@ def test_interior_step_exponent_matches_dense_magnus(kappa, monkeypatch):
     assert np.abs(Om - ref).max() < 1e-8 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("start,held", [(19.5, 0), (18.9, 1)])
+def test_horizon_fit_window_needs_two_samples(start, held):
+    # a span from alpha rstar = 19.5 leaves the window alpha rstar in [8, 19]
+    # empty, where np.polyfit raised TypeError, and one from 18.9 leaves it
+    # one sample, from which a rate of 0.438 alpha was fitted with a warning
+    al = cauchy_rate(PAR)
+    traj = integrate(MODE, PAR, (start / al, 32.0 / al), np.array([1.0 + 0.2j, -0.6 + 0.4j]), tol=1e-11,
+                     branch="interior")
+    with pytest.raises(ValueError, match=rf"horizon fit window rstar in \[{re.escape(repr(8.0 / al))}, "
+                                         rf"{re.escape(repr(19.0 / al))}\] holds {held} of the {len(traj.rstar)} "
+                                         r"samples"):
+        fit_horizon(traj, MODE, PAR)
+
+
+@pytest.mark.parametrize("X0", [(1.0, 2.0, 3.0), ((1.0, 2.0),), (math.nan, 1.0)])
+@pytest.mark.parametrize("entry", ["adiabatic", "carrier 0", "interior", "far field"])
+def test_initial_state_is_two_finite_entries(X0, entry, monkeypatch):
+    # a third entry was dropped, a nested pair raised IndexError or
+    # TypeError, and a nan integrated the whole span before it failed,
+    # naming the span's end; each now raises before any step
+    import kndirac.radial
+
+    def no_step(*args):
+        raise AssertionError("a step kernel ran")
+
+    monkeypatch.setattr(kndirac.radial, "_filon_magnus_steps", no_step)
+    with pytest.raises(ValueError, match=re.escape(f"X0 must hold two finite entries, got {X0!r}")):
+        if entry == "far field":
+            far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=2e3, n_samples=3)
+        else:
+            integrate(SUBLUMINAL if entry == "carrier 0" else MODE, PAR, (10.0, 60.0), X0,
+                      branch="interior" if entry == "interior" else "exterior")
+
+
 def test_horizon_fit_requires_interior():
     traj = far_field_trajectory(MODE, PAR, np.array([1.0, 0.5j]), u_min=1e3, u_max=2e3, n_samples=3)
     with pytest.raises(ValueError):
