@@ -43,8 +43,12 @@ symmetric, since D flips the sign of A12's +-a omega e off-diagonals.  So
 P T P = [[X, Y], [Y, X]] with X = -a m J, and T is orthogonally similar to
 (X + Y) + (X - Y) (direct sum): an eigenpair (w, v) of X + Y gives the
 coefficients [v; D v] / sqrt 2 and one of X - Y gives [v; -D v] / sqrt 2.
-`angular_eigenpairs` diagonalizes these two N x N blocks in place of T,
-built from their diagonals without forming T (`_parity_blocks`).
+`_parity_blocks` builds these two N x N blocks from their diagonals without
+forming T.  The eigenvectors of smallest |xi| live in the first few dozen
+basis functions, so `angular_eigenpairs` diagonalizes only the blocks'
+leading M x M corners, with M certified on each call by a residual bound and
+a Sturm count on the whole blocks (`_leading_eigenpairs`): every answer is
+the N-basis answer to rounding.
 """
 
 from __future__ import annotations
@@ -130,7 +134,10 @@ def _sample(coeffs, k, theta):
 
 
 def _tridiag(lower, diag, upper):
-    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+    n = len(diag)
+    T = np.zeros((n, n))
+    T.flat[::n + 1], T.flat[1::n + 1], T.flat[n::n + 1] = diag, upper, lower
+    return T
 
 
 def _galerkin_diagonals(mode, spec, params):
@@ -186,11 +193,65 @@ def _branch_indices(xi_sorted):
     return idx
 
 
+def _sturm_count(diag, off, shift):
+    """How many eigenvalues of the symmetric tridiagonal matrix with bands
+    (diag, off) lie below `shift`: the negative pivots of the LDL^T
+    factorization of the matrix minus shift (Parlett 1998, ch. 7), one O(N)
+    pass in Python floats."""
+    tiny = np.finfo(float).tiny
+    below, pivot = 0, 1.0
+    for a, b2 in zip((diag - shift).tolist(), [0.0] + (off * off).tolist()):
+        pivot = a - b2 / pivot
+        if abs(pivot) < tiny:  # shift is an eigenvalue of a leading block
+            pivot = -tiny
+        below += pivot < 0.0
+    return below
+
+
+def _leading_eigenpairs(blocks, count):
+    """The `count` eigenpairs of smallest |xi| of the two N x N parity
+    blocks, from their leading M x M corners.
+
+    M starts at min(N, max(32, 2 count)) and doubles until a certificate on
+    the whole bands holds; M = N needs none.  The certificate:
+    - residual: the zero-padded pair (xi, [v; 0]) misses only in row M, by
+      e_{M-1} v_{M-1}; at most eps max|xi| makes it an exact eigenpair of a
+      block within rounding of the true one, the backward error of `eigh`;
+    - Sturm count: the blocks hold exactly `count` eigenvalues in
+      [-(c + tol), c + tol], c the largest selected |xi|, so none whose
+      vector lives past row M is passed over.  tol = 16 eps times a bound
+      of the blocks' norm covers the rounding of both xi and the count.
+    Returns xi, the corner vectors V (M x count) and a mask of the pairs from
+    the odd block.
+    """
+    N = len(blocks[0])
+    eps = np.finfo(float).eps
+    bands = [(np.diagonal(B), np.diagonal(B, 1)) for B in blocks]
+    tol = 16 * eps * max(np.abs(d).max() + 2 * np.abs(e).max() for d, e in bands)
+    M = min(N, max(32, 2 * count))
+    while True:
+        (even, u), (odd, v) = (np.linalg.eigh(B[:M, :M]) for B in blocks)
+        vals = np.concatenate([even, odd])
+        sel = np.argsort(np.abs(vals))[:count]
+        xi, V, from_odd = vals[sel], np.concatenate([u, v], axis=1)[:, sel], sel >= M
+        if M == N:
+            return xi, V, from_odd
+        coupling = np.where(from_odd, bands[1][1][M - 1], bands[0][1][M - 1])  # e_{M-1} of each pair's block
+        c = np.abs(xi).max(initial=0.0) + tol
+        if (np.all(np.abs(coupling * V[-1]) <= eps * np.abs(vals).max())
+                and sum(_sturm_count(d, e, c) - _sturm_count(d, e, -c) for d, e in bands) == count):
+            return xi, V, from_odd
+        M = min(N, 2 * M)
+
+
 def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     """The `count` eigenvalues of smallest modulus with sampled eigenfunctions.
 
-    The eigenpairs come from the two N x N parity blocks of the Galerkin
-    matrix (module docstring).  Eigenfunctions are normalized in
+    The eigenpairs are those of the two N x N parity blocks of the Galerkin
+    matrix (module docstring), taken from the blocks' leading M x M corners
+    with a certificate that they are the N-basis answer to rounding
+    (`_leading_eigenpairs`).  `coeffs` holds all 2N Galerkin coefficients,
+    zero past the M-th of each component.  Eigenfunctions are normalized in
     L^2((0,pi), sin(theta) dtheta) and returned on an interior theta grid.
     A spectral gap below 1e-10 between consecutive returned eigenvalues is
     reported as a degeneracy error.
@@ -198,28 +259,28 @@ def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     if not 0 <= count <= spec.N:
         raise ValueError(f"count must be between 0 and the basis size N = {spec.N}, got {count}")
     N = spec.N
-    D = _parity_signs(N)
-    (even, u), (odd, v) = (np.linalg.eigh(block) for block in _parity_blocks(mode, spec, params))
-    vals, vecs = np.concatenate([even, odd]), np.concatenate([u, v], axis=1)
-    sel = np.argsort(np.abs(vals))[:count]
-    sel = sel[np.argsort(vals[sel])]
-    xi = vals[sel]
+    xi, V, from_odd = _leading_eigenpairs(_parity_blocks(mode, spec, params), count)
+    order = np.argsort(xi)
+    xi, V, from_odd = xi[order], V[:, order], from_odd[order]
     gaps = np.diff(xi)
     if len(gaps) and np.min(np.abs(gaps)) < 1e-10:
         raise ArithmeticError(f"degenerate angular eigenvalues detected: min gap {np.min(np.abs(gaps)):.2e}")
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    V = vecs[:, sel]
-    C = np.concatenate([V, np.where(sel < N, 1.0, -1.0) * D[:, None] * V]) / math.sqrt(2.0)
-    Y = _sample(C, mode.k, theta)  # (n_theta, count, 2)
+    M = len(V)
+    C = np.concatenate([V, np.where(from_odd, -1.0, 1.0) * _parity_signs(M)[:, None] * V]) / math.sqrt(2.0)
+    Y = _sample(C, mode.k, theta)  # (n_theta, count, 2), from the M nonzero coefficients
     # deterministic sign: largest-|Y1| sample positive.  The largest |Y| over
     # both components is often attained twice, at mirrored angles with
     # opposite signs, so a sign fixed on it would flip with rounding.
     pivot = Y[np.argmax(np.abs(Y[..., 0]), axis=0), np.arange(count), 0]
     flip = np.where(pivot < 0, -1.0, 1.0)
-    Y, C = Y * flip[:, None], C * flip
+    Y = Y * flip[:, None]
+    coeffs = np.zeros((2, N, count))
+    coeffs[:, :M] = (C * flip).reshape(2, M, count)
+    coeffs = coeffs.reshape(2 * N, count)
     indices = _branch_indices(xi)
     return [AngularEigenpair(xi=float(xi[j]), n=int(indices[j]), theta=theta,
-                             Y=Y[:, j].astype(complex), N=spec.N, coeffs=C[:, j].copy())
+                             Y=Y[:, j].astype(complex), N=spec.N, coeffs=coeffs[:, j].copy())
             for j in range(count)]
 
 

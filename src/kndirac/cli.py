@@ -11,6 +11,7 @@ byte-identical.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -81,10 +82,10 @@ def _write_record(outdir, name, record):
     _write_atomic(os.path.join(outdir, name + ".json"), text + "\n")
 
 
-def _write_table(outdir, name, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+def _write_table(outdir, name, header, columns):
+    # the rows as Python floats, whose repr is the shortest round-trip form
+    rows = np.array(columns, dtype=float).T.tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     _write_atomic(os.path.join(outdir, name + ".csv"), "\n".join(lines) + "\n")
 
 
@@ -171,11 +172,12 @@ def task_angular(cfg, outdir):
     pairs = angular_eigenpairs(mode, spec, params, count=cfg["count"])
     rec = {"task": "angular", "config": cfg,
            "xi": [p.xi for p in pairs], "branch_indices": [p.n for p in pairs]}
-    rows = []
-    for p in pairs:
-        for t, (y1, y2) in zip(p.theta, p.Y):
-            rows.append((p.n, t, y1.real, y1.imag, y2.real, y2.imag))
-    _write_table(outdir, "angular_eigenfunctions", ("n", "theta", "ReY1", "ImY1", "ReY2", "ImY2"), rows)
+    # one row per pair and angle, pair by pair
+    n = np.array([np.full(len(p.theta), p.n) for p in pairs]).ravel()
+    theta = np.array([p.theta for p in pairs]).ravel()
+    Y = np.array([p.Y for p in pairs]).reshape(-1, 2)
+    _write_table(outdir, "angular_eigenfunctions", ("n", "theta", "ReY1", "ImY1", "ReY2", "ImY2"),
+                 (n, theta, Y[:, 0].real, Y[:, 0].imag, Y[:, 1].real, Y[:, 1].imag))
     _write_record(outdir, "angular", rec)
     return 0
 
@@ -190,8 +192,8 @@ def task_radial(cfg, outdir):
     # rstar would meet the rounding floor of r deep in the exterior
     r = _offset_terms(traj.s, cfg["branch"], params)[1]
     X1, X2 = traj.X[:, 0], traj.X[:, 1]
-    rows = zip(traj.rstar, r, X1.real, X1.imag, X2.real, X2.imag, traj.s)
-    _write_table(outdir, "trajectory", ("rstar", "r", "ReX1", "ImX1", "ReX2", "ImX2", "s"), rows)
+    _write_table(outdir, "trajectory", ("rstar", "r", "ReX1", "ImX1", "ReX2", "ImX2", "s"),
+                 (traj.rstar, r, X1.real, X1.imag, X2.real, X2.imag, traj.s))
     _write_record(outdir, "radial", {"task": "radial", "config": cfg, "steps": traj.steps})
     return 0
 
@@ -247,7 +249,10 @@ TASKS = {
 }
 
 
+@functools.cache
 def build_parser():
+    # one parser per process, for a caller that runs many tasks through
+    # `main`; parse_args keeps no state between calls
     ap = argparse.ArgumentParser(prog="kndirac", description=__doc__)
     sub = ap.add_subparsers(dest="task", required=True)
     for name, (_, defaults) in TASKS.items():

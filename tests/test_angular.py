@@ -220,17 +220,12 @@ def test_parity_blocks_of_the_galerkin_matrix(N, k):
     assert np.array_equal(even, X + Y) and np.array_equal(odd, X - Y)
 
 
-@pytest.mark.parametrize("N", [16, 64, 256])
-@pytest.mark.parametrize("k", [0.5, -0.5, 1.5, 7.5, -40.5])
-def test_eigenpairs_match_the_dense_solve(N, k):
+def assert_pairs_match_the_dense_solve(pairs, T):
     # oracle: eigh of the whole 2N x 2N matrix.  An eigenvector moves by
     # about the rounding of T (eps max|xi|) over its gap to the rest of the
     # spectrum; the largest miss measured is 0.8 of that
-    mode, spec, par = _random_case(N, k)
-    T = discretize_angular(mode, spec, par)
     vals, vecs = np.linalg.eigh(T)
-    pairs = angular_eigenpairs(mode, spec, par, count=8)
-    sel = np.argsort(np.abs(vals))[:8]
+    sel = np.argsort(np.abs(vals))[:len(pairs)]
     sel = sel[np.argsort(vals[sel])]
     xi = np.array([p.xi for p in pairs])
     assert np.all(np.abs(xi - vals[sel]) <= 1e-13 * np.maximum(1.0, np.abs(xi)))
@@ -242,7 +237,38 @@ def test_eigenpairs_match_the_dense_solve(N, k):
         assert miss <= 16 * np.finfo(float).eps * scale / gap
 
 
-def test_eigh_takes_only_the_n_by_n_blocks(monkeypatch):
+# a = 0.9 and omega = 20: the 32 x 32 corners do not certify the eight pairs
+# of smallest |xi|, the 64 x 64 ones do (test_eigh_sees_the_leading_corners)
+LARGE_A_OMEGA = (ModeParams(omega=20.0, k=7.5, m=0.55, xi=0.0), DiscretizationSpec(N=256),
+                 SpacetimeParams(M=1.0, a=0.9, Q=0.3))
+
+
+def _dense_cases():
+    for N in (16, 64, 256):
+        for k in (0.5, -0.5, 1.5, 7.5, -40.5):
+            yield pytest.param(*_random_case(N, k), 8, id=f"{k}-{N}")
+    yield pytest.param(*LARGE_A_OMEGA, 8, id="a0.9-omega20")
+    yield pytest.param(*_random_case(64, 1.5), 64, id="count-N")
+
+
+@pytest.mark.parametrize("mode, spec, par, count", _dense_cases())
+def test_eigenpairs_match_the_dense_solve(mode, spec, par, count):
+    pairs = angular_eigenpairs(mode, spec, par, count=count)
+    assert_pairs_match_the_dense_solve(pairs, discretize_angular(mode, spec, par))
+
+
+@pytest.mark.parametrize("N", [128, 256])
+def test_self_convergence_mode_matches_the_dense_solve(N):
+    # N = 128 and N = 256 take the same certified 32 x 32 corners, so their
+    # agreement (test_self_convergence_doubling, criterion 6) holds by
+    # construction; each is checked here against its own dense 2N x 2N solve
+    mode = ModeParams(omega=1.1, k=1.5, m=0.5, xi=0.0)
+    spec = DiscretizationSpec(N=N)
+    assert_pairs_match_the_dense_solve(angular_eigenpairs(mode, spec, PAR, count=6),
+                                       discretize_angular(mode, spec, PAR))
+
+
+def _recorded_eigh(monkeypatch):
     shapes, eigh = [], np.linalg.eigh
 
     def recorded(a):
@@ -250,9 +276,56 @@ def test_eigh_takes_only_the_n_by_n_blocks(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
+
+
+def test_eigh_takes_only_the_n_by_n_blocks(monkeypatch):
+    shapes = _recorded_eigh(monkeypatch)
     mode, spec, par = _random_case(64, 1.5)
     angular_eigenpairs(mode, spec, par, count=8)
     assert shapes and all(s[0] <= 64 and s[1] <= 64 for s in shapes)
+
+
+# the four angular modes of the benchmark's spectrum_cli workload (the CLI's
+# defaults with N and k as given), then the large a omega mode
+@pytest.mark.parametrize("mode, spec, par, corners", [
+    (ModeParams(omega=1.3, k=0.5, m=0.55, xi=0.0), DiscretizationSpec(N=64), PAR, [32]),
+    (ModeParams(omega=1.3, k=1.5, m=0.55, xi=0.0), DiscretizationSpec(N=128), PAR, [32]),
+    (ModeParams(omega=1.3, k=1.5, m=0.55, xi=0.0), DiscretizationSpec(N=256), PAR, [32]),
+    (ModeParams(omega=1.3, k=-40.5, m=0.55, xi=0.0), DiscretizationSpec(N=256), PAR, [32]),
+    (*LARGE_A_OMEGA, [32, 64]),
+], ids=["N64-k0.5", "N128-k1.5", "N256-k1.5", "N256-k-40.5", "a0.9-omega20"])
+def test_eigh_sees_the_leading_corners(monkeypatch, mode, spec, par, corners):
+    shapes = _recorded_eigh(monkeypatch)
+    angular_eigenpairs(mode, spec, par, count=8)
+    assert shapes == [(M, M) for M in corners for _ in ("even", "odd")]
+
+
+def test_sturm_count_finds_an_eigenvalue_past_the_leading_corner(monkeypatch):
+    # bands whose smallest |xi|, 0.1, sits at row 200.  The pairs of the
+    # 32 x 32 corners pass the residual check (their last entries are about
+    # 0.01^24), so only the Sturm count can reject them; the corners then
+    # grow to N, and the answer is the dense solve of each block, bitwise
+    N = 256
+    n = np.arange(N, dtype=float)
+    off = np.full(N - 1, 0.01)
+    even_diag = n + 10.0
+    even_diag[200] = 0.1
+    blocks = angular._tridiag(off, even_diag, off), angular._tridiag(off, -(n + 10.5), off)
+    monkeypatch.setattr(angular, "_parity_blocks", lambda mode, spec, params: blocks)
+    shapes = _recorded_eigh(monkeypatch)
+    mode = ModeParams(omega=1.3, k=0.5, m=0.55, xi=0.0)
+    pairs = angular_eigenpairs(mode, DiscretizationSpec(N=N), PAR, count=8)
+    assert shapes[-1] == (N, N)
+    vals, vecs = zip(*(np.linalg.eigh(B) for B in blocks))
+    vals, vecs = np.concatenate(vals), np.concatenate(vecs, axis=1)
+    sel = np.argsort(np.abs(vals))[:8]
+    sel = sel[np.argsort(vals[sel])]
+    assert [p.xi for p in pairs] == vals[sel].tolist()
+    assert min(abs(p.xi) for p in pairs) == pytest.approx(0.1, abs=1e-4)
+    for p, j in zip(pairs, sel):
+        v = np.abs(vecs[:, j]) / math.sqrt(2.0)
+        assert np.array_equal(np.abs(p.coeffs), np.concatenate([v, v]))
 
 
 @pytest.mark.parametrize("k", [0.5, -1.5, 7.5, -40.5])

@@ -223,6 +223,30 @@ def test_angular_task(tmp_path):
     assert table.splitlines()[0] == "n,theta,ReY1,ImY1,ReY2,ImY2"
 
 
+def test_angular_task_with_no_pairs(tmp_path):
+    out = str(tmp_path / "o")
+    assert main(["angular", "--out", out, "--count", "0"]) == 0
+    assert json.loads(read(out, "angular.json"))["xi"] == []
+    assert read(out, "angular_eigenfunctions.csv") == "n,theta,ReY1,ImY1,ReY2,ImY2\n"
+
+
+def test_tables_are_written_from_columns(tmp_path):
+    # each value's text is the repr of it as a Python float, as when the rows
+    # were formatted value by value
+    from kndirac.cli import _write_table
+
+    columns = (np.array([1, -2, 0, 7, 3, 12]),
+               np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]),
+               np.array([0.1, 1 / 3, -2.5e-308, 123456789.123, 1e-5, 2.0 ** 60]))
+    _write_table(str(tmp_path), "t", ("n", "x", "y"), columns)
+    rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    assert read(tmp_path, "t.csv") == "\n".join(["n,x,y", *rows]) + "\n"
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
 def test_radial_task_and_determinism(tmp_path):
     args = ["radial", "--rstar-min", "10", "--rstar-max", "40", "--tol", "1e-9"]
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
