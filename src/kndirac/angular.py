@@ -43,12 +43,12 @@ symmetric, since D flips the sign of A12's +-a omega e off-diagonals.  So
 P T P = [[X, Y], [Y, X]] with X = -a m J, and T is orthogonally similar to
 (X + Y) + (X - Y) (direct sum): an eigenpair (w, v) of X + Y gives the
 coefficients [v; D v] / sqrt 2 and one of X - Y gives [v; -D v] / sqrt 2.
-`_parity_blocks` builds these two N x N blocks from their diagonals without
-forming T.  The eigenvectors of smallest |xi| live in the first few dozen
-basis functions, so `angular_eigenpairs` diagonalizes only the blocks'
-leading M x M corners, with M certified on each call by a residual bound and
-a Sturm count on the whole blocks (`_leading_eigenpairs`): every answer is
-the N-basis answer to rounding.
+`_parity_blocks` gives the bands of these two tridiagonal N x N blocks
+without forming T.  The eigenvectors of smallest |xi| live in the first few
+dozen basis functions, so `angular_eigenpairs` forms and diagonalizes only
+the blocks' leading M x M corners, with M certified on each call by a
+residual bound and a Sturm count on the whole bands (`_leading_eigenpairs`):
+every answer is the N-basis answer to rounding.
 """
 
 from __future__ import annotations
@@ -167,17 +167,17 @@ def _parity_signs(N):
 
 
 def _parity_blocks(mode, spec, params):
-    """The parity blocks X + Y and X - Y of `discretize_angular`'s matrix T
-    (module docstring), built from its bands: X = T[:N, :N] and
+    """The bands (diag, off) of the parity blocks X + Y and X - Y of
+    `discretize_angular`'s matrix T (module docstring): X = T[:N, :N] and
     Y = T[:N, N:] D, entry by entry with the arithmetic of T, so that they
-    equal the fold of T exactly.  Both are symmetric tridiagonal."""
+    equal the bands of the fold of T exactly.  Both blocks are symmetric
+    tridiagonal."""
     x_diag, x_off, c_diag, c_off = _galerkin_diagonals(mode, spec, params)
     D = _parity_signs(spec.N)
     # Y's upper diagonal A12[n, n+1] D[n+1]; its lower one is the same, since
     # A12's lower diagonal and D flip sign together
     y_diag, y_off = c_diag * D, c_off * D[1:]
-    return (_tridiag(x_off + y_off, x_diag + y_diag, x_off + y_off),
-            _tridiag(x_off - y_off, x_diag - y_diag, x_off - y_off))
+    return (x_diag + y_diag, x_off + y_off), (x_diag - y_diag, x_off - y_off)
 
 
 def _branch_indices(xi_sorted):
@@ -208,9 +208,10 @@ def _sturm_count(diag, off, shift):
     return below
 
 
-def _leading_eigenpairs(blocks, count):
+def _leading_eigenpairs(bands, count):
     """The `count` eigenpairs of smallest |xi| of the two N x N parity
-    blocks, from their leading M x M corners.
+    blocks, given by their bands (diag, off), from their leading M x M
+    corners.
 
     M starts at min(N, max(32, 2 count)) and doubles until a certificate on
     the whole bands holds; M = N needs none.  The certificate:
@@ -224,13 +225,12 @@ def _leading_eigenpairs(blocks, count):
     Returns xi, the corner vectors V (M x count) and a mask of the pairs from
     the odd block.
     """
-    N = len(blocks[0])
+    N = len(bands[0][0])
     eps = np.finfo(float).eps
-    bands = [(np.diagonal(B), np.diagonal(B, 1)) for B in blocks]
     tol = 16 * eps * max(np.abs(d).max() + 2 * np.abs(e).max() for d, e in bands)
     M = min(N, max(32, 2 * count))
     while True:
-        (even, u), (odd, v) = (np.linalg.eigh(B[:M, :M]) for B in blocks)
+        (even, u), (odd, v) = (np.linalg.eigh(_tridiag(e[:M - 1], d[:M], e[:M - 1])) for d, e in bands)
         vals = np.concatenate([even, odd])
         sel = np.argsort(np.abs(vals))[:count]
         xi, V, from_odd = vals[sel], np.concatenate([u, v], axis=1)[:, sel], sel >= M
@@ -253,8 +253,9 @@ def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     (`_leading_eigenpairs`).  `coeffs` holds all 2N Galerkin coefficients,
     zero past the M-th of each component.  Eigenfunctions are normalized in
     L^2((0,pi), sin(theta) dtheta) and returned on an interior theta grid.
-    A spectral gap below 1e-10 between consecutive returned eigenvalues is
-    reported as a degeneracy error.
+    A gap below 1e-10 between consecutive returned eigenvalues of one parity
+    block is reported as a degeneracy error; a pair from the two blocks may
+    agree to rounding.
     """
     if not 0 <= count <= spec.N:
         raise ValueError(f"count must be between 0 and the basis size N = {spec.N}, got {count}")
@@ -262,7 +263,8 @@ def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     xi, V, from_odd = _leading_eigenpairs(_parity_blocks(mode, spec, params), count)
     order = np.argsort(xi)
     xi, V, from_odd = xi[order], V[:, order], from_odd[order]
-    gaps = np.diff(xi)
+    # the blocks are decoupled, so only gaps within one block can be degenerate
+    gaps = np.concatenate([np.diff(xi[~from_odd]), np.diff(xi[from_odd])])
     if len(gaps) and np.min(np.abs(gaps)) < 1e-10:
         raise ArithmeticError(f"degenerate angular eigenvalues detected: min gap {np.min(np.abs(gaps)):.2e}")
     theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta

@@ -167,36 +167,6 @@ def _far_seed(rs, params):
     return np.log(np.maximum(r - rp, floor))
 
 
-# the interior seeds from the second-order r_minus-side asymptote
-# (`_cauchy_side_seed`, one exp and three logs) where
-# kp - width < _NEAR_SCHWARZSCHILD width, and elsewhere from the first-order
-# one, which takes none.  Over M in [0.25, 4], a^2 + Q^2 in [1e-8, 0.99] M^2
-# and alpha rstar in [-5, 40] no inversion then takes more than 8 sweeps; the
-# first-order seed alone took up to 22 at M = 0.5
-_NEAR_SCHWARZSCHILD = 0.1
-
-
-def _cauchy_side_seed(excess, kp, km, width):
-    """Root s of the second-order r_minus-side asymptote
-    km s + kp e^{2s} / (2 width^2) = excess, excess = r_minus + kp log(width) - rstar.
-
-    With u = 2s it reads u + B e^u = T, B = kp / (km width^2), T = 2 excess / km,
-    so u = T - W = log(W / B) with W the Lambert W of B e^T, the root of
-    W + log W = L = log B + T.  W comes from L - log L (L > 1) or
-    e^L / (1 + e^L) and one Newton step, both from below, which leaves log W
-    within 0.024 of the root; u takes T - W where W < 1 and log(W / B)
-    elsewhere, which no cancellation of T against W touches.
-    """
-    log_b = math.log(kp / (km * width * width))
-    t = 2.0 * excess / km
-    # below L = -700, W < 1e-304 and u = T to rounding
-    lam = np.maximum(log_b + t, -700.0)
-    z = np.exp(np.minimum(lam, 1.0))
-    w = np.where(lam > 1.0, lam - np.log(np.maximum(lam, 1.0)), z / (1.0 + z))
-    w = w * (1.0 + lam - np.log(w)) / (1.0 + w)
-    return 0.5 * np.where(w < 1.0, t - w, np.log(w) - log_b)
-
-
 def log_offset(rstar, region, params):
     """Log offset s = log(r - r_0) of the root r(rstar), r_0 = r_plus on the
     exterior branch and r_minus on the interior branch.
@@ -246,15 +216,10 @@ def log_offset(rstar, region, params):
         # of it the r_plus-side asymptote rstar ~ rp + kp log(width - e^s)
         # - km log(width), kept in the upper half.  Toward Schwarzschild the
         # e^s term of the r_minus side, (1 - kp / width) e^s, cancels, and
-        # Newton from the first-order asymptote gains only about 0.5 in s per
-        # sweep; there the seed keeps -kp e^{2s} / (2 width^2), whose root
-        # lies between the first-order one and the root, since every
-        # dropped term is negative
-        excess = rm + kp * log_w - rs
-        if kp - width < _NEAR_SCHWARZSCHILD * width:
-            s = np.minimum(_cauchy_side_seed(excess, kp, km, width), log_half)
-        else:
-            s = np.minimum(excess / km, log_half)
+        # Newton gains only about 0.5 in s per sweep: at most 22 sweeps over
+        # M in [0.25, 4], a^2 + Q^2 in [1e-8, 0.99] M^2 and alpha rstar in
+        # [-5, 40], and 33 down to a^2 + Q^2 = 2.2e-16 M^2
+        s = np.minimum((rm + kp * log_w - rs) / km, log_half)
         rs_mid = rm + 0.5 * width + (kp - km) * log_half
         if rs.min() < rs_mid:
             low = rs < rs_mid

@@ -251,8 +251,9 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
             if capped.size:
                 raise IntegrationError("the span end lies within 1e-15 (r_plus - r_minus) of r_plus, where the "
                                        "interior log offset rests on its cap", float(capped[0]))
-            # 45 samples in the fit window alpha rstar in [8, 19] of `fit_horizon`;
-            # past 32/alpha, where B is below e^{-32}, the spacing doubles
+            # 45 samples in the fit window alpha rstar in [8, 19] of `fit_horizon`,
+            # or 44 where the one at 19/alpha rounds past it; past 32/alpha,
+            # where B is below e^{-32}, the spacing doubles
             alpha = cauchy_rate(params)
             rstar = _sample_grid(t0, t1, 0.25 / alpha, 32.0 / alpha, 1.0, _STEP_BUDGET)
             s = log_offset(rstar, "interior", params)
@@ -606,12 +607,23 @@ def _coupling(u, s, mode, params):
     C00 - C11 = lambda1 - lambda2 - i (Phi_plus' + Phi_minus') - (K00 - K11),
     and C01 = -K01 e^{-i (Phi_plus + Phi_minus)}; Phi_plus + Phi_minus =
     2 w1 u + (2 M m^2 / w1) log r, so A varies on the scale of u.
+
+    Im(lambda1 - lambda2) / 2 = sqrt(D), D the discriminant of
+    `_adiabatic_frame`, and sqrt(D) - w1 cancels down to O(1/u) far out.  It
+    is taken as (D - w1^2) / (sqrt(D) + w1), where (r^2 + a^2)^2 (D - w1^2) =
+    2 omega k a (r^2 + a^2) + k^2 a^2 + m^2 (2 M r^3 + (a^2 - Q^2) r^2 + a^4)
+    - Delta xi^2 holds no cancellation.
     """
     r, delta, lam1, lam2, _, (k00, k01, _, k11) = _adiabatic_frame(u, s, mode, params)
-    w1 = w_roots(mode.omega, mode.m)[0].real
-    c = params.M * mode.m ** 2 / w1
-    dlogr = delta / ((r * r + params.a ** 2) * r)  # d log r / du
-    G = 0.5 * (lam1 - lam2).imag - w1 - c * dlogr - 0.5 * (k00 - k11).imag
+    om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
+    M, a2 = params.M, params.a ** 2
+    w1 = w_roots(om, m)[0].real
+    c = M * m ** 2 / w1
+    rho2 = r * r + a2
+    dlogr = delta / (rho2 * r)  # d log r / du
+    excess = (2.0 * om * k * params.a * rho2 + k * k * a2
+              + m * m * (2.0 * M * r ** 3 + (a2 - params.Q ** 2) * r * r + a2 * a2) - delta * xi * xi) / rho2 ** 2
+    G = excess / (0.5 * (lam1 - lam2).imag + w1) - c * dlogr - 0.5 * (k00 - k11).imag
     return G, -k01 * np.exp(-2j * c * np.log(r))
 
 

@@ -207,8 +207,9 @@ def _random_case(N, k):
 @pytest.mark.parametrize("k", [0.5, -0.5, 1.5, 7.5, -40.5])
 def test_parity_blocks_of_the_galerkin_matrix(N, k):
     # P T P = [[X, Y], [Y, X]] with P = diag(I, D), D = diag((-1)^n) and Y
-    # symmetric, bitwise: the sign flips of D are exact.  The blocks that
-    # `angular_eigenpairs` diagonalizes, built without T, are X +- Y exactly
+    # symmetric, bitwise: the sign flips of D are exact.  The bands that
+    # `angular_eigenpairs` diagonalizes, built without T, are those of the
+    # tridiagonal X +- Y exactly
     mode, spec, par = _random_case(N, k)
     T = discretize_angular(mode, spec, par)
     D = (-1.0) ** np.arange(N)
@@ -216,8 +217,8 @@ def test_parity_blocks_of_the_galerkin_matrix(N, k):
     assert np.array_equal(D[:, None] * T[N:, N:] * D, X)
     assert np.array_equal(Y, Y.T)
     assert np.array_equal(D[:, None] * T[N:, :N], Y.T)
-    even, odd = angular._parity_blocks(mode, spec, par)
-    assert np.array_equal(even, X + Y) and np.array_equal(odd, X - Y)
+    for (diag, off), block in zip(angular._parity_blocks(mode, spec, par), (X + Y, X - Y)):
+        assert np.array_equal(angular._tridiag(off, diag, off), block)
 
 
 def assert_pairs_match_the_dense_solve(pairs, T):
@@ -268,6 +269,49 @@ def test_self_convergence_mode_matches_the_dense_solve(N):
                                        discretize_angular(mode, spec, PAR))
 
 
+@pytest.mark.parametrize("N", [64, 256])
+def test_tunnelling_doublets_are_not_a_degeneracy(N):
+    # the CLI's mode at omega = 40: the blocks' four eigenvalues of smallest
+    # |xi| agree to rounding, one of each parity, which is no degeneracy of
+    # either block (`kndirac angular --omega 40` used to exit 3 on them)
+    mode = ModeParams(omega=40.0, k=0.5, m=0.55, xi=0.0)
+    spec = DiscretizationSpec(N=N)
+    pairs = angular_eigenpairs(mode, spec, PAR, count=8)
+    D = (-1.0) ** np.arange(N)
+    parity = []
+    for p in pairs:
+        v, w = p.coeffs[:N], p.coeffs[N:]  # [v; +-D v] / sqrt 2
+        assert np.array_equal(w, D * v) or np.array_equal(w, -D * v)
+        parity.append(np.array_equal(w, D * v))
+    xi = np.array([p.xi for p in pairs])
+    for j in range(0, 8, 2):
+        assert abs(xi[j + 1] - xi[j]) <= 1e-13 * abs(xi[j]) and parity[j] != parity[j + 1]
+    vals = np.linalg.eigvalsh(discretize_angular(mode, spec, PAR))
+    ref = np.sort(vals[np.argsort(np.abs(vals))[:8]])
+    assert np.all(np.abs(xi - ref) <= 1e-13 * np.maximum(1.0, np.abs(xi)))
+
+
+def test_degeneracy_is_tested_within_each_parity_block(monkeypatch):
+    # bands given through the `_parity_blocks` seam.  One block's spectrum
+    # again in the other makes four doublets across the blocks, which pass;
+    # a block split by a zero off-diagonal into two halves whose diagonals
+    # differ by 1e-12 holds each eigenvalue twice, 1e-12 apart, and raises
+    N = 64
+    mode, spec = ModeParams(omega=1.3, k=0.5, m=0.55, xi=0.0), DiscretizationSpec(N=N)
+    off = np.full(N - 1, 0.01)
+    chain = np.arange(N, dtype=float) + 10.0, off
+    monkeypatch.setattr(angular, "_parity_blocks", lambda mode, spec, params: (chain, chain))
+    xi = [p.xi for p in angular_eigenpairs(mode, spec, PAR, count=8)]
+    assert xi[0::2] == xi[1::2]
+    half = np.arange(N // 2, dtype=float) + 10.0
+    split = off.copy()
+    split[N // 2 - 1] = 0.0
+    twice = np.concatenate([half, half + 1e-12]), split
+    monkeypatch.setattr(angular, "_parity_blocks", lambda mode, spec, params: (twice, (-chain[0], off)))
+    with pytest.raises(ArithmeticError, match="degenerate angular eigenvalues"):
+        angular_eigenpairs(mode, spec, PAR, count=8)
+
+
 def _recorded_eigh(monkeypatch):
     shapes, eigh = [], np.linalg.eigh
 
@@ -311,8 +355,9 @@ def test_sturm_count_finds_an_eigenvalue_past_the_leading_corner(monkeypatch):
     off = np.full(N - 1, 0.01)
     even_diag = n + 10.0
     even_diag[200] = 0.1
-    blocks = angular._tridiag(off, even_diag, off), angular._tridiag(off, -(n + 10.5), off)
-    monkeypatch.setattr(angular, "_parity_blocks", lambda mode, spec, params: blocks)
+    bands = (even_diag, off), (-(n + 10.5), off)
+    blocks = [angular._tridiag(e, d, e) for d, e in bands]
+    monkeypatch.setattr(angular, "_parity_blocks", lambda mode, spec, params: bands)
     shapes = _recorded_eigh(monkeypatch)
     mode = ModeParams(omega=1.3, k=0.5, m=0.55, xi=0.0)
     pairs = angular_eigenpairs(mode, DiscretizationSpec(N=N), PAR, count=8)
@@ -361,12 +406,13 @@ def test_eigenfunction_sign_stable_under_rounding(monkeypatch):
                           m=float(rng.uniform(0, 1)), xi=0.0)
         cases.append((par, mode, angular_eigenpairs(mode, spec, par, count=8)))
 
-    # the fold of the quadrature oracle, in place of the blocks built from d_n, e_n
+    # the bands of the fold of the quadrature oracle, in place of those built
+    # from d_n, e_n
     def reference_parity_blocks(mode, spec, params):
         T = reference_galerkin_matrix(mode, spec, params)
         N = spec.N
         X, Y = T[:N, :N], T[:N, N:] * (-1.0) ** np.arange(N)
-        return X + Y, X - Y
+        return [(np.diagonal(B), np.diagonal(B, 1)) for B in (X + Y, X - Y)]
 
     monkeypatch.setattr(angular, "_parity_blocks", reference_parity_blocks)
     for par, mode, pairs in cases:

@@ -44,6 +44,7 @@ from kndirac.radial import (
     _adiabatic_frame,
     _eigenbasis,
     _cauchy_nu,
+    _coupling,
     _expm2,
     _exterior_entries,
     _filon_magnus_steps,
@@ -1042,6 +1043,43 @@ def test_far_field_step_budget(monkeypatch):
         far_field_trajectory(MODE, PAR, np.array([1.0, 0.5j]), u_min=1.0, u_max=2e3, n_samples=4)
 
 
+@pytest.mark.parametrize("par,mode", INFTY_SEEDS)
+def test_coupling_matches_the_eigenvalue_gap(par, mode):
+    # near the hole, where Im(lambda1 - lambda2)/2 - w1 cancels little, G
+    # from (D - w1^2) / (sqrt(D) + w1) agrees with the difference to the
+    # difference's own rounding, eps omega^2 / w1 times a few
+    us = np.array([3.0, 30.0, 300.0, 3e3])
+    s = log_offset(us, "exterior", par)
+    r, delta, lam1, lam2, _, (k00, _, _, k11) = _adiabatic_frame(us, s, mode, par)
+    w1 = w_roots(mode.omega, mode.m)[0].real
+    c = par.M * mode.m ** 2 / w1
+    difference = 0.5 * (lam1 - lam2).imag - w1 - c * delta / ((r * r + par.a ** 2) * r) - 0.5 * (k00 - k11).imag
+    G, _ = _coupling(us, s, mode, par)
+    assert np.abs(G - difference).max() <= 8 * 2.3e-16 * (1.0 + mode.omega ** 2 / w1)
+
+
+@pytest.mark.parametrize("excess", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_far_field_settles_near_the_mass_threshold(excess):
+    # |omega| - m down to 1e-4 over u in [1e5, 1e8].  G taken as the
+    # difference Im(lambda1 - lambda2)/2 - w1 lost about eps omega^2 / w1 to
+    # cancellation, which steps O(u) long multiply: the halving then took 392
+    # and 1,634 steps at 1e-1 and 1e-2, and ran out of the budget near
+    # u = 2.5e7 at 1e-3 and near 7.7e6 at 1e-4 (now 70, 70, 128 and 1,036)
+    mode = ModeParams(omega=0.55 + excess, k=0.5, m=0.55, xi=1.5)
+    traj = far_field_trajectory(mode, PAR, np.array([0.8 + 0.3j, -0.45 + 0.9j]), u_min=1e5, u_max=1e8,
+                                n_samples=36)
+    assert np.all(np.isfinite(traj.X))
+
+
+@pytest.mark.parametrize("par,mode", INFTY_SEEDS)
+def test_exterior_at_tight_tol_takes_few_steps(par, mode):
+    # the five far-field seeds over (1e3, 1e6) at tol 1e-12 take 82-108
+    # steps; with G's cancellation they took 106-1,542
+    traj = integrate(mode, par, (1e3, 1e6), np.array([0.8 + 0.3j, -0.45 + 0.9j]), tol=1e-12,
+                     branch="exterior")
+    assert traj.steps < 200
+
+
 def far_traj():
     X0 = np.array([0.8 + 0.3j, -0.45 + 0.9j])
     return far_field_trajectory(MODE, PAR, X0, u_min=1e3, u_max=1e5, n_samples=25)
@@ -1347,13 +1385,16 @@ def test_horizon_fit_near_extremal():
 
 
 NEAR_EXTREMAL = [SpacetimeParams(M=1.0, a=0.95, Q=0.3), SpacetimeParams(M=1.0, a=0.995, Q=0.09)]
+# the Kerr and Reissner-Nordstrom limits near Schwarzschild, a^2 + Q^2 = 2.5e-3 M^2
+NEAR_SCHWARZSCHILD = [SpacetimeParams(M=1.0, a=0.05, Q=0.0), SpacetimeParams(M=1.0, a=0.0, Q=0.05)]
 
 
-@pytest.mark.parametrize("par,mode", HORIZON_SEEDS + [(par, IMODE) for par in NEAR_EXTREMAL])
+@pytest.mark.parametrize("par,mode", HORIZON_SEEDS + [(par, IMODE) for par in NEAR_EXTREMAL + NEAR_SCHWARZSCHILD])
 def test_interior_matches_dormand_prince(par, mode):
-    # criterion 8's holes and the two near-extremal ones against the
-    # phase-stripped Dormand-Prince oracle at a tighter tolerance; every
-    # Filon-Magnus step is unitary, so the current |X1|^2 + |X2|^2 holds to rounding
+    # criterion 8's holes, the two near-extremal ones and two near
+    # Schwarzschild against the phase-stripped Dormand-Prince oracle at a
+    # tighter tolerance; every Filon-Magnus step is unitary, so the current
+    # |X1|^2 + |X2|^2 holds to rounding
     traj = interior_traj(mode, par)
     ref = interior_dormand_prince(mode, par, (traj.rstar[0], traj.rstar[-1]), traj.X[0], tol=1e-13)
     assert np.abs(traj.X[-1] - ref.X[-1]).max() < 1e-9 * np.abs(ref.X[-1]).max()
