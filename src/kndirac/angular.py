@@ -81,7 +81,13 @@ class DiscretizationSpec:
 
 @dataclass(frozen=True)
 class AngularEigenpair:
-    """One angular eigenvalue with its sampled eigenfunction."""
+    """One angular eigenvalue with its sampled eigenfunction.
+
+    `odd` tells which parity block the pair comes from (module docstring):
+    False for X + Y, whose eigenfunctions are even under the reflection
+    (Y1, Y2)(theta) -> (Y2, Y1)(pi - theta), and True for X - Y, whose
+    eigenfunctions are odd.  The blocks are decoupled, so a pair keeps its
+    block along any frequency sweep."""
 
     xi: float
     n: int
@@ -89,6 +95,7 @@ class AngularEigenpair:
     Y: np.ndarray  # shape (len(theta), 2)
     N: int
     coeffs: np.ndarray = field(repr=False, default=None)
+    odd: bool = False
 
 
 def _exponents(k):
@@ -282,7 +289,8 @@ def angular_eigenpairs(mode, spec, params, count=8, n_theta=129):
     coeffs = coeffs.reshape(2 * N, count)
     indices = _branch_indices(xi)
     return [AngularEigenpair(xi=float(xi[j]), n=int(indices[j]), theta=theta,
-                             Y=Y[:, j].astype(complex), N=spec.N, coeffs=coeffs[:, j].copy())
+                             Y=Y[:, j].astype(complex), N=spec.N, coeffs=coeffs[:, j].copy(),
+                             odd=bool(from_odd[j]))
             for j in range(count)]
 
 
@@ -292,33 +300,37 @@ def eigenfunction_values(pair, mode, theta):
 
 
 def xi_continuation(omegas, mode, spec, params, branch_n=1, count=12):
-    """Track xi_{branch_n}(omega) across a frequency sweep by nearest matching.
+    """Track xi_{branch_n}(omega) across a frequency sweep by nearest matching
+    within the tracked pair's parity block (`AngularEigenpair.odd`).
 
-    Raises if consecutive xi values jump by more than half the local spectral
-    gap, which would make the branch assignment ambiguous.
+    The two blocks are decoupled, and their eigenvalues may agree to
+    rounding (tunnelling doublets, as at omega = 40 on a = 0.6), so the
+    match and the gap are taken among the pairs of the block the branch
+    started in.  Raises if consecutive xi values jump by more than half the
+    local gap within that block, which would make the branch assignment
+    ambiguous.
     """
     from .separation import ModeParams
 
     omegas = np.asarray(omegas, dtype=float)
     track = []
-    prev = None
+    prev = odd = None
     for om in omegas:
         m = ModeParams(omega=float(om), k=mode.k, m=mode.m, xi=0.0)
         pairs = angular_eigenpairs(m, spec, params, count=count, n_theta=9)
-        xs = np.array([p.xi for p in pairs])
         if prev is None:
-            ns = np.array([p.n for p in pairs])
-            sel = np.where(ns == branch_n)[0]
-            if len(sel) == 0:
+            sel = [p for p in pairs if p.n == branch_n]
+            if not sel:
                 raise ValueError(f"branch {branch_n} not within the first {count} eigenvalues")
-            val = xs[sel[0]]
+            val, odd = sel[0].xi, sel[0].odd
         else:
+            xs = np.array([p.xi for p in pairs if p.odd == odd])
             j = int(np.argmin(np.abs(xs - prev)))
             gap = np.min(np.abs(np.delete(xs, j) - xs[j])) if len(xs) > 1 else np.inf
             if abs(xs[j] - prev) > 0.5 * gap:
                 raise ArithmeticError(
                     f"branch tracking ambiguous at omega={om}: step {abs(xs[j]-prev):.3e} "
-                    f"exceeds half the local gap {gap:.3e}"
+                    f"exceeds half the local gap {gap:.3e} within its parity block"
                 )
             val = xs[j]
         track.append(val)

@@ -21,8 +21,13 @@ frames:
   `integrate` carries X itself, through dX/ds = J U X with carrier 0.  For
   a frozen U the Magnus exponential is exact, so these steps follow the
   variation of U.
-- On the interior branch `integrate` follows the phase-stripped h below
-  through dh/ds = J B h.  B lies in u(2) and carries the phase
+- On the interior branch the traceless part of U has the eigenvalues
+  +-i lam, lam^2 = (nu/2 + G)^2 + |U01|^2, and a gap 2 |lam| that closes only
+  where both terms vanish.  Wherever it stays open on the span `integrate`
+  carries g = Vt^{-1} h in its adiabatic frame, V the closed-form SU(2)
+  eigenbasis and h the phase-stripped solution below, whose coupling
+  V^{-1} V' is about U01'/nu in size where that of h is U01; elsewhere it
+  carries h itself.  Both couplings lie in u(2) and carry the phase
   e^{-+i nu rstar} off the diagonal; every step conserves |X1|^2 + |X2|^2.
 
 Both branches place their points by the log offset s = log(r - r_0),
@@ -66,9 +71,12 @@ error decays exponentially at rate alpha.  The coupling itself integrates to
 O(1) whatever alpha is, while X1 turns through nu / (2 pi) periods per unit
 of rstar all the way to the horizon: about 350 over [0, 32/alpha] at
 alpha = 0.05.  The Filon-Magnus steps integrate its carrier e^{i nu km s}
-exactly, km s = -rstar up to a term that stays bounded there, so they
-cluster at alpha rstar < 2, where ||B|| = O(1), and their number grows far
-more slowly than 1/alpha.
+exactly, km s = -rstar up to a term that stays bounded there.  Steps of h
+itself must still resolve B, which is O(1) at alpha rstar < 2 and grows like
+|k| and xi; steps of g in the adiabatic frame resolve only the frame's
+rotation, so criterion 8's holes and the near-extremal a = 0.95 and 0.995
+take 732-1,068 steps over [0, 32/alpha] at tol 1e-11, and k or xi = 40 a few
+thousand at tol 1e-10.
 """
 
 from __future__ import annotations
@@ -215,17 +223,25 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
     On the interior branch the samples lie on a uniform grid in rstar spaced
     about 0.25/alpha up to 32/alpha, past which the spacing doubles on each
     interval, and the grid is inverted for its log offsets
-    s = log(r - r_minus) once, up front.  The phase-stripped
-    h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus), is carried
-    across each sample interval by Filon-Magnus steps on dh/ds = J B h,
-    J = drstar/ds, uniform in s (`_interior_steps`), where r, J and rstar
-    are explicit, so no step edge or node is inverted.  The steps are halved
-    until the interval's product moves by less than `tol`, within
-    `_STEP_BUDGET` evaluated steps, and the samples are re-phased to X.  B
-    lies in u(2), so every step conserves |X1|^2 + |X2|^2.  Toward the
-    horizon rstar = -km s + O(e^s), so the carrier e^{i nu km s} takes up the
-    off-diagonal phase e^{-+i nu rstar}, and the steps follow the O(1)
-    coupling and not the periods of X1.
+    s = log(r - r_minus) once, up front.  Take the phase-stripped
+    h = (X1 e^{-i nu rstar}, X2), nu = 2 (omega + k Omega_minus), and V the
+    closed-form SU(2) eigenbasis of the traceless part of U.  The span alone
+    picks the frame (`_horizon_frame_holds`): where the eigenvalue gap of V
+    stays open, g = Vt^{-1} h, Vt = [[V00, V01 e^{-i nu rstar}],
+    [V10 e^{i nu rstar}, V11]], is carried by Filon-Magnus steps on its own
+    u(2) coupling (`_horizon_frame_steps`), whose off-diagonal is the
+    frame's rotation V^{-1} V' and not B, so the steps grow far more slowly
+    with |k|, xi and omega; where the gap all but closes, h itself is
+    carried on dh/ds = J B h (`_interior_steps`).  Both step uniformly in s, with
+    J = drstar/ds, where r, J and rstar are explicit, so no step edge or
+    node is inverted.  The steps are halved until the interval's product
+    moves by less than `tol`, within `_STEP_BUDGET` evaluated steps; g0 is
+    Vt^dagger h at the first sample and X = V (g1 e^{i nu rstar}, g2) at
+    every sample (`_through_horizon_frame`).  Every step exponent lies in
+    u(2), so every step conserves |X1|^2 + |X2|^2.  Toward the horizon
+    rstar = -km s + O(e^s), so the carrier e^{i nu km s} takes up the
+    off-diagonal phase e^{-+i nu rstar}, and the steps follow the coupling
+    and not the periods of X1.
 
     The trajectory carries the log offset s = log(r - r_0) of every sample,
     r_0 = r_plus or r_minus; `steps` counts the Magnus steps, and `rejected`
@@ -257,11 +273,10 @@ def integrate(mode, params, span, X0, tol=1e-10, branch="exterior"):
             alpha = cauchy_rate(params)
             rstar = _sample_grid(t0, t1, 0.25 / alpha, 32.0 / alpha, 1.0, _STEP_BUDGET)
             s = log_offset(rstar, "interior", params)
-            products, _, steps = _settled_steps(_interior_steps, mode, params, rstar, s, tol, _STEP_BUDGET,
-                                                "on rstar")
-            nu = _cauchy_nu(mode, params)
-            X = _propagated(products, np.array([y0[0] * np.exp(-1j * nu * t0), y0[1]]), rstar)
-            X[:, 0] *= np.exp(1j * nu * rstar)
+            framed = _horizon_frame_holds(mode, params, s[[0, -1]])
+            products, _, steps = _settled_steps(_horizon_frame_steps if framed else _interior_steps, mode, params,
+                                                rstar, s, tol, _STEP_BUDGET, "on rstar")
+            X = _through_horizon_frame(rstar, s, products, y0, mode, params, framed)
         else:
             rstar, s, X, steps = _frame_trajectory(mode, params, (t0, t1), s_span, y0, tol,
                                                    _frame_holds(mode, params, s_span))
@@ -310,7 +325,8 @@ def _frame_trajectory(mode, params, span, s_span, X0, tol, framed):
     samples[0], samples[-1] = span
     steps_of, budget = (_frame_steps, _FRAME_STEP_BUDGET) if framed else (_plain_steps, _STEP_BUDGET)
     _, settled, steps = _settled_steps(steps_of, mode, params, samples, s_samples, tol, budget, "on rstar")
-    pieces = sorted((i, e[1:, j], f[..., j]) for index, e, f in settled for j, i in enumerate(index.tolist()))
+    kept = [(index[done], e[1:, done], np.array(f)[..., done]) for index, done, e, f in settled]
+    pieces = sorted((i, e[:, j], f[..., j]) for index, e, f in kept for j, i in enumerate(index.tolist()))
     s = np.concatenate([s_samples[:1]] + [e for _, e, _ in pieces])
     factors = np.concatenate([f for _, _, f in pieces], axis=1)
     rstar = _offset_tortoise(s, "exterior", params)
@@ -350,14 +366,14 @@ def _frame_holds(mode, params, s_span):
 
 # ---------------------------------------------------------------------------
 # Filon-Magnus steps: the exterior in the adiabatic frame or at carrier 0,
-# the interior in the phase-stripped frame
+# the interior in its adiabatic frame or the phase-stripped frame
 #
 # Every 2x2 quantity is held as four component arrays (x00, x01, x10, x11) and
 # multiplied out by hand.  On the exterior branch U lies in u(1,1): its
 # diagonal entries are imaginary and U10 = conj(U01).  So do J U, the frame
 # coupling C and every step exponent.  On the interior branch U10 =
-# -conj(U01), so B, J B and their step exponents lie in u(2).  `_expm2` takes
-# both.
+# -conj(U01), so B, J B, the frame coupling of g and their step exponents lie
+# in u(2).  `_expm2` takes both.
 #
 # A step exponent takes its weights first: the moments mu_l times the real
 # tensors, mu @ _F1 on A, and mu @ _F2 and e^{i kappa} mu @ _F3 as 4x4
@@ -428,10 +444,10 @@ _F2_FLAT, _F3_FLAT = _F2.reshape(8, 16), _F3.reshape(8, 16)
 _FAR_TOL = 1e-10
 # most steps one trajectory may evaluate, over all halvings, in the adiabatic
 # frame and elsewhere.  The far field settles in 70-72 steps per seed on
-# criterion 7.  Over [0, 32/alpha] the interior evaluates 18,436 on
-# a = 0.995, Q = 0.09 at tol 1e-11, and 57,488 at the tightest tol, 1e-13;
-# carrier 0 evaluates 22,513 on a turning mode (xi = 10) over (10.11, 200)
-# at tol 1e-10
+# criterion 7.  Over [0, 32/alpha] the interior frame evaluates 1,336 on
+# a = 0.995, Q = 0.09 at tol 1e-11, and 4,304 at the tightest tol, 1e-13,
+# where the carrier-nu steps of h evaluated 18,436 and 57,488; carrier 0
+# evaluates 22,513 on a turning mode (xi = 10) over (10.11, 200) at tol 1e-10
 _FRAME_STEP_BUDGET = 20_000
 _STEP_BUDGET = 200_000
 
@@ -589,7 +605,7 @@ def _adiabatic_frame(u, s, mode, params):
     scale = np.sqrt(np.abs(half_gap) / np.sqrt(disc))
     v00, v01 = V[..., 0, 0] * scale, V[..., 0, 1] * scale
     v10, v11 = V[..., 1, 0] * scale, V[..., 1, 1] * scale
-    p, q, _, t = _potential_slopes(r, delta, np.sqrt(delta), mode, params)
+    p, q, t = _potential_slopes(r, delta, np.sqrt(delta), mode, params)
     # s1 (conj v00 (U'V)01 - conj v10 (U'V)11), with U'10 = conj U'01
     k01 = s1 * (np.conj(v00) * (p * v01 + q * v11) - np.conj(v10) * (np.conj(q) * v01 + t * v11)) \
         / (lam2 - lam1)
@@ -705,13 +721,16 @@ def _settled_steps(steps_of, mode, params, samples, s_samples, tol, budget, wher
     component arrays, `ends` the pending intervals' samples.  Each interval
     starts as one step and is halved until the ordered product of its steps
     moves by less than `tol` of its largest entry.  The finer steps are
-    kept: `products` (4, intervals), and in `settled` one (index, s_edges,
-    factors) per level, the intervals that settled there with their step
-    edges (n + 1, k) and exponentials (4, n, k); `steps` counts them.  A
-    product that overflows the floats is kept as it is, and `_propagated`
-    reports where the solution leaves them.  Past `budget` evaluated steps
-    IntegrationError names the first unsettled interval, `where` ("on u",
-    say) and the step counts; its t is the end of that interval.
+    kept: `products` (4, intervals), and in `settled` one (index, done,
+    s_edges, factors) per level, the pending intervals `index` with their
+    step edges (n + 1, len(index)) and exponentials, four arrays
+    (n, len(index)), as the level evaluated them; `index[done]` settled
+    there, and `steps` counts their steps.  Only `_frame_trajectory` reads
+    the factors, so the driver picks none of them out.  A product that
+    overflows the floats is kept as it is, and `_propagated` reports where
+    the solution leaves them.  Past `budget` evaluated steps IntegrationError
+    names the first unsettled interval, `where` ("on u", say) and the step
+    counts; its t is the end of that interval.
     """
     products = np.empty((4, len(samples) - 1), dtype=complex)
     settled, pending, coarse = [], np.arange(len(samples) - 1), None
@@ -724,14 +743,14 @@ def _settled_steps(steps_of, mode, params, samples, s_samples, tol, budget, wher
                 f"on {pending.size} intervals, {evaluated} steps evaluated, {steps} accepted", b)
         s_edges = _uniform_edges(s_samples[pending], s_samples[pending + 1], n)
         with np.errstate(over="ignore", invalid="ignore"):
-            factors = np.array(steps_of(s_edges, (samples[pending], samples[pending + 1]), mode, params))
+            factors = steps_of(s_edges, (samples[pending], samples[pending + 1]), mode, params)
             fine = np.array(_ordered_product(*factors))
             done = ~np.isfinite(fine).all(axis=0)
             if coarse is not None:
                 done |= np.abs(fine - coarse).max(axis=0) <= tol * np.abs(fine).max(axis=0)
         evaluated += n * pending.size
         products[:, pending[done]] = fine[:, done]
-        settled.append((pending[done], s_edges[:, done], factors[..., done]))
+        settled.append((pending, done, s_edges, factors))
         steps += n * int(done.sum())
         pending, coarse, n = pending[~done], fine[:, ~done], 2 * n
     return products, settled, steps
@@ -1060,6 +1079,150 @@ def _interior_steps(s_edges, _, mode, params):
 
     return _filon_magnus_steps(s_edges, 0.5 * (s_edges[-1:] - s_edges[:1]) / (len(s_edges) - 1), -nu * km,
                                frame, -1.0)
+
+
+# the least distance, in the complex s = log(r - r_minus) plane, from the
+# interior span to a root of the gap quartic at which the interior takes its
+# adiabatic frame (`_horizon_frame_holds`): half the sample interval in s at
+# r_minus
+_HORIZON_FRAME_MARGIN = 0.25
+
+
+def _horizon_frame_holds(mode, params, s_span):
+    """Whether the interior span with log offsets s_span = log(r - r_minus)
+    keeps the eigenvalue gap of the traceless part of U open far enough to
+    step in its adiabatic frame (`_horizon_frame_steps`).
+
+    That part is [[i c, A], [-conj(A), -i c]], c = nu/2 + G and A = U01 as in
+    `_horizon_coupling`, and its eigenvalues are +-i lam with
+    (r^2 + a^2)^2 lam^2 = P(r) = (omega (r^2 + a^2) + k a)^2 - Delta (m^2 r^2 + xi^2),
+    the quartic of `_frame_holds`, since nu/2 (r^2 + a^2) + G (r^2 + a^2) =
+    omega (r^2 + a^2) + k a.  Delta < 0 inside, so P > 0 on the real branch
+    unless c and A vanish together; but the frame rotates by pi/2 across a
+    near root, and its coupling grows like the inverse distance to a root in
+    the complex s plane.  The frame holds where every root of P, taken as
+    the quartic in e = r - r_minus, lies farther than `_HORIZON_FRAME_MARGIN`
+    from the span there.  Its constant term P(r_minus) =
+    ((r_minus^2 + a^2) nu / 2)^2 is exact, so at nu = 0 the root on the
+    Cauchy horizon is e = 0; it is placed at the smallest normal float,
+    below which e^s underflows to 0 and c and A vanish together.  On
+    m = 0, k = 2.5, omega = -2.5 Omega_minus + 0.3 (a = 0.6, Q = 0.3) the
+    frame takes 2x the carrier-nu steps of h at distance 0.2 and 20x at
+    0.002, and exhausts the step budget at xi = 1e-9.
+    """
+    om, k, m, xi, a = mode.omega, mode.k, mode.m, mode.xi, params.a
+    rm = params.r_minus
+    b0 = 0.5 * (rm * rm + a * a) * _cauchy_nu(mode, params)
+    # omega (r^2 + a^2) + k a = omega e^2 + 2 omega r_minus e + b0, and
+    # Delta = e^2 - (r_plus - r_minus) e
+    first = [om, 2.0 * om * rm, b0]
+    quartic = np.convolve(first, first) - np.convolve([1.0, rm - params.r_plus, 0.0],
+                                                      [m * m, 2.0 * m * m * rm, m * m * rm * rm + xi * xi])
+    e_root = np.roots(quartic) + 0j
+    s_root = np.log(np.where(e_root == 0.0, np.finfo(float).tiny, e_root))
+    s_a, s_b = np.sort(s_span)
+    return bool(np.all(np.abs(s_root - np.clip(s_root.real, s_a, s_b)) > _HORIZON_FRAME_MARGIN))
+
+
+def _horizon_rotation(c, A, sign):
+    """(|A|^2, |lam|, |p|) of the interior frame, from c = nu/2 + G, A and
+    sign = copysign(1, nu), which is +1 at nu = 0.
+
+    lam = sign sqrt(c^2 + |A|^2) and p = lam + c, so lam p > 0 wherever the
+    gap is open; |p| = |lam| + sign c is taken as |A|^2 / (|lam| - sign c)
+    where c and lam differ in sign, so that nothing cancels."""
+    A2 = A.real * A.real + A.imag * A.imag
+    root = np.sqrt(c * c + A2)
+    sc = sign * c
+    return A2, root, np.divide(A2, root - sc, out=root + sc, where=sc < 0.0)
+
+
+def _horizon_frame_steps(s_edges, _, mode, params):
+    """Exponentials of the steps of g = Vt^{-1} h between consecutive log
+    offsets `s_edges` = log(r - r_minus), uniform in s on each interval, as
+    four component arrays.
+
+    V = [[p, i A], [i conj(A), p]] / sqrt(2 lam p) (`_horizon_rotation`) is
+    the SU(2) eigenbasis of the traceless part [[i c, A], [-conj(A), -i c]]
+    of U, V^{-1} U V = tr(U)/2 + i lam sigma3, and
+    Vt = [[V00, V01 e^{-i nu rstar}], [V10 e^{i nu rstar}, V11]] carries it to
+    h, so that X = V (g1 e^{i nu rstar}, g2).  With K = V^{-1} dV/ds in su(2),
+    dg/ds = J [tr(B)/2 + i (lam - nu/2) sigma3] - [[K00, K01 e^{-i nu rstar}],
+    [K10 e^{i nu rstar}, K11]], and in closed form
+
+        lam - nu/2 = G + |A|^2 / p,      K00 = i Im(A conj(A')) / (2 lam p),
+        K01 = i (p A' - A p') / (2 lam p),   p' = lam' + G',
+        lam' = (c G' + Re(A conj(A'))) / lam,
+
+    with A' = J dU01/drstar and G' = J d(U00 - U11)/drstar / (2 i) from
+    `_potential_slopes` (Delta = -e gap).  The off-diagonal is A'/nu in size
+    where the carrier-nu steps of h (`_interior_steps`) see J A, so the
+    steps follow the rotation of the frame and not the size of the
+    coupling.  The carrier -nu km, the slow phase and the trace are those of
+    `_interior_steps`, and every exponent lies in u(2).
+    """
+    nu, (kp, km) = _cauchy_nu(mode, params), _kappas(params)
+    sign, a2 = math.copysign(1.0, nu), params.a ** 2
+
+    def frame(nodes, edges):
+        e, r, gap, log_p, _ = _offset_terms(nodes, "interior", params)
+        jac = -(r * r + a2) / gap
+        G, A = _horizon_coupling(e, r, gap, mode, params)
+        abs_delta = e * gap
+        d00, d01, d11 = _potential_slopes(r, -abs_delta, np.sqrt(abs_delta), mode, params)
+        # with A' = J d01 and G' = J dG, every term below carries one factor J
+        dG = 0.5 * (d00 - d11).imag
+        c = 0.5 * nu + G
+        A2, root, q = _horizon_rotation(c, A, sign)
+        cross = A * d01.conj()
+        half = 0.5 / (root * q)  # 1 / (2 lam p)
+        # lam - nu/2 = G + sign |A|^2 / |p|, and sign (A p' - p A') / J = A slope - |p| d01
+        slope = (c * dG + cross.real) / root
+        if sign > 0:
+            shift, slope = G + A2 / q, slope + dG
+        else:
+            shift, slope = G - A2 / q, slope - dG
+        # -K01 = i (A p' - p A') / (2 lam p), with the i folded into the slow phase
+        slow = np.exp(1j * (0.5 * math.pi - nu * (r + kp * log_p)))
+        return (jac * (shift - half * cross.imag), (A * slope - q * d01) * ((sign * half * jac) * slow),
+                _horizon_trace_phase(edges, mode, params))
+
+    return _filon_magnus_steps(s_edges, 0.5 * (s_edges[-1:] - s_edges[:1]) / (len(s_edges) - 1), -nu * km,
+                               frame, -1.0)
+
+
+def _horizon_basis(s, mode, params):
+    """(v, w) at interior log offsets s: V = [[v, w], [-conj(w), v]], the
+    eigenbasis of `_horizon_frame_steps` times sign(nu), so that V -> I at
+    the horizon for nu != 0.
+
+    v = |p| / sqrt(2 lam p) is real and w = sign(nu) i A / sqrt(2 lam p)
+    (`_horizon_rotation`); V lies in SU(2)."""
+    nu = _cauchy_nu(mode, params)
+    sign = math.copysign(1.0, nu)
+    e, r, gap, _, _ = _offset_terms(s, "interior", params)
+    G, A = _horizon_coupling(e, r, gap, mode, params)
+    _, root, q = _horizon_rotation(0.5 * nu + G, A, sign)
+    norm = np.sqrt(2.0 * root * q)
+    return q / norm, (sign * 1j) * A / norm
+
+
+def _through_horizon_frame(rstar, s, products, X0, mode, params, framed):
+    """Samples X at the interior points rstar with log offsets s, from X0 at
+    rstar[0] and the propagators `products` between consecutive points: of
+    g = Vt^{-1} h (`_horizon_frame_steps`) if `framed`, and of h itself
+    (`_interior_steps`, V = I) otherwise.
+
+    With V = [[v, w], [-conj(w), v]] from `_horizon_basis`,
+    g0 = (y1 e^{-i nu rstar[0]}, y2) for y = V^{-1} X0 = V^dagger X0, and
+    X = V (g1 e^{i nu rstar}, g2) at every sample."""
+    nu = _cauchy_nu(mode, params)
+    v, w = _horizon_basis(s, mode, params) if framed else (np.ones(len(s)), np.zeros(len(s)))
+    g0 = np.array([(v[0] * X0[0] - w[0] * X0[1]) * np.exp(-1j * nu * rstar[0]),
+                   np.conj(w[0]) * X0[0] + v[0] * X0[1]])
+    y = _propagated(products, g0, rstar)
+    y[:, 0] *= np.exp(1j * nu * rstar)
+    return np.stack([v * y[:, 0] + w * y[:, 1], v * y[:, 1] - np.conj(w) * y[:, 0]], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -157,20 +157,25 @@ def _potential_entries(r, delta, sD, eps_sign, mode, params):
 
 
 def _potential_slopes(r, delta, sD, mode, params):
-    """Components of dU/drstar on the exterior branch, where Delta > 0, given
-    Delta and sqrt(Delta): dU/dr from the rational forms of `_potential_entries`
-    times dr/drstar = Delta / (r^2+a^2).  The far-field adiabatic frame takes
-    the derivative of its eigenbasis from these."""
+    """Components (dU00, dU01, dU11) of dU/drstar on either branch, given the
+    signed Delta and sqrt|Delta|: dU/dr from the rational forms of
+    `_potential_entries` times dr/drstar = Delta / (r^2+a^2).
+
+    The slope of sqrt|Delta| is sign(Delta) Delta' / (2 sqrt|Delta|), and the
+    sign cancels against the one of dr/drstar, so one formula serves both
+    branches.  dU10 follows from the symmetry of U: conj(dU01) on the
+    exterior, where Delta > 0, and -conj(dU01) on the interior.  The
+    exterior adiabatic frame takes the derivative of its eigenbasis from
+    these, and the interior one (`radial._horizon_frame_steps`) the slopes
+    of U01 and of U00 - U11."""
     om, k, m, xi = mode.omega, mode.k, mode.m, mode.xi
     a = params.a
     ra = r * r + a * a
     dd = 2.0 * (r - params.M)  # dDelta/dr
     lr = 2.0 * r / ra  # d log(r^2+a^2) / dr
     g = delta / (ra * ra)  # (dr/drstar) / (r^2+a^2)
-    d01 = sD / (ra * ra) * ((xi - 1j * m * r) * (0.5 * dd - lr * delta) - 1j * m * delta)
     return (-1j * g * (om * dd + (2 * k * a - om * delta) * lr),
-            d01,
-            np.conj(d01),
+            sD / (ra * ra) * ((xi - 1j * m * r) * (0.5 * dd - lr * delta) - 1j * m * delta),
             -1j * om * g * (dd - delta * lr))
 
 

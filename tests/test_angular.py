@@ -495,6 +495,47 @@ def test_continuation_smooth_and_reversible():
     assert np.abs(d2).max() < 10.0
 
 
+@pytest.mark.parametrize("omega", [0.7, 40.0])
+def test_eigenpair_parity_flag(omega):
+    # a pair from the odd block X - Y changes sign under the reflection
+    # (Y1, Y2)(theta) -> (Y2, Y1)(pi - theta), and one from X + Y keeps it;
+    # the theta grid is symmetric about pi/2
+    mode = ModeParams(omega=omega, k=0.5, m=0.55, xi=0.0)
+    pairs = angular_eigenpairs(mode, DiscretizationSpec(N=64), PAR, count=8)
+    assert {p.odd for p in pairs} == {False, True}
+    for p in pairs:
+        sign = -1.0 if p.odd else 1.0
+        assert np.abs(p.Y[::-1, ::-1] - sign * p.Y).max() < 1e-10 * np.abs(p.Y).max()
+
+
+def test_continuation_across_tunnelling_doublets():
+    # on omega in [30, 40] the lowest eigenvalues of the two parity blocks
+    # pair up, within 1e-12 at omega = 30 and to rounding at 40: a gap taken
+    # across both blocks raised "step 1.414e-01 exceeds half the local gap
+    # 3.659e-13" at omega = 31.  Within
+    # the tracked pair's block the branch is well separated, forward and
+    # backward, and every entry is an eigenvalue at its omega
+    mode = ModeParams(omega=0.0, k=0.5, m=0.55, xi=0.0)
+    spec = DiscretizationSpec(N=64)
+    oms = np.linspace(30.0, 40.0, 11)
+    fwd = xi_continuation(oms, mode, spec, PAR, branch_n=1)
+    bwd = xi_continuation(oms[::-1], mode, spec, PAR, branch_n=1)
+    for track, sweep in ((fwd, oms), (bwd, oms[::-1])):
+        for xi, om in zip(track, sweep):
+            pairs = angular_eigenpairs(ModeParams(omega=float(om), k=0.5, m=0.55, xi=0.0), spec, PAR,
+                                       count=12, n_theta=9)
+            assert xi in [p.xi for p in pairs]
+    assert np.abs(bwd[::-1] - fwd).max() < 1e-8
+
+
+def test_continuation_ambiguous_within_the_block_raises():
+    # from omega = 0 to 3 in one step the branch moves by 1.39, past half
+    # the gap of 1.25 to its neighbour in the same parity block
+    mode = ModeParams(omega=0.0, k=0.5, m=0.55, xi=0.0)
+    with pytest.raises(ArithmeticError, match="exceeds half the local gap .* within its parity block"):
+        xi_continuation(np.array([0.0, 3.0]), mode, DiscretizationSpec(N=64), PAR, branch_n=1)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         DiscretizationSpec(N=4)

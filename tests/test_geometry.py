@@ -187,23 +187,23 @@ def test_interior_offset_deep_tail():
 
 
 class _CountingNumpy:
-    """numpy with its `log` and `log1p` calls counted together: an interior
-    `log_offset` takes one per Newton sweep, plus one for the r_plus-side
-    seed."""
+    """numpy with its calls to the functions `names` counted together in
+    `calls`: an interior `log_offset` takes one `exp` and one `log1p` per
+    Newton sweep, plus one `exp` and one `log` for the r_plus-side seed."""
 
-    def __init__(self):
-        self.logs = 0
+    def __init__(self, *names):
+        self.names, self.calls = names, 0
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        function = getattr(np, name)
+        if name not in self.names:
+            return function
 
-    def log(self, x):
-        self.logs += 1
-        return np.log(x)
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return function(*args, **kwargs)
 
-    def log1p(self, x):
-        self.logs += 1
-        return np.log1p(x)
+        return counted
 
 
 def _cauchy_rate(par):
@@ -217,12 +217,12 @@ def test_interior_offset_newton_sweeps(par, monkeypatch):
     # r_plus end of the branch takes 18-20 sweeps
     import kndirac.geometry
 
-    counting = _CountingNumpy()
+    counting = _CountingNumpy("log", "log1p")
     monkeypatch.setattr(kndirac.geometry, "np", counting)
     for alpha_rstar in np.linspace(0.4, 5.0, 47):
-        counting.logs = 0
+        counting.calls = 0
         log_offset(alpha_rstar / _cauchy_rate(par), "interior", par)
-        assert counting.logs <= 8
+        assert counting.calls <= 8
 
 
 # M=1, a=0.3, Q=0.6: points where rounding keeps the Newton step above the
@@ -235,11 +235,11 @@ def test_interior_offset_at_rounding_floor(alpha_rstar, eps_ref, monkeypatch):
     import kndirac.geometry
 
     par = SpacetimeParams(M=1.0, a=0.3, Q=0.6)
-    counting = _CountingNumpy()
+    counting = _CountingNumpy("log", "log1p")
     monkeypatch.setattr(kndirac.geometry, "np", counting)
     eps = np.exp(log_offset(alpha_rstar / _cauchy_rate(par), "interior", par))
     assert abs(eps - eps_ref) <= 1e-14 * eps_ref
-    assert counting.logs <= 8
+    assert counting.calls <= 8
 
 
 def test_interior_offset_held_at_the_cap(monkeypatch):
@@ -249,12 +249,12 @@ def test_interior_offset_held_at_the_cap(monkeypatch):
     import kndirac.geometry
 
     par = SpacetimeParams(M=1.0, a=0.95, Q=0.3)
-    counting = _CountingNumpy()
+    counting = _CountingNumpy("log", "log1p")
     monkeypatch.setattr(kndirac.geometry, "np", counting)
     eps = np.exp(log_offset(-30.0 / _cauchy_rate(par), "interior", par))
     width = par.r_plus - par.r_minus
     assert 0.0 < width - eps <= 2e-15 * width  # the cap, log(eps) <= log(width) - 1e-15
-    assert counting.logs <= 8
+    assert counting.calls <= 8
 
 
 def test_tortoise_inverse_stops_on_the_floor(monkeypatch):
@@ -263,10 +263,10 @@ def test_tortoise_inverse_stops_on_the_floor(monkeypatch):
     # floor, and running out the 200 sweeps there took 405 logs
     import kndirac.geometry
 
-    counting = _CountingNumpy()
+    counting = _CountingNumpy("log", "log1p")
     monkeypatch.setattr(kndirac.geometry, "np", counting)
     r = tortoise_inverse(np.array([-300.0, -120.0, -40.0]), "exterior", PAR)
-    assert counting.logs <= 20
+    assert counting.calls <= 20
     monkeypatch.undo()
     assert np.all(r[:2] == PAR.r_plus * (1.0 + 1e-15))
     assert r[2] == tortoise_inverse(-40.0, "exterior", PAR)
@@ -309,21 +309,6 @@ def test_log_offset_failure_names_the_rstar(region, monkeypatch):
         log_offset(np.array([5.0]), region, PAR)
 
 
-class _ExpCounter:
-    """numpy with its `exp` calls counted: `log_offset` takes one per Newton
-    sweep and one for the r_plus-side seed."""
-
-    def __init__(self):
-        self.exps = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def exp(self, x):
-        self.exps += 1
-        return np.exp(x)
-
-
 def _worst_interior_sweeps(qs, monkeypatch):
     """The most `np.exp` calls of one interior `log_offset` over M in
     {0.25..4}, a^2 + Q^2 = q M^2 for q in qs (Kerr, Reissner-Nordstrom and
@@ -331,7 +316,7 @@ def _worst_interior_sweeps(qs, monkeypatch):
     the residual bound of test_tortoise_inverse_round_trip_interior."""
     import kndirac.geometry
 
-    counting = _ExpCounter()
+    counting = _CountingNumpy("exp")
     monkeypatch.setattr(kndirac.geometry, "np", counting)
     worst = 0
     for M in (0.25, 0.5, 1.0, 2.0, 4.0):
@@ -342,10 +327,10 @@ def _worst_interior_sweeps(qs, monkeypatch):
                 alpha = _cauchy_rate(par)
                 cap = math.log(par.r_plus - par.r_minus) - 1e-15
                 for alpha_rstar in np.linspace(-5.0, 40.0, 46):
-                    counting.exps = 0
+                    counting.calls = 0
                     rs = alpha_rstar / alpha
                     s = log_offset(rs, "interior", par)
-                    worst = max(worst, counting.exps)
+                    worst = max(worst, counting.calls)
                     rstar_s, slope = _interior_tortoise(s, par)
                     bound = 1e-12 * max(1.0, abs(rs)) + 64 * 2.3e-16 * abs(slope) * max(1.0, abs(s))
                     assert s <= cap
@@ -382,24 +367,6 @@ def slow_holes(draw, interior):
     return SpacetimeParams(M=M, a=sign * M * math.sqrt(q) * math.cos(phi), Q=M * math.sqrt(q) * math.sin(phi))
 
 
-class _LogCounter:
-    """numpy with its `log` and `log1p` calls counted together."""
-
-    def __init__(self):
-        self.logs = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def log(self, x):
-        self.logs += 1
-        return np.log(x)
-
-    def log1p(self, x):
-        self.logs += 1
-        return np.log1p(x)
-
-
 def _interior_tortoise(s, par):
     """rstar and drstar/ds at s = log(r - r_minus) on the interior branch."""
     kp, km = _kappas(par)
@@ -415,10 +382,10 @@ def test_tortoise_inverse_round_trip_exterior(par, rstar):
     import kndirac.geometry
 
     rs = np.array(rstar)
-    counter = _LogCounter()
+    counter = _CountingNumpy("log", "log1p")
     with mock.patch.object(kndirac.geometry, "np", counter):
         r = tortoise_inverse(rs, "exterior", par)
-    assert counter.logs <= 14  # a sweep each, 3 for the far seed and 2 for the step in r
+    assert counter.calls <= 14  # a sweep each, 3 for the far seed and 2 for the step in r
     floor = par.r_plus * (1.0 + 1e-15)
     assert np.all(r >= floor)
     below = _offset_tortoise(math.log(floor - par.r_plus), "exterior", par)
@@ -465,12 +432,12 @@ def test_tortoise_inverse_round_trip_interior(par, alpha_rstar):
 
     alpha = 0.5 * (par.r_plus - par.r_minus) / (par.r_minus**2 + par.a**2)
     rs = np.array(alpha_rstar) / alpha
-    counter = _LogCounter()
+    counter = _CountingNumpy("log", "log1p")
     with mock.patch.object(kndirac.geometry, "np", counter):
         r = tortoise_inverse(rs, "interior", par)
     # one log1p per sweep and one for r, and one log for the r_plus-side
     # seed: toward Schwarzschild, at a^2 + Q^2 = 1e-6 M^2, up to 18 sweeps
-    assert counter.logs <= 20
+    assert counter.calls <= 20
     s = log_offset(rs, "interior", par)
     assert np.array_equal(r, par.r_minus + np.exp(s))
     cap = math.log(par.r_plus - par.r_minus) - 1e-15

@@ -20,7 +20,7 @@ from kndirac.geometry import (
     tortoise,
     tortoise_inverse,
 )
-from kndirac.separation import ModeParams, _potential_entries, _stacked
+from kndirac.separation import ModeParams, _potential_entries, _potential_slopes, _stacked
 from kndirac.radial import (
     IntegrationError,
     RadialTrajectory,
@@ -50,7 +50,10 @@ from kndirac.radial import (
     _filon_magnus_steps,
     _frame_holds,
     _frame_steps,
+    _horizon_basis,
     _horizon_coupling,
+    _horizon_frame_holds,
+    _horizon_frame_steps,
     _interior_steps,
     _moments,
     _ordered_product,
@@ -423,28 +426,29 @@ def test_rstar_of_the_step_edges_is_taken_once(mode, span, branch, most, monkeyp
         assert calls[-1] == traj.steps + 1
 
 
-@pytest.mark.parametrize("frame", ["adiabatic", "carrier 0", "interior"])
+@pytest.mark.parametrize("frame", ["adiabatic", "carrier 0", "interior", "interior frame"])
 def test_settled_factors_multiply_to_the_products(frame):
-    # each halving level keeps the step edges and exponentials of the
-    # intervals that settled on it; their ordered products are the interval
-    # products bit for bit, and every interval settles on exactly one level
-    if frame == "interior":
+    # each halving level keeps the step edges and exponentials of its
+    # pending intervals as it evaluated them, with a mask of those that
+    # settled on it; their ordered products are the interval products bit
+    # for bit, and every interval settles on exactly one level
+    if frame.startswith("interior"):
         samples = np.linspace(0.0, 20.0, 6)
         s_samples = log_offset(samples, "interior", PAR)
-        mode, steps_of = MODE, _interior_steps
+        mode, steps_of = MODE, _interior_steps if frame == "interior" else _horizon_frame_steps
     else:
         mode, steps_of = (MODE, _frame_steps) if frame == "adiabatic" else (SUBLUMINAL, _plain_steps)
         s_samples = np.linspace(*log_offset(np.array([10.0, 60.0]), "exterior", PAR), 6)
         samples = _offset_tortoise(s_samples, "exterior", PAR)
     products, settled, steps = _settled_steps(steps_of, mode, PAR, samples, s_samples, 1e-10, 10 ** 5, "on rstar")
     assert len(settled) >= 3
-    index = np.concatenate([index for index, _, _ in settled])
+    index = np.concatenate([index[done] for index, done, _, _ in settled])
     assert np.array_equal(np.sort(index), np.arange(len(samples) - 1))
-    assert steps == sum((len(s_edges) - 1) * len(index) for index, s_edges, _ in settled)
-    for index, s_edges, factors in settled:
-        assert factors.shape == (4, len(s_edges) - 1, len(index))
+    assert steps == sum((len(s_edges) - 1) * int(done.sum()) for _, done, s_edges, _ in settled)
+    for index, done, s_edges, factors in settled:
+        assert len(factors) == 4 and all(f.shape == (len(s_edges) - 1, len(index)) for f in factors)
         assert np.array_equal(s_edges[[0, -1]], np.stack([s_samples[index], s_samples[index + 1]]))
-        assert np.array_equal(np.array(_ordered_product(*factors)), products[:, index])
+        assert np.array_equal(np.array(_ordered_product(*(f[:, done] for f in factors))), products[:, index[done]])
 
 
 @pytest.mark.parametrize("mode,span", [(MODE, (10.0, 60.0)), (MODE, (-40.0, 0.0)),
@@ -1389,10 +1393,20 @@ NEAR_EXTREMAL = [SpacetimeParams(M=1.0, a=0.95, Q=0.3), SpacetimeParams(M=1.0, a
 NEAR_SCHWARZSCHILD = [SpacetimeParams(M=1.0, a=0.05, Q=0.0), SpacetimeParams(M=1.0, a=0.0, Q=0.05)]
 
 
-@pytest.mark.parametrize("par,mode", HORIZON_SEEDS + [(par, IMODE) for par in NEAR_EXTREMAL + NEAR_SCHWARZSCHILD])
+# nu = 2 (omega + k Omega_minus) = 0 exactly: the frame's gap closes on the
+# Cauchy horizon itself, at s = -inf, and the frame holds
+NU_ZERO = ModeParams(omega=-1.5 * horizon_angular_velocity(PAR), k=1.5, m=0.6, xi=1.3)
+# m = 0 and xi = 1e-9: U01 is 1e-9 where nu/2 + G changes sign, the frame's
+# gap all but closes there, and the span takes the carrier-nu steps of h
+GAP_CLOSING = ModeParams(omega=-2.5 * horizon_angular_velocity(PAR) + 0.3, k=2.5, m=0.0, xi=1e-9)
+
+
+@pytest.mark.parametrize("par,mode", HORIZON_SEEDS + [(par, IMODE) for par in NEAR_EXTREMAL + NEAR_SCHWARZSCHILD]
+                         + [(PAR, NU_ZERO), (PAR, GAP_CLOSING)])
 def test_interior_matches_dormand_prince(par, mode):
-    # criterion 8's holes, the two near-extremal ones and two near
-    # Schwarzschild against the phase-stripped Dormand-Prince oracle at a
+    # criterion 8's holes, the two near-extremal ones, two near
+    # Schwarzschild, a mode at nu = 0 and one whose span is refused the
+    # adiabatic frame, against the phase-stripped Dormand-Prince oracle at a
     # tighter tolerance; every Filon-Magnus step is unitary, so the current
     # |X1|^2 + |X2|^2 holds to rounding
     traj = interior_traj(mode, par)
@@ -1552,22 +1566,22 @@ def reference_magnus2(B, t0, t1, n=240):
     return first + second, second
 
 
-@pytest.mark.parametrize("kappa", [0.1, 1.0])
-def test_interior_step_exponent_matches_dense_magnus(kappa, monkeypatch):
-    # one Filon-Magnus step of h, uniform in s, across rstar in
-    # [1/alpha - eta, 1/alpha + eta] on the a = 0.95 hole, nu eta = kappa (in s
-    # the carrier turns by 0.89 kappa); omega = 40 keeps the step short against
-    # 1/alpha.  At nu eta of 10 and more the slow phase folded into the
-    # amplitude outruns the four-node interpolation; the weights at large
-    # kappa are checked by `test_filon_magnus_weights_match_quadrature`.  The
-    # sigma3 term of the commutator,
-    # 2 i Im(A1 conj(A2) e^{i kappa (x1 - x2)}), flips sign between u(1,1) and
-    # u(2); a wrong sign misses it by twice its size
+def dense_propagator(B, t0, t1, n=64):
+    """Propagator of dh/dt = B(t) h over [t0, t1] as the ordered product of
+    n dense second-order Magnus exponentials (`reference_magnus2`)."""
+    ts, P = np.linspace(t0, t1, n + 1), np.eye(2, dtype=complex)
+    for ta, tb in zip(ts[:-1], ts[1:]):
+        P = expm(reference_magnus2(B, ta, tb, n=40)[0]) @ P
+    return P
+
+
+def horizon_frame_step(mode, par, t0, t1, monkeypatch):
+    """The h-propagator of one Filon-Magnus step of the interior frame across
+    rstar in [t0, t1], uniform in s: Vt(s1) exp(Omega) Vt(s0)^dagger, with
+    Omega recorded at `_expm2` and Vt = [[v, w e^{-i nu rstar}],
+    [-conj(w) e^{i nu rstar}, v]] from `_horizon_basis`."""
     import kndirac.radial
 
-    par, mode = SpacetimeParams(M=1.0, a=0.95, Q=0.3), ModeParams(omega=40.0, k=1.5, m=0.6, xi=1.3)
-    eta = kappa / abs(_cauchy_nu(mode, par))
-    t0, t1 = 1.0 / cauchy_rate(par) - eta, 1.0 / cauchy_rate(par) + eta
     seen = []
 
     def recording(*omega):
@@ -1575,13 +1589,131 @@ def test_interior_step_exponent_matches_dense_magnus(kappa, monkeypatch):
         return _expm2(*omega)
 
     monkeypatch.setattr(kndirac.radial, "_expm2", recording)
-    _interior_steps(log_offset(np.array([[t0], [t1]]), "interior", par), None, mode, par)
+    s = log_offset(np.array([[t0], [t1]]), "interior", par)
+    _horizon_frame_steps(s, None, mode, par)
+    monkeypatch.undo()
     (Om,) = seen
-    ref, second = reference_magnus2(lambda t: horizon_B(t, mode, par), t0, t1)
+    nu = _cauchy_nu(mode, par)
+    v, w = _horizon_basis(s[:, 0], mode, par)
+    Vt = [np.array([[v[j], w[j] * np.exp(-1j * nu * t)], [-np.conj(w[j]) * np.exp(1j * nu * t), v[j]]])
+          for j, t in enumerate((t0, t1))]
+    return Vt[1] @ expm(Om) @ Vt[0].conj().T
+
+
+@pytest.mark.parametrize("kappa", [0.1, 1.0])
+def test_interior_step_exponent_matches_dense_magnus(kappa, monkeypatch):
+    # one Filon-Magnus step of the interior frame g = Vt^{-1} h, uniform in
+    # s, across rstar in [1/alpha - eta, 1/alpha + eta] on the a = 0.95
+    # hole, nu eta = kappa (in s the carrier turns by 0.89 kappa); omega = 40
+    # keeps the step short against 1/alpha.  Carried back to h it is the
+    # dense h-propagator, to 1e-8 and, on the diagonal, to 1e-3 of the
+    # sigma3 term of the h exponent's commutator,
+    # 2 i Im(A1 conj(A2) e^{i kappa (x1 - x2)}), which flips sign between
+    # u(1,1) and u(2).  The weights at large kappa are checked by
+    # `test_filon_magnus_weights_match_quadrature`
+    par, mode = SpacetimeParams(M=1.0, a=0.95, Q=0.3), ModeParams(omega=40.0, k=1.5, m=0.6, xi=1.3)
+    eta = kappa / abs(_cauchy_nu(mode, par))
+    t0, t1 = 1.0 / cauchy_rate(par) - eta, 1.0 / cauchy_rate(par) + eta
+    P = horizon_frame_step(mode, par, t0, t1, monkeypatch)
+    B = lambda t: horizon_B(t, mode, par)  # noqa: E731
+    ref, second = reference_magnus2(B, t0, t1)
+    exact = dense_propagator(B, t0, t1)
     sigma3_term = abs(second[0, 0] - second[1, 1]) / 2
     assert sigma3_term > 1e-9 * np.abs(ref).max()
-    assert abs(Om[0, 0] - ref[0, 0]) < 1e-3 * sigma3_term and abs(Om[1, 1] - ref[1, 1]) < 1e-3 * sigma3_term
-    assert np.abs(Om - ref).max() < 1e-8 * np.abs(ref).max()
+    assert abs(P[0, 0] - exact[0, 0]) < 1e-3 * sigma3_term and abs(P[1, 1] - exact[1, 1]) < 1e-3 * sigma3_term
+    assert np.abs(P - exact).max() < 1e-8 * np.abs(exact).max()
+
+
+def test_interior_frame_step_carries_its_sigma3_term(monkeypatch):
+    # at omega = 0.9 the frame's own coupling, A'/nu in size, is large enough
+    # that the sigma3 term of its commutator shows: flipping the kernel's u(2)
+    # sign moves the diagonal of the h-propagator by 2.7e-4 of the h
+    # exponent's sigma3 term (measured), and the step meets the dense
+    # propagator within 1e-6 of it (3.7e-9 measured)
+    par = SpacetimeParams(M=1.0, a=0.95, Q=0.3)
+    eta = 0.1 / abs(_cauchy_nu(IMODE, par))
+    t0, t1 = 1.0 / cauchy_rate(par) - eta, 1.0 / cauchy_rate(par) + eta
+    P = horizon_frame_step(IMODE, par, t0, t1, monkeypatch)
+    B = lambda t: horizon_B(t, IMODE, par)  # noqa: E731
+    second = reference_magnus2(B, t0, t1)[1]
+    exact = dense_propagator(B, t0, t1)
+    sigma3_term = abs(second[0, 0] - second[1, 1]) / 2
+    assert abs(P[0, 0] - exact[0, 0]) < 1e-6 * sigma3_term and abs(P[1, 1] - exact[1, 1]) < 1e-6 * sigma3_term
+
+
+@pytest.mark.parametrize("par,mode", HORIZON_SEEDS + [(NEAR_EXTREMAL[0], IMODE), (PAR, NU_ZERO)])
+def test_horizon_basis_diagonalizes_the_traceless_part_of_U(par, mode):
+    # V = [[v, w], [-conj(w), v]] lies in SU(2), V^dagger N V = i lam sigma3
+    # for N the traceless part of U, with lam of the sign of nu (+ at nu = 0),
+    # and V -> I at the horizon where nu != 0
+    s = log_offset(np.linspace(-2.0, 60.0, 63) / cauchy_rate(par), "interior", par)
+    v, w = _horizon_basis(s, mode, par)
+    V = _stacked(v, w, -np.conj(w), v)
+    eps, r, gap, _, _ = _offset_terms(s, "interior", par)
+    abs_delta = eps * gap
+    u00, u01, u10, u11 = _potential_entries(r, -abs_delta, np.sqrt(abs_delta), -1.0, mode, par)
+    half = 0.5 * (u00 - u11)
+    N = _stacked(half, u01, u10, -half)
+    D = np.conj(np.swapaxes(V, -1, -2)) @ N @ V
+    lam = math.copysign(1.0, _cauchy_nu(mode, par)) * np.sqrt(np.abs(half) ** 2 + np.abs(u01) ** 2)
+    assert np.isrealobj(v) and np.abs(v * v + np.abs(w) ** 2 - 1.0).max() < 1e-15
+    assert np.abs(D - _stacked(1j * lam, 0 * lam, 0 * lam, -1j * lam)).max() < 1e-14 * np.abs(lam).max()
+    if mode is not NU_ZERO:
+        assert abs(v[-1] - 1.0) < 1e-15 and abs(w[-1]) < 1e-15
+
+
+@pytest.mark.parametrize("par,mode", HORIZON_SEEDS + [(NEAR_EXTREMAL[0], IMODE)])
+def test_potential_slopes_on_the_interior(par, mode):
+    # the one evaluator of U' on the interior, Delta = -e gap, against the
+    # derivatives in s of U01 = sqrt(e gap) (xi - i m r) / (r^2 + a^2) and of
+    # U00 - U11 = i nu + 2 i G, G = -k Omega_minus (r^2 - r_minus^2) / (r^2 + a^2),
+    # each divided by J = drstar/ds = -(r^2 + a^2) / gap
+    s = log_offset(np.linspace(-2.0, 40.0, 211) / cauchy_rate(par), "interior", par)
+    eps, r, gap, _, _ = _offset_terms(s, "interior", par)
+    ra = r * r + par.a ** 2
+    sD = np.sqrt(eps * gap)
+    d00, d01, d11 = _potential_slopes(r, -eps * gap, sD, mode, par)
+    u01 = sD * (mode.xi - 1j * mode.m * r) / ra
+    jac = -ra / gap
+    du01 = (u01 * (0.5 * (gap - eps) / gap - 2.0 * r * eps / ra) - 1j * mode.m * eps * sD / ra) / jac
+    dG = -2.0 * mode.k * par.a * r * eps / ra ** 2 / jac  # dG/dr e / J, dG/dr = -2 k a r / (r^2 + a^2)^2
+    assert np.all(np.abs(d01 - du01) <= 1e-14 * np.abs(du01))
+    assert np.all(np.abs((d00 - d11) - 2j * dG) <= 1e-14 * np.abs(dG))
+
+
+# the probe of the interior's cost, on a = 0.6, Q = 0.3 over (0, 32/alpha) at
+# tol 1e-10: k, xi and omega from 0.5 / 1.5 / 1.3 up to 40.  The carrier-nu
+# steps of h took 14,868, 15,186, 59,946 and 4,132 steps on these; the
+# frame takes 3,682, 2,624, 4,996 and 502
+@pytest.mark.parametrize("k,xi,omega,most", [(40.5, 1.5, 1.3, 5000), (0.5, 41.5, 1.3, 5000),
+                                             (40.5, 41.5, 1.3, 7000), (0.5, 1.5, 40.0, 1000)])
+def test_interior_steps_do_not_grow_with_k_xi_omega(k, xi, omega, most):
+    mode = ModeParams(omega=omega, k=k, m=0.55, xi=xi)
+    traj = integrate(mode, PAR, (0.0, 32.0 / cauchy_rate(PAR)), np.array([0.8 + 0.3j, -0.45 + 0.9j]), tol=1e-10,
+                     branch="interior")
+    assert traj.steps <= most
+
+
+@pytest.mark.parametrize("mode,holds", [(IMODE, True), (NU_ZERO, True), (GAP_CLOSING, False),
+                                        (ModeParams(omega=GAP_CLOSING.omega, k=2.5, m=0.0, xi=0.0), False),
+                                        (ModeParams(omega=GAP_CLOSING.omega, k=2.5, m=0.0, xi=1.0), True)])
+def test_horizon_frame_is_refused_where_the_gap_closes(mode, holds, monkeypatch):
+    # on the m = 0, k = 2.5 modes nu/2 + G changes sign at alpha rstar = 3.3;
+    # at xi = 0 and 1e-9 the gap closes there, and the carrier-nu steps of h
+    # take the span; at xi = 1 it stays open
+    import kndirac.radial
+
+    span = (0.0, 32.0 / cauchy_rate(PAR))
+    assert _horizon_frame_holds(mode, PAR, log_offset(np.array(span), "interior", PAR)) is holds
+    ran = []
+    for name in ("_interior_steps", "_horizon_frame_steps"):
+        def counted(*args, _name=name, _steps=getattr(kndirac.radial, name)):
+            ran.append(_name)
+            return _steps(*args)
+
+        monkeypatch.setattr(kndirac.radial, name, counted)
+    integrate(mode, PAR, span, np.array([1.0, 0.2j]), tol=1e-10, branch="interior")
+    assert set(ran) == {"_horizon_frame_steps" if holds else "_interior_steps"}
 
 
 @pytest.mark.parametrize("start,held", [(19.5, 0), (18.9, 1)])
